@@ -49,6 +49,7 @@ ClusterNode::Metrics::Metrics(obs::MetricsRegistry& m)
       ring_rebuilds(m.counter("cluster.ring_rebuilds")),
       meta_served(m.counter("cluster.meta_served")),
       lookups_remote(m.counter("cluster.lookups_remote")),
+      lookup_cache_hits(m.counter("cluster.lookup_cache_hits")),
       lookup_misses(m.counter("cluster.lookup_misses")),
       sync_rounds(m.counter("cluster.sync_rounds")),
       shards_pulled(m.counter("cluster.shards_pulled")),
@@ -142,6 +143,7 @@ void ClusterNode::rebuild_ring_locked() {
   prev_ring_ = ring_;
   ring_ = HashRing(view_.ring_members(), options_.replication_factor,
                    options_.vnodes);
+  lookup_cache_.invalidate();
   m_.ring_rebuilds.inc();
 }
 
@@ -473,6 +475,11 @@ std::vector<int> ClusterNode::meta_owners(const std::string& path) {
 }
 
 std::optional<VersionedStat> ClusterNode::resolve(const std::string& path) {
+  std::uint64_t epoch = 0;
+  if (auto hit = lookup_cache_.find(path, &epoch)) {
+    m_.lookup_cache_hits.inc();
+    return hit;
+  }
   const std::uint32_t shard = shard_of(path, options_.nshards);
   std::vector<int> candidates;
   MembershipView view;
@@ -486,11 +493,13 @@ std::optional<VersionedStat> ClusterNode::resolve(const std::string& path) {
     append_unique(candidates, view_.serving_members());
     view = view_;
   }
-  m_.lookups_remote.inc();
   Bytes body = to_bytes(path);
+  bool sent = false;
   for (const int dest : candidates) {
     if (dest == comm_.rank()) continue;
     if (view.get(dest).state == MemberState::kDead) continue;
+    if (!sent) m_.lookups_remote.inc();
+    sent = true;
     const auto reply = rpc(dest, kTagMetaLookup, body);
     if (!reply || reply->empty()) continue;
     const std::uint8_t status = (*reply)[0];
@@ -502,6 +511,7 @@ std::optional<VersionedStat> ClusterNode::resolve(const std::string& path) {
     vs.version = load_le<std::uint64_t>(reply->data() + 1);
     vs.writer = load_le<std::uint32_t>(reply->data() + 9);
     vs.stat = format::FileStat::deserialize(reply->data() + 13);
+    lookup_cache_.insert(path, vs, epoch);
     return vs;
   }
   m_.lookup_misses.inc();

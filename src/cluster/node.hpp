@@ -8,7 +8,9 @@
 //                 `replication_factor` owners each
 //   lookups     — a local miss resolves against the shard's owners over
 //                 new tagged request/reply messages on the same mpi::Comm
-//                 the fetch protocol uses (tags 110..117, replies >= 2e6)
+//                 the fetch protocol uses (tags 110..117, replies >= 2e6);
+//                 dataset answers stay in a bounded LookupCache until the
+//                 ring next changes
 //   anti-entropy— per-shard digests; a joiner/rebalancer pulls only the
 //                 shards whose digest differs (delta-only, byte-accounted
 //                 in "cluster.sync_bytes")
@@ -37,6 +39,7 @@
 #include <vector>
 
 #include "cluster/hash_ring.hpp"
+#include "cluster/lookup_cache.hpp"
 #include "cluster/membership.hpp"
 #include "cluster/resolver.hpp"
 #include "cluster/shard_store.hpp"
@@ -179,7 +182,8 @@ class ClusterNode final : public MetaResolver {
     obs::Counter& view_changes;
     obs::Counter& ring_rebuilds;
     obs::Counter& meta_served;
-    obs::Counter& lookups_remote;
+    obs::Counter& lookups_remote;  // resolves that went to the wire
+    obs::Counter& lookup_cache_hits;
     obs::Counter& lookup_misses;
     obs::Counter& sync_rounds;
     obs::Counter& shards_pulled;
@@ -221,12 +225,15 @@ class ClusterNode final : public MetaResolver {
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // when not injected
   Metrics m_;
 
-  // Leaf lock: held only for view/ring reads and merges, never across
-  // comm_ or store_ calls (DESIGN.md §6).
+  // Held only for view/ring reads and merges, never across comm_ or
+  // store_ calls; the one lock taken under it is lookup_cache_'s leaf,
+  // when a ring rebuild empties the cache (DESIGN.md §6).
   mutable sync::Mutex mu_{"cluster.node.mu"};
   MembershipView view_ GUARDED_BY(mu_);
   HashRing ring_ GUARDED_BY(mu_);
   HashRing prev_ring_ GUARDED_BY(mu_);  // lookup fallback mid-rebalance
+
+  LookupCache lookup_cache_{kLookupCacheEntries};  // internally synchronized
 
   // Serializes start()/stop(), mirroring core::Daemon.
   sync::Mutex lifecycle_mu_{"cluster.node.lifecycle_mu"};

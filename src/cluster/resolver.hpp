@@ -26,6 +26,7 @@ class MetaResolver {
 
   /// Remote metadata lookup: current shard owners first, previous-ring
   /// owners mid-rebalance, then any serving rank (directory synthesis).
+  /// ClusterNode answers repeats of dataset files from its LookupCache.
   virtual std::optional<VersionedStat> resolve(const std::string& path) = 0;
 
   /// The ranks that must hold `path`'s metadata (write replication set).

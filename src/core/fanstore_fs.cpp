@@ -285,7 +285,8 @@ void FanStoreFs::charge_chunk_decode(const CachedFile& file,
   }
 }
 
-void FanStoreFs::materialize_entry(const std::string& path, CachedFile& file) {
+void FanStoreFs::materialize_entry(const std::string& path, CachedFile& file,
+                                   const format::FileStat& stat) {
   if (file.fully_materialized()) return;
   obs::TraceSpan span("fs.chunked_decode", options_.clock);
   WallTimer timer;
@@ -298,8 +299,7 @@ void FanStoreFs::materialize_entry(const std::string& path, CachedFile& file) {
   cache_.recharge(path);
   // Whole-file crc check happens here, when the last chunk lands (the
   // per-chunk compressed crcs already caught corruption chunk-wise).
-  const auto stat = stat_of(path);
-  if (stat && stat->crc != 0 && crc32(as_view(file.plain())) != stat->crc) {
+  if (stat.crc != 0 && crc32(as_view(file.plain())) != stat.crc) {
     throw std::runtime_error("fanstore: CRC mismatch for " + path);
   }
 }
@@ -334,7 +334,7 @@ int FanStoreFs::materialize(int fd) {
     return -EBADF;
   }
   try {
-    materialize_entry(of->path, *of->pinned);
+    materialize_entry(of->path, *of->pinned, of->stat);
   } catch (const std::exception& e) {
     FANSTORE_LOG_WARN("fanstore materialize(", of->path, "): ", e.what());
     return -EIO;
@@ -411,7 +411,7 @@ int FanStoreFs::open(std::string_view path_in, posixfs::OpenMode mode) {
     // keeps its classic "returns fully decompressed" contract but the
     // decompress step no longer serializes on one core.
     try {
-      materialize_entry(path, *pinned);
+      materialize_entry(path, *pinned, *stat);
     } catch (const std::exception& e) {
       FANSTORE_LOG_WARN("fanstore open(", path, "): ", e.what());
       pinned.reset();
@@ -423,6 +423,7 @@ int FanStoreFs::open(std::string_view path_in, posixfs::OpenMode mode) {
   auto of = std::make_shared<OpenFile>();
   of->path = path;
   of->mode = mode;
+  of->stat = *stat;
   of->pinned = std::move(pinned);
   sync::MutexLock lk(fd_mu_);
   const int fd = next_fd_++;

@@ -206,12 +206,13 @@ class FanStoreFs final : public posixfs::Vfs {
   int home_rank(std::string_view path) const;
 
  private:
-  /// Per-fd state. `path`, `mode`, and `pinned` are immutable after open;
-  /// the seek cursor and write buffer are guarded by the per-file mutex so
-  /// concurrent reads of different fds never share a lock.
+  /// Per-fd state. `path`, `mode`, `stat`, and `pinned` are immutable after
+  /// open; the seek cursor and write buffer are guarded by the per-file
+  /// mutex so concurrent reads of different fds never share a lock.
   struct OpenFile {
     std::string path;
     posixfs::OpenMode mode;
+    format::FileStat stat;               // read mode: what open() resolved
     std::shared_ptr<CachedFile> pinned;  // read mode
     mutable sync::Mutex mu{"fanstore_fs.file.mu"};
     Bytes buffer GUARDED_BY(mu);  // write mode
@@ -278,9 +279,11 @@ class FanStoreFs final : public posixfs::Vfs {
 
   /// Decodes every missing chunk of `file` with the configured decode
   /// pool, charges the parallel-makespan decompress cost for exactly the
-  /// newly decoded chunks, verifies the whole-file crc once complete, and
-  /// re-syncs the cache budget. Throws on corrupt data.
-  void materialize_entry(const std::string& path, CachedFile& file);
+  /// newly decoded chunks, verifies the whole-file crc against `stat` (the
+  /// one open() resolved) once complete, and re-syncs the cache budget.
+  /// Throws on corrupt data.
+  void materialize_entry(const std::string& path, CachedFile& file,
+                         const format::FileStat& stat);
 
   /// Charges + counts `stats` chunks decoded at `threads`-way parallelism.
   void charge_chunk_decode(const CachedFile& file,
@@ -296,9 +299,10 @@ class FanStoreFs final : public posixfs::Vfs {
   }
 
   /// Metadata lookup honoring the sharded resolver: local shard store
-  /// first, then the path's remote shard owners. Remote entries are not
-  /// cached locally — shard digests stay a pure function of ownership, so
-  /// anti-entropy never re-transfers convenience copies.
+  /// first, then the resolver. Remote entries never enter the local store
+  /// (shard digests stay a pure function of ownership, so anti-entropy
+  /// never re-transfers convenience copies); the resolver keeps dataset
+  /// answers in its own lookup cache (DESIGN.md §13).
   std::optional<format::FileStat> stat_of(const std::string& path);
 
   /// Outcome of one fetch attempt. kMiss is definitive for that rank (it

@@ -26,6 +26,7 @@
 #include "fault/injector.hpp"
 #include "format/file_stat.hpp"
 #include "mpi/comm.hpp"
+#include "obs/metrics.hpp"
 #include "util/clock.hpp"
 
 namespace fanstore::testsupport {
@@ -58,6 +59,7 @@ class ClusterSim {
       no.pump_budget = opt_.pump_budget;
       no.fault = opt_.injector;
       no.pump = [this] { pump(); };
+      no.metrics = &rank.metrics;
       rank.comm = std::make_unique<mpi::Comm>(world_.comm(r));
       rank.node = std::make_unique<cluster::ClusterNode>(*rank.comm,
                                                          &rank.store, no);
@@ -69,6 +71,8 @@ class ClusterSim {
 
   cluster::ClusterNode& node(int r) { return *ranks_.at(idx(r))->node; }
   core::MetadataStore& store(int r) { return ranks_.at(idx(r))->store; }
+  /// Rank r's "cluster.*" metrics.
+  obs::MetricsRegistry& metrics(int r) { return ranks_.at(idx(r))->metrics; }
   mpi::Comm& comm(int r) { return *ranks_.at(idx(r))->comm; }
   util::ManualTimeSource& clock() { return clock_; }
   bool alive(int r) const { return ranks_.at(idx(r))->alive; }
@@ -109,6 +113,16 @@ class ClusterSim {
     stat.owner_rank = static_cast<std::uint32_t>(r);
     const cluster::VersionedStat entry{stat, 1, static_cast<std::uint32_t>(r)};
     store(r).insert_versioned(path, entry);
+  }
+
+  /// Inserts a dataset entry on `r` the way a partition load does
+  /// (version 0, the only kind the resolver's lookup cache keeps).
+  void put_dataset_file(int r, const std::string& path, std::uint64_t size) {
+    format::FileStat stat;
+    stat.size = size;
+    stat.compressed_size = size;
+    stat.owner_rank = static_cast<std::uint32_t>(r);
+    store(r).insert(path, stat);
   }
 
   /// Ranks whose node currently reports `self` as Joined in its own view.
@@ -172,6 +186,7 @@ class ClusterSim {
   struct Rank {
     std::unique_ptr<mpi::Comm> comm;
     core::MetadataStore store;
+    obs::MetricsRegistry metrics;
     std::unique_ptr<cluster::ClusterNode> node;
     bool alive = true;
   };

@@ -1,8 +1,9 @@
 // Unit + property tests for the sharded-metadata building blocks
-// (DESIGN.md §13): the consistent-hash ring, the CRDT membership view, and
-// core::MetadataStore's ShardStore surface. The live multi-node scenarios
-// are in membership_churn_test.cpp; this file proves the deterministic
-// algebra those scenarios lean on.
+// (DESIGN.md §13): the consistent-hash ring, the CRDT membership view,
+// core::MetadataStore's ShardStore surface, and the resolver's lookup
+// cache (alone, and behind ClusterNode::resolve on a manual-pump world).
+// The live multi-node churn scenarios are in membership_churn_test.cpp;
+// this file proves the deterministic algebra those scenarios lean on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,15 +15,18 @@
 #include <vector>
 
 #include "cluster/hash_ring.hpp"
+#include "cluster/lookup_cache.hpp"
 #include "cluster/membership.hpp"
 #include "cluster/shard_store.hpp"
 #include "core/metadata_store.hpp"
+#include "tests/cluster_sim.hpp"
 #include "util/rng.hpp"
 
 namespace fanstore {
 namespace {
 
 using cluster::HashRing;
+using cluster::LookupCache;
 using cluster::MemberInfo;
 using cluster::MembershipView;
 using cluster::MemberState;
@@ -359,6 +363,174 @@ TEST(ShardStoreTest, ClassicInsertIsVersionZeroAndDirsAreSynthesized) {
   EXPECT_EQ(dir->type, format::FileType::kDirectory);
   EXPECT_TRUE(store.dir_exists_local("a"));
   EXPECT_EQ(store.list_local("a").size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The resolver's lookup cache (DESIGN.md §13 "Lookup cache").
+
+VersionedStat dataset_entry(std::uint64_t size) {
+  return VersionedStat{stat_of_size(size), 0, 0};
+}
+
+TEST(LookupCacheTest, HoldsOnlyVersionZeroRegularFiles) {
+  EXPECT_TRUE(LookupCache::cacheable(dataset_entry(10)));
+  EXPECT_FALSE(LookupCache::cacheable(VersionedStat{stat_of_size(10), 1, 2}));
+  VersionedStat dir = dataset_entry(0);
+  dir.stat.type = format::FileType::kDirectory;
+  EXPECT_FALSE(LookupCache::cacheable(dir));
+
+  LookupCache cache(8);
+  std::uint64_t epoch = 0;
+  ASSERT_FALSE(cache.find("w", &epoch).has_value());
+  cache.insert("w", VersionedStat{stat_of_size(10), 1, 2}, epoch);
+  cache.insert("d", dir, epoch);
+  EXPECT_FALSE(cache.find("w", &epoch).has_value());
+  EXPECT_FALSE(cache.find("d", &epoch).has_value());
+  cache.insert("f", dataset_entry(10), epoch);
+  const auto hit = cache.find("f", &epoch);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->stat.size, 10u);
+}
+
+TEST(LookupCacheTest, EvictsOldestFirstAtTheBound) {
+  LookupCache cache(2);
+  std::uint64_t epoch = 0;
+  ASSERT_FALSE(cache.find("a", &epoch).has_value());
+  cache.insert("a", dataset_entry(1), epoch);
+  cache.insert("a", dataset_entry(1), epoch);  // a racing miss: one slot
+  cache.insert("b", dataset_entry(2), epoch);
+  EXPECT_TRUE(cache.find("a", &epoch).has_value());
+  cache.insert("c", dataset_entry(3), epoch);
+  EXPECT_FALSE(cache.find("a", &epoch).has_value());
+  EXPECT_TRUE(cache.find("b", &epoch).has_value());
+  EXPECT_TRUE(cache.find("c", &epoch).has_value());
+}
+
+TEST(LookupCacheTest, InvalidateDropsEntriesAndAnswersFromTheOldEpoch) {
+  LookupCache cache(8);
+  std::uint64_t before = 0;
+  ASSERT_FALSE(cache.find("a", &before).has_value());
+  cache.insert("a", dataset_entry(1), before);
+  ASSERT_FALSE(cache.find("b", &before).has_value());
+  cache.invalidate();  // a ring rebuild while b's RPC was out
+  std::uint64_t after = 0;
+  EXPECT_FALSE(cache.find("a", &after).has_value());
+  cache.insert("b", dataset_entry(2), before);
+  EXPECT_FALSE(cache.find("b", &after).has_value());
+  EXPECT_NE(after, before);
+  cache.insert("b", dataset_entry(2), after);
+  EXPECT_TRUE(cache.find("b", &after).has_value());
+}
+
+/// Resolve-level checks on a 3-rank rf = 1 world: every path has one owner,
+/// so a lookup from a non-owner is one RPC to it.
+class ResolveCacheTest : public ::testing::Test {
+ protected:
+  ResolveCacheTest() : sim_(sim_options()) {
+    for (int r = 0; r < 3; ++r) sim_.node(r).bootstrap({0, 1, 2});
+  }
+
+  static testsupport::ClusterSim::Options sim_options() {
+    testsupport::ClusterSim::Options o;
+    o.nranks = 3;
+    o.replication_factor = 1;
+    return o;
+  }
+
+  /// The first `prefix<i>` whose shard rank 0 does not own.
+  std::string remote_path(const std::string& prefix) {
+    for (int i = 0;; ++i) {
+      const std::string p = prefix + std::to_string(i);
+      if (owner(p) != 0) return p;
+    }
+  }
+  int owner(const std::string& p) { return sim_.node(0).meta_owners(p).front(); }
+
+  std::uint64_t counter(int r, const char* name) {
+    return sim_.metrics(r).counter(name).value();
+  }
+  std::uint64_t rpcs() { return counter(0, "cluster.lookups_remote"); }
+  std::uint64_t hits() { return counter(0, "cluster.lookup_cache_hits"); }
+
+  testsupport::ClusterSim sim_;
+};
+
+Bytes stat_bytes(const format::FileStat& st) {
+  Bytes out(format::kStatBytes);
+  st.serialize(out.data());
+  return out;
+}
+
+TEST_F(ResolveCacheTest, SecondResolveOfADatasetPathSendsNoRpc) {
+  const std::string p = remote_path("ds/img");
+  const int o = owner(p);
+  sim_.put_dataset_file(o, p, 4096);
+
+  const auto first = sim_.node(0).resolve(p);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(rpcs(), 1u);
+  EXPECT_EQ(counter(o, "cluster.meta_served"), 1u);
+
+  const auto second = sim_.node(0).resolve(p);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(rpcs(), 1u);
+  EXPECT_EQ(hits(), 1u);
+  EXPECT_EQ(counter(o, "cluster.meta_served"), 1u);  // the owner saw nothing
+  EXPECT_EQ(stat_bytes(second->stat), stat_bytes(first->stat));
+  EXPECT_EQ(second->version, 0u);
+  EXPECT_EQ(second->writer, first->writer);
+}
+
+TEST_F(ResolveCacheTest, NegativeAnswersAreNotCached) {
+  const std::string p = remote_path("out/ckpt");
+  const int o = owner(p);
+  EXPECT_FALSE(sim_.node(0).resolve(p).has_value());
+  EXPECT_EQ(rpcs(), 1u);
+  EXPECT_EQ(counter(0, "cluster.lookup_misses"), 1u);
+
+  // Another rank writes the file; its metadata reaches the shard owner.
+  sim_.put_file(o, p, 777);
+  const auto got = sim_.node(0).resolve(p);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->stat.size, 777u);
+  EXPECT_EQ(rpcs(), 2u);
+  EXPECT_EQ(hits(), 0u);
+}
+
+TEST_F(ResolveCacheTest, WrittenFilesAreNeverServedFromTheCache) {
+  const std::string p = remote_path("out/shared");
+  const int o = owner(p);
+  format::FileStat st = stat_of_size(100, 1);
+  sim_.store(o).insert_versioned(p, VersionedStat{st, 1, 1});
+  for (int i = 1; i <= 2; ++i) {
+    const auto got = sim_.node(0).resolve(p);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->writer, 1u);
+    EXPECT_EQ(rpcs(), static_cast<std::uint64_t>(i));
+  }
+
+  // A second writer of the same path wins last-writer-wins at the owner;
+  // the next resolve must see it, not the first writer's answer.
+  st = stat_of_size(200, 2);
+  ASSERT_TRUE(sim_.store(o).insert_versioned(p, VersionedStat{st, 1, 2}));
+  const auto got = sim_.node(0).resolve(p);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->writer, 2u);
+  EXPECT_EQ(got->stat.size, 200u);
+  EXPECT_EQ(rpcs(), 3u);
+  EXPECT_EQ(hits(), 0u);
+}
+
+TEST_F(ResolveCacheTest, DirectoriesAreNotCached) {
+  const std::string p = remote_path("tree/leaf");
+  sim_.put_dataset_file(owner(p), p, 64);
+  for (int i = 1; i <= 2; ++i) {
+    const auto got = sim_.node(0).resolve("tree");
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->stat.type, format::FileType::kDirectory);
+    EXPECT_EQ(rpcs(), static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(hits(), 0u);
 }
 
 }  // namespace

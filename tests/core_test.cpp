@@ -229,6 +229,61 @@ TEST(FanStoreIntegrationTest, RfEqualsNranksMatchesClassicAllgather) {
   }
 }
 
+TEST(FanStoreIntegrationTest, ShardedColdChunkedOpenResolvesOnce) {
+  // Sharded metadata (rf = 1 of 2): a cold open of a chunked file whose
+  // shard lives on the other rank resolves its metadata once — the eager
+  // decode checks the whole-file crc against the stat open() resolved —
+  // and a later stat() of the same dataset file is a lookup-cache hit.
+  constexpr int kRanks = 2;
+  constexpr int kFiles = 8;
+  const auto data_of = [](int rank, int i) {
+    return testdata::text_like(100000 + static_cast<std::size_t>(i),
+                               static_cast<std::uint64_t>(rank * 100 + i));
+  };
+  const auto path_of = [](int rank, int i) {
+    return "sh/r" + std::to_string(rank) + "/f" + std::to_string(i);
+  };
+  mpi::run_world(kRanks, [&](mpi::Comm& comm) {
+    Instance::Options opt;
+    opt.cluster.replication_factor = 1;
+    Instance inst(comm, std::move(opt));
+    std::vector<std::pair<std::string, Bytes>> files;
+    for (int i = 0; i < kFiles; ++i) {
+      files.emplace_back(path_of(comm.rank(), i), data_of(comm.rank(), i));
+    }
+    inst.load_partition_blob(as_view(make_partition(files, "chunked-64k+lz4")),
+                             static_cast<std::uint32_t>(comm.rank()));
+    inst.exchange_metadata();
+    inst.start_daemon();
+    comm.barrier();
+
+    const int peer = 1 - comm.rank();
+    int checked = 0;
+    obs::Counter& rpcs = inst.metrics().counter("cluster.lookups_remote");
+    obs::Counter& hits = inst.metrics().counter("cluster.lookup_cache_hits");
+    for (int i = 0; i < kFiles; ++i) {
+      const std::string p = path_of(peer, i);
+      if (inst.metadata().lookup(p).has_value()) continue;  // shard is local
+      const std::uint64_t rpcs0 = rpcs.value();
+      const std::uint64_t hits0 = hits.value();
+      const auto got = posixfs::read_file(inst.fs(), p);
+      ASSERT_TRUE(got.has_value()) << p;
+      EXPECT_EQ(*got, data_of(peer, i)) << p;
+      EXPECT_EQ(rpcs.value() - rpcs0, 1u) << p;
+      EXPECT_EQ(hits.value() - hits0, 0u) << p;
+      format::FileStat st;
+      ASSERT_EQ(inst.fs().stat(p, &st), 0) << p;
+      EXPECT_EQ(st.size, got->size());
+      EXPECT_EQ(rpcs.value() - rpcs0, 1u) << p;
+      EXPECT_EQ(hits.value() - hits0, 1u) << p;
+      ++checked;
+    }
+    EXPECT_GT(checked, 0);
+    comm.barrier();
+    inst.stop();
+  });
+}
+
 TEST(FanStoreIntegrationTest, CacheHitOnSecondOpen) {
   mpi::run_world(1, [&](mpi::Comm& comm) {
     Instance inst(comm, {});

@@ -12,6 +12,8 @@
 //   * anti-entropy transfers only the delta, byte-accounted
 //   * random churn schedules (seed-swept; replay any failure with
 //     FANSTORE_CHURN_SEED) always converge to agreeing views
+//   * a join or leave that rebuilds the ring empties the resolver's
+//     lookup cache
 //
 // The threaded finale runs real core::Instances: a daemon is killed, a
 // fresh spare joins, the cluster re-converges, and a recorded training
@@ -231,6 +233,60 @@ TEST(MembershipChurnTest, GracefulLeaveDrainsTheLeaverCompletely) {
   for (const auto& p : paths) {
     EXPECT_TRUE(can_stat(sim, 1, p)) << p;
   }
+}
+
+TEST(MembershipChurnTest, RingRebuildEmptiesTheLookupCache) {
+  ClusterSim::Options o;
+  o.nranks = 4;
+  o.replication_factor = 1;
+  ClusterSim sim(o);
+  for (int r = 0; r < 3; ++r) sim.node(r).bootstrap({0, 1, 2});
+  // Dataset entries (version 0), each loaded on its shard's owner.
+  std::string remote;
+  for (int i = 0; i < 12; ++i) {
+    const std::string p = "ds/img" + std::to_string(i);
+    const int owner = sim.node(0).meta_owners(p).front();
+    sim.put_dataset_file(owner, p, static_cast<std::uint64_t>(100 + i));
+    if (owner != 0 && remote.empty()) remote = p;
+  }
+  ASSERT_FALSE(remote.empty());
+  ASSERT_TRUE(sim.converge());
+
+  obs::MetricsRegistry& m = sim.metrics(0);
+  obs::Counter& rpcs = m.counter("cluster.lookups_remote");
+  obs::Counter& hits = m.counter("cluster.lookup_cache_hits");
+  obs::Counter& rebuilds = m.counter("cluster.ring_rebuilds");
+  const auto resolve_size = [&] {
+    const auto got = sim.node(0).resolve(remote);
+    return got ? got->stat.size : 0u;
+  };
+  const std::uint64_t want = sim.store(sim.node(0).meta_owners(remote).front())
+                                 .lookup_versioned(remote)->stat.size;
+  EXPECT_EQ(resolve_size(), want);
+  EXPECT_EQ(resolve_size(), want);
+  EXPECT_EQ(rpcs.value(), 1u);
+  EXPECT_EQ(hits.value(), 1u);
+
+  // Rank 3 joins: rank 0 hears the gossip and rebuilds its ring, so the
+  // next resolve goes to the wire again, then is cached anew.
+  std::uint64_t rebuilt = rebuilds.value();
+  ASSERT_TRUE(sim.node(3).join({1, 2}));
+  sim.pump_n(4);
+  ASSERT_TRUE(sim.node(0).view().contains(3));
+  ASSERT_GT(rebuilds.value(), rebuilt);
+  EXPECT_EQ(resolve_size(), want);
+  EXPECT_EQ(rpcs.value(), 2u);
+  EXPECT_EQ(resolve_size(), want);
+  EXPECT_EQ(hits.value(), 2u);
+
+  // A graceful leave rebuilds the ring the same way.
+  rebuilt = rebuilds.value();
+  sim.node(2).leave();
+  sim.pump_n(4);
+  ASSERT_GT(rebuilds.value(), rebuilt);
+  EXPECT_EQ(resolve_size(), want);
+  EXPECT_EQ(rpcs.value(), 3u);
+  EXPECT_EQ(hits.value(), 2u);
 }
 
 // The seed sweep: random join/leave/kill/revive schedules under a

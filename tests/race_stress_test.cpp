@@ -499,10 +499,14 @@ TEST(RaceStressTest, ClusterLookupsAndInsertsDuringRebalance) {
   // on every rank, reader threads resolve the whole namespace through the
   // cluster resolver (ring lookups + remote meta RPCs) and a writer thread
   // keeps inserting fresh versioned entries, while the main thread drives
-  // lockstep rebalance rounds that serialize, push, and drop whole shards.
-  // TSan sees cluster.node.mu (view/ring reads racing rebuilds), the shard
-  // store mutex (insert vs serialize_shard vs drop_shard), and the service
-  // thread's merge path racing client-side lookups.
+  // lockstep rebalance rounds that serialize, push, and drop whole shards,
+  // and a rebuilder thread re-bootstraps the same member list so the ring
+  // is rebuilt (and the resolver's lookup cache emptied) under the
+  // readers' cached resolves. TSan sees cluster.node.mu (view/ring reads
+  // racing rebuilds), cluster.lookup_cache.mu (cache hits and inserts
+  // racing invalidation), the shard store mutex (insert vs
+  // serialize_shard vs drop_shard), and the service thread's merge path
+  // racing client-side lookups.
   constexpr int kRanks = 3;
   constexpr int kFilesPerRank = 8;
   constexpr int kWriterKeys = 8;
@@ -564,6 +568,16 @@ TEST(RaceStressTest, ClusterLookupsAndInsertsDuringRebalance) {
       });
     }
     workers.emplace_back([&] {
+      // Rebuilder: the member list is unchanged, so ownership stays put,
+      // but every call rebuilds the ring and starts a new cache epoch.
+      std::vector<int> members(kRanks);
+      for (int r = 0; r < kRanks; ++r) members[static_cast<std::size_t>(r)] = r;
+      while (!stop.load(std::memory_order_acquire)) {
+        node->bootstrap(members);
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      }
+    });
+    workers.emplace_back([&] {
       // Writer: churn versioned entries on this rank's private key space so
       // inserts race shard serialization/drops without cross-rank conflicts.
       std::uint64_t version = 0;
@@ -596,11 +610,15 @@ TEST(RaceStressTest, ClusterLookupsAndInsertsDuringRebalance) {
       (void)node->rebalance();
       comm.barrier();
     }
-    for (std::size_t idx = 0; idx < all_paths.size(); ++idx) {
-      const auto got = node->resolve(all_paths[idx]);
-      ASSERT_TRUE(got.has_value()) << all_paths[idx];
-      EXPECT_EQ(got->stat.size, sizes[idx]) << all_paths[idx];
+    // Twice: the second pass is served by the lookup cache.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t idx = 0; idx < all_paths.size(); ++idx) {
+        const auto got = node->resolve(all_paths[idx]);
+        ASSERT_TRUE(got.has_value()) << all_paths[idx];
+        EXPECT_EQ(got->stat.size, sizes[idx]) << all_paths[idx];
+      }
     }
+    EXPECT_GT(inst.metrics().counter("cluster.lookup_cache_hits").value(), 0u);
     for (int r = 0; r < kRanks; ++r) {
       for (int k = 0; k < kWriterKeys; ++k) {
         const std::string p =

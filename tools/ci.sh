@@ -100,20 +100,21 @@ build/tools/lint/fanstore-lint \
   src
 
 # Hot-path perf smoke: quick sharded-vs-legacy cache sweep. Catches gross
-# concurrency regressions and refreshes BENCH_hotpath.json at the repo root
-# (run `build/bench/bench_hotpath` without --quick for the recorded numbers).
+# concurrency regressions; the quick numbers go to /tmp so the committed
+# BENCH_hotpath.json keeps the full run (`build/bench/bench_hotpath`
+# without --quick records it).
 # Since the observability PR it also cross-checks the metrics registry
 # against the bench's own op/loader bookkeeping and exits non-zero on any
 # disagreement.
 echo "==== [bench] bench_hotpath --quick ===="
-build/bench/bench_hotpath --quick --json "$repo_root/BENCH_hotpath.json"
+build/bench/bench_hotpath --quick --json /tmp/BENCH_hotpath_quick.json
 
 # Chunked-container smoke: parallel whole-file decode + the partial-pread
 # acceptance check (a 64 KiB pread must decode <= 2 chunks, verified via the
 # "chunked.*" counters; non-zero exit on violation). Run without --quick for
 # the recorded BENCH_chunked.json numbers.
 echo "==== [bench] bench_chunked --quick ===="
-build/bench/bench_chunked --quick --json "$repo_root/BENCH_chunked.json"
+build/bench/bench_chunked --quick --json /tmp/BENCH_chunked_quick.json
 
 # Clairvoyant-planner smoke (DESIGN.md §10): reactive prefetch vs
 # plan-driven prefetch + Belady eviction at 8 and 64 ranks in virtual time.
@@ -143,10 +144,10 @@ build/bench/bench_tiered --quick --json /tmp/BENCH_tiered_quick.json
 # Sharded-metadata smoke (DESIGN.md §13): classic allgather vs the
 # consistent-hash-sharded exchange at 8 and 64 ranks in-process (512 ranks
 # modeled analytically). The per-rank exchange-bytes gate is enforced on
-# every run; the wall-clock gate only on hardware with >= 8 cores. Refreshes
-# the committed BENCH_cluster.json at the repo root.
+# every run; the wall-clock gate only on hardware with >= 8 cores. Run
+# without --quick for the committed BENCH_cluster.json numbers.
 echo "==== [bench] bench_cluster --quick ===="
-build/bench/bench_cluster --quick --json "$repo_root/BENCH_cluster.json"
+build/bench/bench_cluster --quick --json /tmp/BENCH_cluster_quick.json
 
 if [ "${1:-}" = "--tier1-only" ]; then
   echo "ci.sh: tier-1 pass complete (sanitizer matrix skipped)"
