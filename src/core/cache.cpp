@@ -196,39 +196,54 @@ void PlainCache::recharge(const std::string& path) {
   fire_demotions(demoted);
 }
 
-void PlainCache::release(const std::string& path) {
+void PlainCache::release(const std::string& path) { unpin(path, false); }
+
+void PlainCache::drop(const std::string& path) { unpin(path, true); }
+
+void PlainCache::invalidate(const std::string& path) {
+  Shard& s = shard_for(path);
+  sync::MutexLock lk(s.mu);
+  const auto it = s.entries.find(path);
+  if (it == s.entries.end()) return;
+  if (it->second.open_count > 0) {
+    it->second.invalidated = true;  // erased at its last unpin
+  } else {
+    erase_locked(s, it, nullptr);
+  }
+}
+
+void PlainCache::unpin(const std::string& path, bool erase_at_zero) {
   Shard& s = shard_for(path);
   std::vector<Demoted> demoted;
   {
     sync::MutexLock lk(s.mu);
     const auto it = s.entries.find(path);
     if (it == s.entries.end()) return;
-    if (it->second.open_count > 0) it->second.open_count--;
-    evict_if_needed_locked(s, &demoted);
+    Entry& e = it->second;
+    if (e.open_count > 0) e.open_count--;
+    if (e.open_count == 0 && e.invalidated) {
+      erase_locked(s, it, nullptr);
+    } else if (e.open_count == 0 && erase_at_zero) {
+      erase_locked(s, it, &demoted);
+    } else {
+      // Other readers still hold pins, or a plain release: capacity
+      // pressure decides.
+      evict_if_needed_locked(s, &demoted);
+    }
   }
   fire_demotions(demoted);
 }
 
-void PlainCache::drop(const std::string& path) {
-  Shard& s = shard_for(path);
-  std::vector<Demoted> demoted;
-  {
-    sync::MutexLock lk(s.mu);
-    const auto it = s.entries.find(path);
-    if (it == s.entries.end()) return;
-    if (it->second.open_count > 0) it->second.open_count--;
-    if (it->second.open_count > 0) {
-      // Other readers still hold pins: behave exactly like release().
-      evict_if_needed_locked(s, &demoted);
-    } else {
-      s.bytes_used -= it->second.charged;
-      bytes_gauge_->add(-static_cast<std::int64_t>(it->second.charged));
-      if (demote_) demoted.push_back({path, std::move(it->second.data)});
-      if (it->second.in_fifo) s.fifo.erase(it->second.fifo_pos);
-      s.entries.erase(it);
-    }
+void PlainCache::erase_locked(
+    Shard& s, std::unordered_map<std::string, Entry>::iterator it,
+    std::vector<Demoted>* demoted) {
+  s.bytes_used -= it->second.charged;
+  bytes_gauge_->add(-static_cast<std::int64_t>(it->second.charged));
+  if (demote_ && demoted != nullptr) {
+    demoted->push_back({it->first, std::move(it->second.data)});
   }
-  fire_demotions(demoted);
+  if (it->second.in_fifo) s.fifo.erase(it->second.fifo_pos);
+  s.entries.erase(it);
 }
 
 std::list<std::string>::iterator PlainCache::pick_policy_victim_locked(

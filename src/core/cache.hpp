@@ -97,6 +97,12 @@ class PlainCache {
   /// plain RAM after their last close.
   void drop(const std::string& path);
 
+  /// Removes `path` from the cache without demoting it — its bytes failed a
+  /// check and must be loaded again, not kept in any tier. An unpinned
+  /// entry goes at once; a pinned one is erased at its last unpin (hits
+  /// until then still return it, so callers re-check what they get).
+  void invalidate(const std::string& path);
+
   /// Demotion hook (DESIGN.md §12): receives every entry removed by
   /// capacity pressure or drop() — never a pinned entry — so evicted bytes
   /// can flow to the next cache tier instead of vanishing. Victims are
@@ -158,6 +164,7 @@ class PlainCache {
     int open_count = 0;
     std::list<std::string>::iterator fifo_pos;
     bool in_fifo = false;
+    bool invalidated = false;  // invalidate() while pinned
   };
 
   /// One in-flight miss load; waiters sleep on the shard condvar until
@@ -197,6 +204,14 @@ class PlainCache {
       std::vector<Demoted>* demoted) REQUIRES(s.mu);
   void evict_if_needed_locked(Shard& s, std::vector<Demoted>* demoted)
       REQUIRES(s.mu);
+  /// release() (`erase_at_zero` false) or drop() (true); an invalidated
+  /// entry is erased undemoted at zero pins either way.
+  void unpin(const std::string& path, bool erase_at_zero);
+  /// Unlinks one entry from its shard; queues it for demotion when
+  /// `demoted` is non-null and a hook is installed.
+  void erase_locked(Shard& s,
+                    std::unordered_map<std::string, Entry>::iterator it,
+                    std::vector<Demoted>* demoted) REQUIRES(s.mu);
   /// Runs the demotion hook over collected victims (no lock held).
   void fire_demotions(std::vector<Demoted>& demoted);
 

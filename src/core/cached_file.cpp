@@ -19,6 +19,7 @@ CachedFile::CachedFile(Bytes compressed, compress::CompressorId chunked_id,
         "chunked: frame does not match recorded compressor id");
   }
   chunk_count_ = frame_.chunk_count();
+  verified_.store(chunk_count_ == 0, std::memory_order_relaxed);
   plain_.resize(original_size);
   states_ = std::make_unique<std::atomic<std::uint8_t>[]>(chunk_count_);
   for (std::size_t i = 0; i < chunk_count_; ++i) {

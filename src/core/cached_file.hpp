@@ -77,6 +77,12 @@ class CachedFile {
     return ready_chunks_.load(std::memory_order_acquire);
   }
 
+  /// True once nothing is left to check: FanStoreFs marks a chunked entry
+  /// after its whole-file crc passes; non-chunked entries start true (their
+  /// decoder checks the bytes before constructing the entry).
+  bool verified() const { return verified_.load(std::memory_order_acquire); }
+  void mark_verified() { verified_.store(true, std::memory_order_release); }
+
   /// Copies [offset, offset + out.size()) into `out`, decoding exactly the
   /// overlapping missing chunks first. The caller clips the range to
   /// size(). Throws CorruptDataError if a needed chunk is corrupt.
@@ -121,6 +127,7 @@ class CachedFile {
   compress::ChunkedFrame frame_;   // views into compressed_
   std::size_t chunk_count_ = 0;    // 0 for non-chunked entries
   std::atomic<std::size_t> ready_chunks_{0};
+  std::atomic<bool> verified_{true};
   std::unique_ptr<std::atomic<std::uint8_t>[]> states_;
   // mu_ guards no member directly: chunk states are claimed via atomic CAS
   // on states_[], and the mutex only parks losers of a decode race until

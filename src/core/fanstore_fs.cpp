@@ -287,21 +287,26 @@ void FanStoreFs::charge_chunk_decode(const CachedFile& file,
 
 void FanStoreFs::materialize_entry(const std::string& path, CachedFile& file,
                                    const format::FileStat& stat) {
-  if (file.fully_materialized()) return;
+  if (file.verified()) return;
   obs::TraceSpan span("fs.chunked_decode", options_.clock);
-  WallTimer timer;
-  const std::size_t threads = decode_threads();
-  if (threads > 1 && file.chunk_count() > 1) io_.parallel_decodes.inc();
-  CachedFile::DecodeStats ds;
-  file.materialize_all(threads, &ds);
-  charge_chunk_decode(file, ds, threads);
-  io_.decode_us.record(static_cast<std::uint64_t>(timer.elapsed_us()));
-  cache_.recharge(path);
-  // Whole-file crc check happens here, when the last chunk lands (the
-  // per-chunk compressed crcs already caught corruption chunk-wise).
+  if (!file.fully_materialized()) {
+    WallTimer timer;
+    const std::size_t threads = decode_threads();
+    if (threads > 1 && file.chunk_count() > 1) io_.parallel_decodes.inc();
+    CachedFile::DecodeStats ds;
+    file.materialize_all(threads, &ds);
+    charge_chunk_decode(file, ds, threads);
+    io_.decode_us.record(static_cast<std::uint64_t>(timer.elapsed_us()));
+    cache_.recharge(path);
+  }
+  // Whole-file crc check happens here, once every chunk has landed (the
+  // per-chunk compressed crcs already caught corruption chunk-wise). An
+  // entry is served as checked only after this passes; callers invalidate
+  // it on a throw so the next open loads it again.
   if (stat.crc != 0 && crc32(as_view(file.plain())) != stat.crc) {
     throw std::runtime_error("fanstore: CRC mismatch for " + path);
   }
+  file.mark_verified();
 }
 
 std::optional<format::FileStat> FanStoreFs::stat_of(const std::string& path) {
@@ -337,6 +342,7 @@ int FanStoreFs::materialize(int fd) {
     materialize_entry(of->path, *of->pinned, of->stat);
   } catch (const std::exception& e) {
     FANSTORE_LOG_WARN("fanstore materialize(", of->path, "): ", e.what());
+    cache_.invalidate(of->path);  // erased when close() drops the last pin
     return -EIO;
   }
   return 0;
@@ -406,7 +412,7 @@ int FanStoreFs::open(std::string_view path_in, posixfs::OpenMode mode) {
     FANSTORE_LOG_WARN("fanstore open(", path, "): ", e.what());
     return -EIO;
   }
-  if (!options_.lazy_chunked_open && !pinned->fully_materialized()) {
+  if (!options_.lazy_chunked_open && !pinned->verified()) {
     // Eager mode (default): decode every chunk now, in parallel — open()
     // keeps its classic "returns fully decompressed" contract but the
     // decompress step no longer serializes on one core.
@@ -415,6 +421,7 @@ int FanStoreFs::open(std::string_view path_in, posixfs::OpenMode mode) {
     } catch (const std::exception& e) {
       FANSTORE_LOG_WARN("fanstore open(", path, "): ", e.what());
       pinned.reset();
+      cache_.invalidate(path);
       cache_.release(path);
       return -EIO;
     }

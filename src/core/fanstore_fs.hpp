@@ -176,8 +176,9 @@ class FanStoreFs final : public posixfs::Vfs {
   /// warm stage uses this so lazy mode still prefetches whole files.
   bool warm_file(std::string_view path);
 
-  /// Decodes every remaining chunk of an open fd's entry (no-op when
-  /// already fully materialized). Returns 0 or -errno.
+  /// Decodes every remaining chunk of an open fd's entry and checks its
+  /// whole-file crc (no-op once checked). Returns 0 or -errno; on -EIO the
+  /// entry leaves the cache when its last fd closes.
   int materialize(int fd);
 
   /// Installs (nullptr clears) a clairvoyant eviction policy on the
@@ -281,7 +282,8 @@ class FanStoreFs final : public posixfs::Vfs {
   /// pool, charges the parallel-makespan decompress cost for exactly the
   /// newly decoded chunks, verifies the whole-file crc against `stat` (the
   /// one open() resolved) once complete, and re-syncs the cache budget.
-  /// Throws on corrupt data.
+  /// No-op once `file` is verified. Throws on corrupt data, leaving `file`
+  /// unverified.
   void materialize_entry(const std::string& path, CachedFile& file,
                          const format::FileStat& stat);
 

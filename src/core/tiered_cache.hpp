@@ -141,6 +141,10 @@ class TieredCache {
   /// on their last release (their home is the compressed tier).
   void release(const std::string& path);
 
+  /// Forwards PlainCache::invalidate: the plain copy failed a check and
+  /// leaves without being demoted.
+  void invalidate(const std::string& path) { plain_.invalidate(path); }
+
   /// Forwards PlainCache::recharge (lazy chunk growth); overflow demotes.
   void recharge(const std::string& path);
 

@@ -323,6 +323,35 @@ TEST(DemotionHookTest, EvictedVictimsFlowToHookAfterUnlock) {
   EXPECT_EQ(cache.stats().evictions, 1u);  // drop() is not an eviction
 }
 
+TEST(DemotionHookTest, InvalidatedEntriesLeaveWithoutDemotion) {
+  PlainCache cache(1 << 20);
+  int demoted = 0;
+  cache.set_demotion_hook(
+      [&](const std::string&, const std::shared_ptr<CachedFile>&) { ++demoted; });
+  // Unpinned: gone at once.
+  cache.acquire("a", [] { return blob(100, 1); });
+  cache.release("a");
+  cache.invalidate("a");
+  EXPECT_FALSE(cache.contains("a"));
+  // Pinned twice: stays until the last unpin, whether release() or drop().
+  cache.acquire("b", [] { return blob(100, 2); });
+  cache.acquire("b", [] { return blob(100, 2); });
+  cache.invalidate("b");
+  cache.release("b");
+  EXPECT_TRUE(cache.contains("b"));
+  cache.drop("b");
+  EXPECT_FALSE(cache.contains("b"));
+  EXPECT_EQ(demoted, 0);
+  EXPECT_EQ(cache.bytes_used(), 0u);
+  // The next acquire loads again.
+  bool loaded = false;
+  cache.acquire_file("b", [] { return std::make_shared<CachedFile>(blob(100, 3)); },
+                     &loaded);
+  EXPECT_TRUE(loaded);
+  cache.release("b");
+  EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
 /// A chunked cold object for tier tests: constant fill compresses well, so
 /// the frame is far smaller than the 16 KiB plain size.
 struct ChunkedObject {

@@ -297,6 +297,74 @@ TEST(FanStoreIntegrationTest, CacheHitOnSecondOpen) {
   });
 }
 
+// A partition whose records' metadata crc is off by one bit.
+Bytes make_partition_with_bad_crc(
+    const std::vector<std::pair<std::string, Bytes>>& files,
+    const std::string& codec_name) {
+  const auto& reg = compress::Registry::instance();
+  const auto* codec = reg.by_name(codec_name);
+  format::PartitionWriter w;
+  for (const auto& [path, data] : files) {
+    auto rec = format::make_record(path, *codec, reg.id_of(*codec), as_view(data));
+    rec.stat.crc ^= 1u;
+    w.add(std::move(rec));
+  }
+  return w.serialize();
+}
+
+TEST(FanStoreIntegrationTest, WholeFileCrcMismatchFailsEveryOpen) {
+  // The chunked whole-file crc runs after the last chunk decodes. A file
+  // that fails it must fail every later open too, not be served from the
+  // plain cache as if it had been checked.
+  const Bytes data = testdata::text_like(200000, 41);
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    Instance inst(comm, {});
+    inst.load_partition_blob(
+        as_view(make_partition_with_bad_crc({{"chunked", data}}, "chunked-64k+lz4")),
+        0);
+    inst.load_partition_blob(
+        as_view(make_partition_with_bad_crc({{"flat", data}}, "lz4")), 1);
+    inst.exchange_metadata();
+    for (const char* path : {"chunked", "flat"}) {
+      for (int attempt = 0; attempt < 3; ++attempt) {
+        EXPECT_FALSE(posixfs::read_file(inst.fs(), path).has_value())
+            << path << " attempt " << attempt;
+        EXPECT_FALSE(inst.fs().tiers().contains(path)) << path;
+      }
+    }
+  });
+}
+
+TEST(FanStoreIntegrationTest, WholeFileCrcMismatchFailsEveryMaterialize) {
+  // Lazy opens: materialize(fd) runs the whole-file check. Every fd must
+  // see the failure, including one opened before it and still holding the
+  // entry, and the entry leaves the cache once the last fd closes.
+  const Bytes data = testdata::text_like(200000, 42);
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    Instance::Options opt;
+    opt.fs.lazy_chunked_open = true;
+    Instance inst(comm, opt);
+    inst.load_partition_blob(
+        as_view(make_partition_with_bad_crc({{"c", data}}, "chunked-64k+lz4")), 0);
+    inst.exchange_metadata();
+    auto& fs = inst.fs();
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const int a = fs.open("c", posixfs::OpenMode::kRead);
+      const int b = fs.open("c", posixfs::OpenMode::kRead);
+      ASSERT_GE(a, 0);
+      ASSERT_GE(b, 0);
+      EXPECT_EQ(fs.materialize(a), -EIO) << attempt;
+      EXPECT_EQ(fs.materialize(b), -EIO) << attempt;
+      EXPECT_EQ(fs.materialize(a), -EIO) << attempt;
+      fs.close(a);
+      EXPECT_TRUE(fs.tiers().contains("c"));  // b still holds it
+      fs.close(b);
+      EXPECT_FALSE(fs.tiers().contains("c"));
+      EXPECT_FALSE(fs.warm_file("c"));
+    }
+  });
+}
+
 TEST(FanStoreIntegrationTest, WriteOnceModel) {
   mpi::run_world(2, [&](mpi::Comm& comm) {
     Instance inst(comm, {});

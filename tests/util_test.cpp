@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/cli.hpp"
@@ -15,13 +17,85 @@
 namespace fanstore {
 namespace {
 
+using CrcFn = std::uint32_t (*)(ByteView, std::uint32_t);
+
+// Every CRC entry point the tests check: the dispatcher plus each path
+// directly, so slice-by-8 stays covered on CPUs that run the fold kernel.
+std::vector<std::pair<const char*, CrcFn>> crc_paths() {
+  std::vector<std::pair<const char*, CrcFn>> paths = {
+      {"crc32", &crc32}, {"portable", &detail::crc32_portable}};
+#if defined(__x86_64__)
+  if (detail::crc32_clmul_supported()) {
+    paths.emplace_back("clmul", &detail::crc32_clmul);
+  }
+#endif
+  return paths;
+}
+
+// Bit-at-a-time CRC-32 (reflected IEEE polynomial): the definition every
+// fast path must reproduce.
+std::uint32_t crc32_bitwise(ByteView data, std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (const std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
 TEST(Crc32Test, KnownVector) {
   // CRC-32 of "123456789" is the classic check value 0xCBF43926.
   const auto data = to_bytes("123456789");
-  EXPECT_EQ(crc32(as_view(data)), 0xCBF43926u);
+  for (const auto& [name, fn] : crc_paths()) {
+    EXPECT_EQ(fn(as_view(data), 0), 0xCBF43926u) << name;
+  }
 }
 
-TEST(Crc32Test, EmptyIsZero) { EXPECT_EQ(crc32(ByteView{}), 0u); }
+TEST(Crc32Test, EmptyIsZero) {
+  for (const auto& [name, fn] : crc_paths()) {
+    EXPECT_EQ(fn(ByteView{}, 0), 0u) << name;
+  }
+}
+
+TEST(Crc32Test, MatchesBitwiseReference) {
+  Rng rng(0xC4C32);
+  // Every length through the fold threshold and well past it, at each of
+  // the 16 misalignments a 128-bit load can see.
+  const Bytes buf = random_bytes(rng, 1024 + 16);
+  for (std::size_t len = 0; len <= 1024; ++len) {
+    for (std::size_t off = 0; off < 16; ++off) {
+      const ByteView v(buf.data() + off, len);
+      for (const std::uint32_t seed :
+           {0u, static_cast<std::uint32_t>(rng.next_u64())}) {
+        const std::uint32_t want = crc32_bitwise(v, seed);
+        for (const auto& [name, fn] : crc_paths()) {
+          ASSERT_EQ(fn(v, seed), want)
+              << name << " len " << len << " off " << off << " seed " << seed;
+        }
+      }
+    }
+  }
+  // Large buffers of random length (64 KiB - 1 MiB) and offset.
+  for (int i = 0; i < 6; ++i) {
+    const auto len = static_cast<std::size_t>(
+        rng.next_range(std::int64_t{64} << 10, std::int64_t{1} << 20));
+    const auto off = static_cast<std::size_t>(rng.next_below(16));
+    const Bytes big = random_bytes(rng, len + off);
+    const ByteView v(big.data() + off, len);
+    const std::uint32_t seed =
+        i % 2 == 0 ? 0u : static_cast<std::uint32_t>(rng.next_u64());
+    const std::uint32_t want = crc32_bitwise(v, seed);
+    for (const auto& [name, fn] : crc_paths()) {
+      EXPECT_EQ(fn(v, seed), want) << name << " len " << len << " off " << off;
+    }
+  }
+}
 
 TEST(Crc32Test, SeedChaining) {
   const auto all = to_bytes("hello world");
@@ -29,6 +103,19 @@ TEST(Crc32Test, SeedChaining) {
   const auto b = to_bytes("world");
   // Chaining via seed must equal one-shot CRC.
   EXPECT_EQ(crc32(as_view(b), crc32(as_view(a))), crc32(as_view(all)));
+
+  // Split at every offset of a buffer long enough that both halves cross
+  // the 16- and 64-byte boundaries where the fold path hands over.
+  Rng rng(77);
+  const Bytes buf = random_bytes(rng, 1000);
+  const ByteView whole = as_view(buf);
+  for (const auto& [name, fn] : crc_paths()) {
+    const std::uint32_t one_shot = fn(whole, 0);
+    for (std::size_t k = 0; k <= buf.size(); ++k) {
+      const std::uint32_t head = fn(whole.subspan(0, k), 0);
+      ASSERT_EQ(fn(whole.subspan(k), head), one_shot) << name << " split " << k;
+    }
+  }
 }
 
 TEST(Crc32Test, DetectsSingleBitFlip) {
@@ -36,6 +123,24 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   const auto before = crc32(as_view(data));
   data[5] ^= 0x10;
   EXPECT_NE(crc32(as_view(data)), before);
+
+  // A 4 KiB body the kernel folds plus a 9-byte tail slice-by-8 finishes:
+  // flip each bit of bytes in both.
+  Rng rng(4096);
+  Bytes buf = random_bytes(rng, 4096 + 9);
+  const std::uint32_t clean = crc32_bitwise(as_view(buf), 0);
+  for (const std::size_t pos : {0, 1, 15, 16, 63, 64, 2047, 4095, 4096, 4104}) {
+    for (int bit = 0; bit < 8; ++bit) {
+      buf[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      const std::uint32_t want = crc32_bitwise(as_view(buf), 0);
+      ASSERT_NE(want, clean);
+      for (const auto& [name, fn] : crc_paths()) {
+        EXPECT_EQ(fn(as_view(buf), 0), want)
+            << name << " byte " << pos << " bit " << bit;
+      }
+      buf[pos] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
 }
 
 TEST(RngTest, DeterministicForSeed) {
