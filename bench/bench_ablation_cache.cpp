@@ -99,9 +99,11 @@ int main() {
         fanstore_cache.release("f" + std::to_string(done));
       }
     }
-    const auto s = fanstore_cache.stats();
+    auto& m = fanstore_cache.metrics();
+    const auto hits = m.counter("cache.hits").value();
+    const auto misses = m.counter("cache.misses").value();
     table.row({bench::fmt("%.0f%% of data", frac * 100),
-               bench::fmt("%.1f", 100.0 * s.hits / (s.hits + s.misses)),
+               bench::fmt("%.1f", 100.0 * hits / (hits + misses)),
                bench::fmt("%.1f", 100.0 * fifo.hits / (fifo.hits + fifo.misses)),
                bench::fmt("%.1f", 100.0 * lru.hits / (lru.hits + lru.misses)),
                std::to_string(fifo.unsafe_evictions)});

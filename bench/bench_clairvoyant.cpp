@@ -5,10 +5,12 @@
 // lzma dataset with a cache budget of half the dataset, locally shuffled
 // so every rank re-reads the full file set each epoch:
 //
-//   reactive     Prefetcher warming one batch ahead, FIFO eviction. Every
-//                epoch re-decompresses nearly everything: the FIFO queue
-//                cycles through the permutation, so reuse distances always
-//                exceed the budget and the hit rate collapses.
+//   reactive     PrefetchController fixed at one batch window (min_depth ==
+//                max_depth == batch_per_rank, no staging, no hot replicas),
+//                FIFO eviction. Every epoch re-decompresses nearly
+//                everything: the FIFO queue cycles through the permutation,
+//                so reuse distances always exceed the budget and the hit
+//                rate collapses.
 //   clairvoyant  AccessPlan + PrefetchController + Belady eviction. The
 //                same warming work, but the cache keeps exactly the files
 //                with the nearest scheduled next use, so cross-epoch reuse
@@ -21,7 +23,6 @@
 // Belady hit rate must beat FIFO's under the same warming schedule.
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,7 +50,7 @@ struct Config {
 };
 
 enum class Mode {
-  kReactive,         // Prefetcher, one batch ahead, FIFO eviction
+  kReactive,         // fixed one-batch warm window, FIFO eviction
   kClairvoyant,      // plan + controller + Belady eviction
   kClairvoyantFifo,  // plan + controller, FIFO eviction (isolates Belady)
 };
@@ -107,31 +108,30 @@ RunResult run_case(int nranks, Mode mode, const Config& cfg) {
     topt.metrics = &inst.metrics();
 
     dlsim::Prefetcher warmer(inst.fs(), 1, 1);
-    std::unique_ptr<plan::AccessPlan> ap;
-    std::unique_ptr<plan::PrefetchController> ctl;
+    plan::PlanOptions popt;
+    popt.seed = topt.seed;
+    popt.epochs = cfg.epochs;
+    popt.batch_per_rank = cfg.batch_per_rank;
+    popt.nranks = comm.size();
+    popt.rank = comm.rank();
+    plan::AccessPlan ap(all_paths, popt, &inst.metrics());
+    if (mode == Mode::kClairvoyant) inst.install_plan(&ap);
+    plan::ControllerOptions copt;
+    copt.step_time_s = cfg.t_iter_s;
+    copt.io_parallelism = cfg.io_parallelism;
     if (mode == Mode::kReactive) {
-      topt.prefetcher = &warmer;
-      topt.prefetch_batches = 1;
+      // Warm exactly the current batch window each step, in read order.
+      copt.min_depth = cfg.batch_per_rank;
+      copt.max_depth = cfg.batch_per_rank;
     } else {
-      plan::PlanOptions popt;
-      popt.seed = topt.seed;
-      popt.epochs = cfg.epochs;
-      popt.batch_per_rank = cfg.batch_per_rank;
-      popt.nranks = comm.size();
-      popt.rank = comm.rank();
-      ap = std::make_unique<plan::AccessPlan>(all_paths, popt, &inst.metrics());
-      if (mode == Mode::kClairvoyant) inst.install_plan(ap.get());
-      plan::ControllerOptions copt;
-      copt.step_time_s = cfg.t_iter_s;
-      copt.io_parallelism = cfg.io_parallelism;
       copt.min_depth = cfg.batch_per_rank;
       copt.max_depth = cfg.cache_files / 2;  // never warm-thrash the cache
+      copt.stage_horizon = 4 * copt.max_depth;
       copt.hot_replicas = 4;
-      ctl = std::make_unique<plan::PrefetchController>(*ap, inst.fs(), warmer,
-                                                       &clock, copt);
-      topt.plan = ap.get();
-      topt.controller = ctl.get();
     }
+    plan::PrefetchController ctl(ap, inst.fs(), warmer, &clock, copt);
+    topt.plan = &ap;
+    topt.controller = &ctl;
 
     const auto result = dlsim::run_training(inst.fs(), all_paths, topt);
     const auto snap = inst.metrics().snapshot();

@@ -1,19 +1,16 @@
 // Hot-path concurrency benchmark: multi-threaded open/read throughput of
 // the sharded single-flight PlainCache and the low-contention FanStoreFs
 // read path, swept over 1–16 I/O threads on hit-heavy and miss-heavy
-// mixes, against the pre-PR single-global-mutex cache (replicated below,
-// duplicate-miss window and all).
+// mixes.
 //
 // The hit-heavy "shared epoch" mix is the DL shape that motivated the
-// overhaul: several I/O workers race through one shuffled epoch order, so
-// every newly reached file is opened by all workers nearly simultaneously
-// (most opens are hits). The pre-PR cache runs the
-// fetch+decompress loader in *every* racing thread; single-flight runs it
-// once and the waiters adopt the result.
+// sharded cache: several I/O workers race through one shuffled epoch
+// order, so every newly reached file is opened by all workers nearly
+// simultaneously (most opens are hits). Single-flight runs the
+// fetch+decompress loader once and the waiters adopt the result.
 //
-// Emits BENCH_hotpath.json (threads-vs-throughput, both implementations)
-// — the repo's recorded perf trajectory. tools/ci.sh runs `--quick` as a
-// smoke test.
+// Emits BENCH_hotpath.json (threads-vs-throughput) — the repo's recorded
+// perf trajectory. tools/ci.sh runs `--quick` as a smoke test.
 //
 // Doubles as a metrics cross-check: the sharded cache's registry counters
 // are compared phase-by-phase against the bench's own bookkeeping (loader
@@ -22,12 +19,9 @@
 #include <atomic>
 #include <cstring>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -44,81 +38,6 @@ using namespace fanstore;
 namespace {
 
 constexpr std::size_t kFileBytes = std::size_t{1} << 20;  // ~DL sample size; decompress >> a scheduler timeslice
-
-// --- The pre-PR cache, verbatim semantics -------------------------------
-// Single global mutex; concurrent misses on one path all run the loader
-// and the losers adopt the winner's entry (the seed's documented window).
-class LegacyMutexCache {
- public:
-  explicit LegacyMutexCache(std::size_t capacity) : capacity_(capacity) {}
-
-  std::shared_ptr<const Bytes> acquire(const std::string& path,
-                                       const std::function<Bytes()>& loader) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      const auto it = entries_.find(path);
-      if (it != entries_.end()) {
-        it->second.open_count++;
-        return it->second.data;
-      }
-    }
-    auto data = std::make_shared<const Bytes>(loader());
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = entries_.find(path);
-    if (it != entries_.end()) {
-      it->second.open_count++;
-      return it->second.data;
-    }
-    Entry e;
-    e.data = data;
-    e.open_count = 1;
-    fifo_.push_back(path);
-    e.fifo_pos = std::prev(fifo_.end());
-    bytes_used_ += data->size();
-    entries_.emplace(path, std::move(e));
-    evict_locked();
-    return data;
-  }
-
-  void release(const std::string& path) {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = entries_.find(path);
-    if (it == entries_.end()) return;
-    if (it->second.open_count > 0) it->second.open_count--;
-    evict_locked();
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<const Bytes> data;
-    int open_count = 0;
-    std::list<std::string>::iterator fifo_pos;
-  };
-
-  void evict_locked() {
-    auto pos = fifo_.begin();
-    while (bytes_used_ > capacity_ && pos != fifo_.end()) {
-      const auto it = entries_.find(*pos);
-      if (it == entries_.end()) {
-        pos = fifo_.erase(pos);
-        continue;
-      }
-      if (it->second.open_count > 0) {
-        ++pos;
-        continue;
-      }
-      bytes_used_ -= it->second.data->size();
-      pos = fifo_.erase(pos);
-      entries_.erase(it);
-    }
-  }
-
-  const std::size_t capacity_;
-  std::mutex mu_;
-  std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> fifo_;
-  std::size_t bytes_used_ = 0;
-};
 
 // --- Workload -----------------------------------------------------------
 
@@ -153,13 +72,14 @@ Dataset make_dataset(std::size_t files) {
   return ds;
 }
 
-// One "open/read": acquire (decompressing on miss), copy the plain bytes
-// out (the read), release.
-template <typename Cache>
-void open_read_close(Cache& cache, const Dataset& ds, std::size_t file,
-                     Bytes& read_buf) {
+// One "open/read": acquire (decompressing on miss, counted in `loads`),
+// copy the plain bytes out (the read), release.
+void open_read_close(core::PlainCache& cache, const Dataset& ds,
+                     std::size_t file, Bytes& read_buf,
+                     std::atomic<std::uint64_t>& loads) {
   const std::string& path = ds.paths[file];
   auto data = cache.acquire(path, [&] {
+    loads.fetch_add(1, std::memory_order_relaxed);
     return ds.codec->decompress(as_view(ds.compressed[file]), kFileBytes);
   });
   read_buf.resize(data->size());
@@ -178,38 +98,37 @@ double timed_threads(int threads, const std::function<void(int)>& fn) {
 }
 
 // Shared-epoch hit-heavy mix: all threads walk the same file sequence at
-// their own pace. Each newly reached file is one coalesced (or, legacy,
-// duplicated) load; revisits by trailing threads are hits.
-template <typename Cache>
-double run_shared_epoch(Cache& cache, const Dataset& ds, int threads,
-                        std::size_t seq_len) {
+// their own pace. Each newly reached file is one coalesced load; revisits
+// by trailing threads are hits.
+double run_shared_epoch(core::PlainCache& cache, const Dataset& ds,
+                        int threads, std::size_t seq_len,
+                        std::atomic<std::uint64_t>& loads) {
   return timed_threads(threads, [&](int) {
     Bytes buf;
     for (std::size_t i = 0; i < seq_len; ++i) {
-      open_read_close(cache, ds, i % ds.paths.size(), buf);
+      open_read_close(cache, ds, i % ds.paths.size(), buf, loads);
     }
   });
 }
 
 // Miss-heavy mix: thread-private strides over a file set 4x the cache
 // capacity — nearly every open evicts and reloads, no load sharing.
-template <typename Cache>
-double run_miss_heavy(Cache& cache, const Dataset& ds, int threads,
+double run_miss_heavy(core::PlainCache& cache, const Dataset& ds, int threads,
                       std::size_t ops_per_thread) {
+  std::atomic<std::uint64_t> loads{0};
   return timed_threads(threads, [&](int t) {
     Bytes buf;
     std::size_t x = static_cast<std::size_t>(t) * 2654435761u + 1;
     for (std::size_t i = 0; i < ops_per_thread; ++i) {
       x = x * 6364136223846793005ull + 1442695040888963407ull;
-      open_read_close(cache, ds, (x >> 33) % ds.paths.size(), buf);
+      open_read_close(cache, ds, (x >> 33) % ds.paths.size(), buf, loads);
     }
   });
 }
 
 struct Series {
   std::vector<int> threads;
-  std::vector<double> legacy_kops;
-  std::vector<double> sharded_kops;
+  std::vector<double> kops;
 };
 
 std::string json_array(const std::vector<int>& v) {
@@ -254,94 +173,43 @@ int main(int argc, char** argv) {
   Series hit, miss;
   bool metrics_ok = true;
   bench::section("Hot path: shared-epoch hit-heavy mix (open/read/close per sec)");
-  bench::Table hit_table({"threads", "legacy 1-mutex kops/s", "sharded+SF kops/s",
-                          "speedup", "loads legacy", "loads sharded"});
+  bench::Table hit_table({"threads", "sharded+SF kops/s", "loads"});
   bench::Table hit_metrics_table(
       {"threads", "cache.hits", "cache.misses", "sf-waits", "evictions"});
   for (const int t : thread_counts) {
     const std::size_t total_ops = static_cast<std::size_t>(t) * epoch_len;
-
-    LegacyMutexCache legacy(hit_capacity);
-    std::atomic<std::uint64_t> legacy_loads{0};
-    // Count loads by wrapping the dataset loader via a counting cache pass.
-    double legacy_sec;
-    {
-      WallTimer timer;
-      std::vector<std::thread> pool;
-      for (int i = 0; i < t; ++i) {
-        pool.emplace_back([&] {
-          Bytes buf;
-          for (std::size_t k = 0; k < epoch_len; ++k) {
-            const std::size_t f = k % ds.paths.size();
-            auto data = legacy.acquire(ds.paths[f], [&] {
-              legacy_loads.fetch_add(1, std::memory_order_relaxed);
-              return ds.codec->decompress(as_view(ds.compressed[f]), kFileBytes);
-            });
-            buf.assign(data->begin(), data->end());
-            legacy.release(ds.paths[f]);
-          }
-        });
-      }
-      for (auto& th : pool) th.join();
-      legacy_sec = timer.elapsed_sec();
-    }
-
     core::PlainCache sharded(hit_capacity, kShards);
     std::atomic<std::uint64_t> sharded_loads{0};
-    double sharded_sec;
-    {
-      WallTimer timer;
-      std::vector<std::thread> pool;
-      for (int i = 0; i < t; ++i) {
-        pool.emplace_back([&] {
-          Bytes buf;
-          for (std::size_t k = 0; k < epoch_len; ++k) {
-            const std::size_t f = k % ds.paths.size();
-            auto data = sharded.acquire(ds.paths[f], [&] {
-              sharded_loads.fetch_add(1, std::memory_order_relaxed);
-              return ds.codec->decompress(as_view(ds.compressed[f]), kFileBytes);
-            });
-            buf.assign(data->begin(), data->end());
-            sharded.release(ds.paths[f]);
-          }
-        });
-      }
-      for (auto& th : pool) th.join();
-      sharded_sec = timer.elapsed_sec();
-    }
-
-    const double legacy_kops = static_cast<double>(total_ops) / legacy_sec / 1e3;
+    const double sharded_sec =
+        run_shared_epoch(sharded, ds, t, epoch_len, sharded_loads);
     const double sharded_kops = static_cast<double>(total_ops) / sharded_sec / 1e3;
     hit.threads.push_back(t);
-    hit.legacy_kops.push_back(legacy_kops);
-    hit.sharded_kops.push_back(sharded_kops);
-    hit_table.row({std::to_string(t), bench::fmt("%.1f", legacy_kops),
-                   bench::fmt("%.1f", sharded_kops),
-                   bench::fmt("%.2fx", sharded_kops / legacy_kops),
-                   std::to_string(legacy_loads.load()),
+    hit.kops.push_back(sharded_kops);
+    hit_table.row({std::to_string(t), bench::fmt("%.1f", sharded_kops),
                    std::to_string(sharded_loads.load())});
 
     // Cross-check the cache's registry counters against the bench's own
     // bookkeeping: every loader invocation is a miss, everything else a hit.
-    const auto cstats = sharded.stats();
-    hit_metrics_table.row({std::to_string(t), std::to_string(cstats.hits),
-                           std::to_string(cstats.misses),
-                           std::to_string(cstats.single_flight_waits),
-                           std::to_string(cstats.evictions)});
-    if (cstats.misses != sharded_loads.load()) {
+    auto& m = sharded.metrics();
+    const std::uint64_t hits = m.counter("cache.hits").value();
+    const std::uint64_t misses = m.counter("cache.misses").value();
+    hit_metrics_table.row(
+        {std::to_string(t), std::to_string(hits), std::to_string(misses),
+         std::to_string(m.counter("cache.single_flight_waits").value()),
+         std::to_string(m.counter("cache.evictions").value())});
+    if (misses != sharded_loads.load()) {
       std::fprintf(stderr,
                    "METRICS MISMATCH: cache.misses=%llu but the bench ran "
                    "%llu loaders (t=%d)\n",
-                   static_cast<unsigned long long>(cstats.misses),
+                   static_cast<unsigned long long>(misses),
                    static_cast<unsigned long long>(sharded_loads.load()), t);
       metrics_ok = false;
     }
-    if (cstats.hits + cstats.misses != total_ops) {
+    if (hits + misses != total_ops) {
       std::fprintf(stderr,
                    "METRICS MISMATCH: hits+misses=%llu but the bench issued "
                    "%zu acquires (t=%d)\n",
-                   static_cast<unsigned long long>(cstats.hits + cstats.misses),
-                   total_ops, t);
+                   static_cast<unsigned long long>(hits + misses), total_ops, t);
       metrics_ok = false;
     }
   }
@@ -350,22 +218,15 @@ int main(int argc, char** argv) {
   hit_metrics_table.print();
 
   bench::section("Hot path: miss-heavy mix, 4x over-subscribed cache");
-  bench::Table miss_table(
-      {"threads", "legacy 1-mutex kops/s", "sharded+SF kops/s", "speedup"});
+  bench::Table miss_table({"threads", "sharded+SF kops/s"});
   for (const int t : thread_counts) {
     const std::size_t total_ops = static_cast<std::size_t>(t) * miss_ops;
-    LegacyMutexCache legacy(miss_capacity);
-    const double legacy_sec = run_miss_heavy(legacy, ds, t, miss_ops);
     core::PlainCache sharded(miss_capacity, 0);  // production auto-shard policy
     const double sharded_sec = run_miss_heavy(sharded, ds, t, miss_ops);
-    const double legacy_kops = static_cast<double>(total_ops) / legacy_sec / 1e3;
     const double sharded_kops = static_cast<double>(total_ops) / sharded_sec / 1e3;
     miss.threads.push_back(t);
-    miss.legacy_kops.push_back(legacy_kops);
-    miss.sharded_kops.push_back(sharded_kops);
-    miss_table.row({std::to_string(t), bench::fmt("%.1f", legacy_kops),
-                    bench::fmt("%.1f", sharded_kops),
-                    bench::fmt("%.2fx", sharded_kops / legacy_kops)});
+    miss.kops.push_back(sharded_kops);
+    miss_table.row({std::to_string(t), bench::fmt("%.1f", sharded_kops)});
   }
   miss_table.print();
 
@@ -435,16 +296,6 @@ int main(int argc, char** argv) {
   });
   fs_table.print();
 
-  const std::size_t idx8 = [&] {
-    for (std::size_t i = 0; i < hit.threads.size(); ++i) {
-      if (hit.threads[i] == 8) return i;
-    }
-    return hit.threads.size() - 1;
-  }();
-  const double speedup8 = hit.sharded_kops[idx8] / hit.legacy_kops[idx8];
-  std::printf("\nhit-heavy speedup at %d threads: %.2fx\n", hit.threads[idx8],
-              speedup8);
-
   FILE* out = std::fopen(json_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_hotpath: cannot write %s\n", json_path.c_str());
@@ -459,13 +310,10 @@ int main(int argc, char** argv) {
                "  \"cache_shards\": %zu,\n"
                "  \"hit_heavy_shared_epoch\": {\n"
                "    \"threads\": %s,\n"
-               "    \"legacy_single_mutex_kops\": %s,\n"
-               "    \"sharded_single_flight_kops\": %s,\n"
-               "    \"speedup_at_8_threads\": %.2f\n"
+               "    \"sharded_single_flight_kops\": %s\n"
                "  },\n"
                "  \"miss_heavy\": {\n"
                "    \"threads\": %s,\n"
-               "    \"legacy_single_mutex_kops\": %s,\n"
                "    \"sharded_single_flight_kops\": %s\n"
                "  },\n"
                "  \"fanstore_fs_warm_open_read_close\": {\n"
@@ -474,12 +322,8 @@ int main(int argc, char** argv) {
                "  }\n"
                "}\n",
                quick ? "true" : "false", kFileBytes, files, kShards,
-               json_array(hit.threads).c_str(),
-               json_array(hit.legacy_kops).c_str(),
-               json_array(hit.sharded_kops).c_str(), speedup8,
-               json_array(miss.threads).c_str(),
-               json_array(miss.legacy_kops).c_str(),
-               json_array(miss.sharded_kops).c_str(),
+               json_array(hit.threads).c_str(), json_array(hit.kops).c_str(),
+               json_array(miss.threads).c_str(), json_array(miss.kops).c_str(),
                json_array(fs_threads).c_str(), json_array(fs_kops).c_str());
   std::fclose(out);
   std::printf("wrote %s\n", json_path.c_str());

@@ -56,8 +56,8 @@ CellResult run_cell(const std::string& spec, int clients, int per_client,
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       ipc::ClientOptions copt;
-      copt.max_attempts = 5;  // absorb transient connect backlog overflow
-      copt.base_delay_ms = 1;
+      copt.retry.max_attempts = 5;  // absorb transient connect backlog overflow
+      copt.retry.base_delay_ms = 1;
       ipc::UdsClientVfs client(spec, copt);
       lat[static_cast<std::size_t>(c)].reserve(
           static_cast<std::size_t>(per_client));

@@ -108,11 +108,12 @@ int main(int argc, char** argv) {
 
     // "Validation" after the last epoch: every node reads the broadcast
     // set locally (zero interconnect traffic for it).
-    const auto before = inst.fs().stats().remote_fetches;
+    const obs::Counter& remote = inst.metrics().counter("fs.remote_fetches");
+    const auto before = remote.value();
     for (int i = 0; i < 8; ++i) {
       (void)posixfs::read_file(posix, "fs/imagenet/val/img" + std::to_string(i) + ".jpg");
     }
-    const auto after = inst.fs().stats().remote_fetches;
+    const auto after = remote.value();
     if (comm.rank() == 0 && after != before) {
       std::printf("WARNING: broadcast partition read went remote\n");
     }

@@ -74,13 +74,14 @@ int main(int argc, char** argv) {
       bytes += data->size();
     }
     comm.barrier();
-    const auto stats = inst.fs().stats();
+    const auto stats = inst.metrics().snapshot();
     std::printf(
         "rank %d: read %.1f KB  (cache hits %llu, local decompress %llu, "
         "remote fetches %llu)\n",
-        comm.rank(), bytes / 1e3, static_cast<unsigned long long>(stats.cache_hits),
-        static_cast<unsigned long long>(stats.local_misses),
-        static_cast<unsigned long long>(stats.remote_fetches));
+        comm.rank(), bytes / 1e3,
+        static_cast<unsigned long long>(stats.counter("cache.hits")),
+        static_cast<unsigned long long>(stats.counter("fs.local_misses")),
+        static_cast<unsigned long long>(stats.counter("fs.remote_fetches")));
 
     // Write a checkpoint (write-once model, §IV-A).
     if (comm.rank() == 0) {

@@ -336,13 +336,4 @@ std::size_t PlainCache::bytes_used() const {
   return total;
 }
 
-PlainCache::CacheStats PlainCache::stats() const {
-  CacheStats out;
-  out.hits = hits_->value();
-  out.misses = misses_->value();
-  out.evictions = evictions_->value();
-  out.single_flight_waits = waits_->value();
-  return out;
-}
-
 }  // namespace fanstore::core

@@ -12,7 +12,7 @@
 // everyone else blocks on the shard's condvar and adopts the result (or the
 // loader's exception). Stats live in an obs::MetricsRegistry (names
 // "cache.*", see DESIGN.md §7): relaxed-atomic counters the shards bump
-// lock-free; CacheStats/stats() remain as thin read shims over them.
+// lock-free, read through metrics().
 #pragma once
 
 #include <atomic>
@@ -127,19 +127,10 @@ class PlainCache {
   /// (e.g. asserting the prefetcher leaks no pins).
   int open_count(const std::string& path) const;
 
-  /// Read shim over the "cache.*" registry counters (the one authoritative
-  /// home of these stats since the observability PR).
-  struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    /// Acquires that blocked on another thread's in-flight load of the
-    /// same path instead of duplicating it (counted as hits above).
-    std::uint64_t single_flight_waits = 0;
-  };
-  CacheStats stats() const;
-
-  /// The registry holding this cache's metrics (injected or private).
+  /// The registry holding this cache's metrics (injected or private):
+  /// "cache.hits", "cache.misses", "cache.evictions" and
+  /// "cache.single_flight_waits" (acquires that blocked on another
+  /// thread's in-flight load of the same path; also counted as hits).
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
   /// Installs (nullptr clears) a clairvoyant eviction policy. The policy

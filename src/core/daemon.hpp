@@ -93,10 +93,6 @@ class Daemon {
   /// Idempotent; sends a self-addressed shutdown message and joins.
   void stop() EXCLUDES(lifecycle_mu_);
 
-  // Thin shims over the "daemon.*" registry counters.
-  std::uint64_t fetches_served() const { return fetches_served_->value(); }
-  std::uint64_t meta_forwards_received() const { return meta_received_->value(); }
-
  private:
   void serve();
   void handle_fetch(const mpi::Message& msg);

@@ -55,7 +55,6 @@ TieredCache::Options tier_options(const FanStoreFs::Options& o,
   t.metrics = metrics;
   t.clock = o.clock;
   t.charge_costs = o.cost.enabled;
-  t.charge_decompress = o.cost.charge_decompress;
   t.spill_storage = o.cost.spill_storage;
   return t;
 }
@@ -257,7 +256,7 @@ ColdResult FanStoreFs::load_cached(const std::string& path,
   if (stat.crc != 0 && crc32(as_view(plain)) != stat.crc) {
     throw std::runtime_error("fanstore: CRC mismatch for " + path);
   }
-  if (options_.cost.charge_decompress && blob->compressor != 0) {
+  if (blob->compressor != 0) {
     charge(simnet::CodecSpeedTable::shared().decompress_seconds(blob->compressor,
                                                                 plain.size()));
   }
@@ -279,7 +278,7 @@ void FanStoreFs::charge_chunk_decode(const CachedFile& file,
   if (stats.chunks_decoded == 0) return;
   io_.chunks_decoded.inc(stats.chunks_decoded);
   io_.chunked_bytes_decoded.inc(stats.bytes_decoded);
-  if (options_.cost.charge_decompress && file.inner_id() != 0) {
+  if (file.inner_id() != 0) {
     charge(simnet::CodecSpeedTable::shared().chunked_decompress_seconds(
         file.inner_id(), stats.bytes_decoded, stats.chunks_decoded, threads));
   }
@@ -676,22 +675,6 @@ std::optional<posixfs::Dirent> FanStoreFs::readdir(int dir_handle) {
 int FanStoreFs::closedir(int dir_handle) {
   sync::MutexLock lk(dir_mu_);
   return open_dirs_.erase(dir_handle) > 0 ? 0 : -EBADF;
-}
-
-FanStoreFs::IoStats FanStoreFs::stats() const {
-  // Thin shim over the registry — the counters themselves are the source
-  // of truth (fanstore_metrics_dump() and stats() can never disagree).
-  IoStats out;
-  out.opens = io_.opens.value();
-  out.cache_hits = io_.cache_hits.value();
-  out.local_misses = io_.local_misses.value();
-  out.remote_fetches = io_.remote_fetches.value();
-  out.direct_fetches = io_.direct_fetches.value();
-  out.bytes_read = io_.bytes_read.value();
-  out.bytes_written = io_.bytes_written.value();
-  out.remote_bytes = io_.remote_bytes.value();
-  out.failovers = io_.failovers.value();
-  return out;
 }
 
 }  // namespace fanstore::core

@@ -13,9 +13,9 @@
 // serialize on one lock. The fd table, dir table, and writer set each have
 // their own mutex; per-fd read/write/seek state is guarded by a per-file
 // mutex so read() copies proceed in parallel; I/O counters are lock-free
-// obs::MetricsRegistry counters ("fs.*"/"cache.*", DESIGN.md §7) with
-// IoStats/stats() kept as a thin read shim; and fetch+decompress runs with
-// no FanStoreFs lock held (inside the cache's single-flight loader).
+// obs::MetricsRegistry counters ("fs.*"/"cache.*", DESIGN.md §7), read
+// through metrics(); and fetch+decompress runs with no FanStoreFs lock held
+// (inside the cache's single-flight loader).
 //
 // Observability: every open/read/close emits a TraceSpan (wall + virtual
 // clock) and open/read/load/fetch latencies feed log-scale histograms.
@@ -35,7 +35,6 @@
 #include "core/daemon.hpp"
 #include "core/tiered_cache.hpp"
 #include "core/metadata_store.hpp"
-#include "core/retry.hpp"
 #include "mpi/comm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -43,6 +42,7 @@
 #include "simnet/codec_speed.hpp"
 #include "simnet/models.hpp"
 #include "simnet/virtual_clock.hpp"
+#include "util/retry.hpp"
 #include "util/sync.hpp"
 
 namespace fanstore::core {
@@ -54,7 +54,6 @@ struct CostConfig {
   simnet::StorageModel read_path = simnet::fanstore_storage();
   simnet::NetworkModel network = simnet::fdr_infiniband();
   int nodes = 1;
-  bool charge_decompress = true;
   /// Device model for the SSD spill tier (DESIGN.md §12): every spill
   /// write/read is charged through this on the virtual clock.
   simnet::StorageModel spill_storage = simnet::ssd_storage();
@@ -132,21 +131,6 @@ class FanStoreFs final : public posixfs::Vfs {
     cluster::MetaResolver* meta_resolver = nullptr;
   };
 
-  /// Plain snapshot of the I/O counters (see stats()) — a read shim over
-  /// the metrics registry, kept so pre-observability callers compile
-  /// unchanged.
-  struct IoStats {
-    std::uint64_t opens = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t local_misses = 0;   // decompressed from the local backend
-    std::uint64_t remote_fetches = 0;  // fetched from a peer (daemon or direct)
-    std::uint64_t direct_fetches = 0;  // subset of remote_fetches: PeerDirectory
-    std::uint64_t bytes_read = 0;
-    std::uint64_t bytes_written = 0;
-    std::uint64_t remote_bytes = 0;  // compressed bytes over the wire
-    std::uint64_t failovers = 0;     // fetches served by a non-owner replica
-  };
-
   FanStoreFs(mpi::Comm comm, MetadataStore* meta, CompressedBackend* backend,
              Options options);
 
@@ -189,13 +173,8 @@ class FanStoreFs final : public posixfs::Vfs {
     cache_.set_eviction_policy(plan);
   }
 
-  IoStats stats() const;
-  /// The plain-RAM tier (tier 0) — kept as the classic accessor so
-  /// pre-tiering callers compile unchanged.
-  PlainCache& cache() { return cache_.plain(); }
-  const PlainCache& cache() const { return cache_.plain(); }
   /// The whole tier stack (introspection; pass-through when no tier
-  /// budgets are configured).
+  /// budgets are configured). tiers().plain() is the plain-RAM tier.
   TieredCache& tiers() { return cache_; }
   const TieredCache& tiers() const { return cache_; }
 
@@ -232,13 +211,13 @@ class FanStoreFs final : public posixfs::Vfs {
     explicit IoMetrics(obs::MetricsRegistry& m);
     obs::Counter& opens;
     obs::Counter& cache_hits;  // alias of "cache.hits"
-    obs::Counter& local_misses;
-    obs::Counter& remote_fetches;
-    obs::Counter& direct_fetches;
+    obs::Counter& local_misses;    // decompressed from the local backend
+    obs::Counter& remote_fetches;  // fetched from a peer (daemon or direct)
+    obs::Counter& direct_fetches;  // subset of remote_fetches: PeerDirectory
     obs::Counter& bytes_read;
     obs::Counter& bytes_written;
-    obs::Counter& remote_bytes;
-    obs::Counter& failovers;
+    obs::Counter& remote_bytes;  // compressed bytes over the wire
+    obs::Counter& failovers;     // fetches served by a non-owner replica
     // Remote-fetch resilience ("retry.*", DESIGN.md §8): re-attempts after
     // retryable failures, their causes, and the total backoff slept.
     obs::Counter& retry_attempts;

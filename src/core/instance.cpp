@@ -203,8 +203,11 @@ std::vector<std::string> Instance::dataset_paths() {
 }
 
 std::string Instance::stats_report() const {
-  const auto io = fs_->stats();
-  const auto cache = fs_->cache().stats();
+  const auto m = metrics().snapshot();
+  const auto n = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
+  };
+  const PlainCache& cache = fs_->tiers().plain();
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
@@ -212,21 +215,18 @@ std::string Instance::stats_report() const {
       "failover=%llu | "
       "read=%.1fMB wire=%.1fMB written=%.1fMB | cache %.1f/%.1fMB evict=%llu | "
       "backend %zu objs %.1fMB | daemon served=%llu meta_fwd=%llu",
-      comm_.rank(), static_cast<unsigned long long>(io.opens),
-      static_cast<unsigned long long>(io.cache_hits),
-      static_cast<unsigned long long>(io.local_misses),
-      static_cast<unsigned long long>(io.remote_fetches),
-      static_cast<unsigned long long>(io.direct_fetches),
-      static_cast<unsigned long long>(io.failovers),
-      static_cast<double>(io.bytes_read) / 1e6,
-      static_cast<double>(io.remote_bytes) / 1e6,
-      static_cast<double>(io.bytes_written) / 1e6,
-      static_cast<double>(fs_->cache().bytes_used()) / 1e6,
-      static_cast<double>(fs_->cache().capacity()) / 1e6,
-      static_cast<unsigned long long>(cache.evictions), backend_->object_count(),
+      comm_.rank(), n(m.counter("fs.opens")), n(m.counter("cache.hits")),
+      n(m.counter("fs.local_misses")), n(m.counter("fs.remote_fetches")),
+      n(m.counter("fs.direct_fetches")), n(m.counter("fs.failovers")),
+      static_cast<double>(m.counter("fs.bytes_read")) / 1e6,
+      static_cast<double>(m.counter("fs.remote_bytes")) / 1e6,
+      static_cast<double>(m.counter("fs.bytes_written")) / 1e6,
+      static_cast<double>(cache.bytes_used()) / 1e6,
+      static_cast<double>(cache.capacity()) / 1e6,
+      n(m.counter("cache.evictions")), backend_->object_count(),
       static_cast<double>(backend_->bytes_used()) / 1e6,
-      static_cast<unsigned long long>(daemon_->fetches_served()),
-      static_cast<unsigned long long>(daemon_->meta_forwards_received()));
+      n(m.counter("daemon.fetches_served")),
+      n(m.counter("daemon.meta_forwards")));
   std::string out = buf;
   if (fs_->tiers().tiers_enabled()) {
     char tier_buf[128];

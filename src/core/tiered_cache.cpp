@@ -271,10 +271,8 @@ std::shared_ptr<CachedFile> TieredCache::rebuild(
   if (plain_crc != 0 && crc32(as_view(plain)) != plain_crc) {
     throw compress::CorruptDataError("tiered payload crc mismatch");
   }
-  if (opt_.charge_decompress) {
-    charge(simnet::CodecSpeedTable::shared().decompress_seconds(
-        compressor, plain.size()));
-  }
+  charge(simnet::CodecSpeedTable::shared().decompress_seconds(
+      compressor, plain.size()));
   return std::make_shared<CachedFile>(std::move(plain));
 }
 

@@ -121,7 +121,6 @@ class TieredCache {
     /// Virtual-time charging for spill I/O and flat promote decompression.
     simnet::VirtualClock* clock = nullptr;
     bool charge_costs = false;
-    bool charge_decompress = true;
     simnet::StorageModel spill_storage = simnet::ssd_storage();
   };
 

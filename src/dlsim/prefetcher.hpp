@@ -71,14 +71,6 @@ class Prefetcher final : public plan::Warmer {
   }
   void drain() override { wait(); }
 
-  /// Read shims over the "prefetch.*" registry counters (pipelined mode
-  /// shares the FanStoreFs registry; generic mode uses the global one).
-  std::uint64_t files_warmed() const { return warmed_->value(); }
-  std::uint64_t failures() const { return failures_->value(); }
-  std::uint64_t dropped() const { return dropped_->value(); }
-  /// Current queued-but-not-started backlog ("prefetch.queue_depth").
-  std::int64_t queue_depth() const { return queue_depth_->value(); }
-
  private:
   /// One queued path. Flags are guarded by q_mu_; a worker claims the job
   /// (started=true) before touching the fs, a producer under pressure may

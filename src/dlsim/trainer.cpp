@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "dlsim/prefetcher.hpp"
 #include "obs/trace.hpp"
 #include "plan/access_plan.hpp"
 #include "plan/controller.hpp"
@@ -23,13 +22,6 @@ TrainerResult run_training(posixfs::Vfs& fs, const std::vector<std::string>& fil
 
   if (options.global_shuffle && options.comm == nullptr) {
     throw std::invalid_argument("trainer: global_shuffle requires comm");
-  }
-  if (options.controller != nullptr && options.prefetcher != nullptr) {
-    throw std::invalid_argument(
-        "trainer: controller and prefetcher are mutually exclusive");
-  }
-  if (options.prefetcher != nullptr && options.prefetch_batches == 0) {
-    throw std::invalid_argument("trainer: prefetch_batches must be positive");
   }
   obs::MetricsRegistry& metrics = options.metrics != nullptr
                                       ? *options.metrics
@@ -68,10 +60,6 @@ TrainerResult run_training(posixfs::Vfs& fs, const std::vector<std::string>& fil
     obs::TraceSpan epoch_span("trainer.epoch", options.io_clock);
     plan::epoch_shuffle(order, rng);
     if (options.record_epoch_files) result.epoch_files.emplace_back();
-    // Reactive fixed-depth warming: iterations of this epoch whose windows
-    // have already been handed to the prefetcher (the order reshuffles at
-    // the epoch boundary, so warming never crosses it).
-    std::size_t warmed_through = 0;
     for (std::size_t it = 0; it < iters_per_epoch && !done; ++it) {
       obs::TraceSpan step_span("trainer.step", options.io_clock);
       // ---- I/O phase: read the batch through the POSIX surface ----
@@ -81,23 +69,7 @@ TrainerResult run_training(posixfs::Vfs& fs, const std::vector<std::string>& fil
       // max(io, compute) hides them up to the compute budget (Fig. 5b) —
       // and the run stays deterministic (no background races against the
       // shared clock).
-      if (options.controller != nullptr) {
-        options.controller->on_step_begin();
-      } else if (options.prefetcher != nullptr) {
-        const std::size_t warm_to =
-            std::min(iters_per_epoch, it + options.prefetch_batches);
-        std::vector<std::string> warm_paths;
-        for (; warmed_through < warm_to; ++warmed_through) {
-          const std::size_t wwin = window_of(warmed_through);
-          for (std::size_t b = 0; b < options.batch_per_rank; ++b) {
-            warm_paths.push_back(order[(wwin + b) % order.size()]);
-          }
-        }
-        if (!warm_paths.empty()) {
-          options.prefetcher->prefetch(warm_paths);
-          options.prefetcher->wait();
-        }
-      }
+      if (options.controller != nullptr) options.controller->on_step_begin();
       const std::size_t window = window_of(it);
       for (std::size_t b = 0; b < options.batch_per_rank; ++b) {
         const std::string& path = order[(window + b) % order.size()];

@@ -31,8 +31,6 @@ class PrefetchController;
 
 namespace fanstore::dlsim {
 
-class Prefetcher;
-
 struct TrainerOptions {
   double t_iter_s = 0.5;            // compute (incl. allreduce) per iteration
   std::size_t batch_per_rank = 8;   // files per rank per iteration
@@ -62,21 +60,16 @@ struct TrainerOptions {
   /// spans stamp `io_clock` virtual time. nullptr uses the process-global
   /// registry.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Reactive warming (the Fig. 5b overlap, driven from inside the loop):
-  /// when set, each iteration first keeps this window and the next
-  /// `prefetch_batches - 1` batch windows warm through the prefetcher.
-  /// Warm costs are charged inside the iteration's measured I/O window, so
-  /// async_io's max(io, compute) hides them up to the compute budget —
-  /// and the accounting stays deterministic on the virtual clock.
-  Prefetcher* prefetcher = nullptr;
-  std::size_t prefetch_batches = 1;
   /// Clairvoyant planning (DESIGN.md §10): `plan` is advanced one entry
   /// per file read (record_access — feeds Belady eviction and the
   /// controller's cursor; must be built with this trainer's exact schedule
-  /// parameters). `controller`, when set, replaces fixed-depth warming
-  /// with schedule-aware adaptive lookahead + cross-rank staging; it is
-  /// mutually exclusive with `prefetcher` (the controller drives its own
-  /// Warmer).
+  /// parameters). `controller`, when set, is the trainer's one warming
+  /// hook: it runs at the top of each iteration, inside the measured I/O
+  /// window, so async_io's max(io, compute) hides its virtual-clock
+  /// charges up to the compute budget (the Fig. 5b overlap) and the
+  /// accounting stays deterministic. Reactive one-batch-ahead warming is
+  /// the controller with min_depth == max_depth == batch_per_rank and no
+  /// staging.
   plan::AccessPlan* plan = nullptr;
   plan::PrefetchController* controller = nullptr;
   /// When true, TrainerResult::epoch_files records every file this rank

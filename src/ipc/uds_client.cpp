@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "ipc/protocol.hpp"
+#include "util/hash.hpp"
 
 namespace fanstore::ipc {
 
@@ -17,7 +18,7 @@ UdsClientVfs::UdsClientVfs(std::string endpoint_spec, ClientOptions options)
     endpoint_ = *ep;
     endpoint_valid_ = true;
   }
-  if (options_.max_attempts < 1) options_.max_attempts = 1;
+  options_.retry.validate();
   if (options_.metrics != nullptr) {
     retry_attempts_ = &options_.metrics->counter("retry.attempts");
     retry_exhausted_ = &options_.metrics->counter("retry.exhausted");
@@ -54,17 +55,20 @@ std::optional<Bytes> UdsClientVfs::call(ByteView request) {
       ::close(sock_);
       sock_ = -1;
     }
-    if (attempt >= options_.max_attempts) {
-      if (retry_exhausted_ != nullptr && options_.max_attempts > 1) {
+    const RetryPolicy& retry = options_.retry;
+    if (attempt >= retry.max_attempts) {
+      if (retry_exhausted_ != nullptr && retry.max_attempts > 1) {
         retry_exhausted_->inc();
       }
       return std::nullopt;
     }
     if (retry_attempts_ != nullptr) retry_attempts_->inc();
-    const int shift = std::min(attempt - 1, 20);
-    const long delay = std::min<long>(
-        static_cast<long>(options_.base_delay_ms) << shift,
-        options_.max_delay_ms);
+    // Jitter salted by the request, so clients retrying different requests
+    // after one server hiccup do not wake in lockstep.
+    const int delay = retry.delay_ms(
+        attempt, util::stable_hash64(std::string_view(
+                     reinterpret_cast<const char*>(request.data()),
+                     request.size())));
     if (delay > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(delay));
     }

@@ -7,7 +7,7 @@
 // UDS path for back-compat), against either server implementation (the
 // event-driven ipc::Server or the legacy thread-per-connection UdsServer —
 // the framed protocol is identical). Failed round trips reconnect and
-// retry with deterministic exponential backoff, counting "retry.*".
+// retry with the shared RetryPolicy backoff, counting "retry.*".
 #pragma once
 
 #include <map>
@@ -17,17 +17,17 @@
 #include "ipc/transport.hpp"
 #include "obs/metrics.hpp"
 #include "posixfs/vfs.hpp"
+#include "util/retry.hpp"
 #include "util/sync.hpp"
 
 namespace fanstore::ipc {
 
 struct ClientOptions {
-  /// Round-trip attempts per call (>= 1); 1 disables retries. A failed
-  /// attempt drops the connection and reconnects before the next one.
-  int max_attempts = 1;
-  /// Backoff before attempt k (k >= 2) is min(base << (k-2), max) ms.
-  int base_delay_ms = 2;
-  int max_delay_ms = 200;
+  /// Round-trip attempts per call and the backoff between them. A failed
+  /// attempt drops the connection and reconnects before the next one. The
+  /// default, one attempt, disables retries. Validated at construction
+  /// (std::invalid_argument).
+  RetryPolicy retry{.max_attempts = 1};
   /// Receives "retry.attempts" / "retry.exhausted"; may be null.
   obs::MetricsRegistry* metrics = nullptr;
 };

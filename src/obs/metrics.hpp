@@ -1,5 +1,5 @@
 // Observability: metrics registry (counters, gauges, log-scale latency
-// histograms) — the instrumented backbone behind IoStats/cache stats and
+// histograms) — the one read path for the fs/cache/daemon counters and
 // the per-stage timing the paper's evaluation decomposes (open /
 // decompress / fetch latency, cache behaviour, interconnect cost).
 //
@@ -12,8 +12,7 @@
 //
 // Snapshots (`MetricsRegistry::snapshot()`) walk the registry under its
 // mutex and copy every metric's current value; counter values are
-// torn-but-monotonic relative to concurrent writers (same contract the old
-// relaxed-atomic IoStats snapshot had).
+// torn-but-monotonic relative to concurrent writers.
 #pragma once
 
 #include <atomic>

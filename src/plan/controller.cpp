@@ -20,7 +20,6 @@ PrefetchController::PrefetchController(AccessPlan& plan, core::FanStoreFs& fs,
   if (opt_.ema_alpha <= 0 || opt_.ema_alpha > 1) {
     throw std::invalid_argument("controller: ema_alpha must be in (0, 1]");
   }
-  if (opt_.stage_horizon == 0) opt_.stage_horizon = 4 * opt_.max_depth;
   obs::MetricsRegistry& m = fs_.metrics();
   depth_gauge_ = &m.gauge("plan.lookahead_depth");
   issued_ = &m.counter("plan.prefetch_issued");
@@ -85,7 +84,9 @@ void PrefetchController::on_step_begin() {
   depth_gauge_->set(static_cast<std::int64_t>(depth_));
 
   const std::size_t warm_end = std::min(plan_.size(), cursor + depth_);
-  stage_window(std::min(plan_.size(), warm_end + opt_.stage_horizon));
+  if (opt_.stage_horizon != 0) {
+    stage_window(std::min(plan_.size(), warm_end + opt_.stage_horizon));
+  }
 
   if (warm_until_ >= warm_end) return;
   std::vector<std::string> batch;

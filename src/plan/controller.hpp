@@ -1,6 +1,6 @@
 // Schedule-aware prefetch controller (DESIGN.md §10).
 //
-// Replaces the trainer's fixed-depth warming with adaptive lookahead-k:
+// Drives the trainer's warming with adaptive lookahead-k:
 // each step the controller warms the next k scheduled files, where k is
 // chosen so the warm work just fits under the compute budget it can hide
 // behind (k ~= step_time * io_parallelism / measured-per-file-warm-cost).
@@ -8,12 +8,14 @@
 // actually charged, bootstrapped from the fs's "fs.load_us"/"fs.fetch_us"
 // latency histograms before the first measurement lands.
 //
-// Ahead of the warm window it runs cross-rank staging: remote objects due
-// within stage_horizon accesses are pulled compressed into the local
+// Ahead of the warm window it can run cross-rank staging: remote objects
+// due within stage_horizon accesses are pulled compressed into the local
 // backend (FanStoreFs::prefetch_compressed — no decompress, off the read
 // critical path), and the plan's predicted-hottest objects are staged as
 // extra local replicas up front, so their fetch cost is paid once, early,
-// instead of at first use.
+// instead of at first use. With min_depth == max_depth == batch_per_rank,
+// no staging and no hot replicas, the controller is the reactive
+// one-batch-ahead warmer: each step warms exactly its own batch window.
 //
 // Warming runs synchronously inside the trainer's measured I/O window
 // (enqueue + drain): the virtual clock charges stay attributed to the step
@@ -62,8 +64,9 @@ struct ControllerOptions {
   std::size_t max_depth = 256;
   /// EMA smoothing for the measured per-file warm cost.
   double ema_alpha = 0.3;
-  /// How many accesses ahead of the cursor to keep *staged* (compressed
-  /// blob local, not yet decompressed). 0 = 4 * max_depth.
+  /// How many accesses beyond the warm window to keep *staged*
+  /// (compressed blob local, not yet decompressed). 0 disables staging;
+  /// 4 * max_depth is the usual clairvoyant setting.
   std::size_t stage_horizon = 0;
   /// Stage local replicas of the plan's N most-accessed objects up front
   /// (predicted-hot placement). 0 disables.

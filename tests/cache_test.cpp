@@ -34,8 +34,8 @@ TEST(PlainCacheTest, HitAfterMiss) {
   EXPECT_FALSE(loaded);
   EXPECT_EQ(loads, 1);
   EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.metrics().counter("cache.hits").value(), 1u);
+  EXPECT_EQ(cache.metrics().counter("cache.misses").value(), 1u);
   cache.release("f");
   cache.release("f");
 }
@@ -52,7 +52,7 @@ TEST(PlainCacheTest, FifoEvictionOrder) {
   EXPECT_FALSE(cache.contains("a"));
   EXPECT_TRUE(cache.contains("b"));
   EXPECT_TRUE(cache.contains("c"));
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.metrics().counter("cache.evictions").value(), 1u);
 }
 
 TEST(PlainCacheTest, PinnedEntriesSurviveEviction) {
@@ -186,7 +186,7 @@ TEST(ShardedCacheTest, CapacityEnforcedPerShardAndGlobally) {
   EXPECT_TRUE(cache.contains(in0[1]));
   EXPECT_TRUE(cache.contains(in0[2]));
   EXPECT_TRUE(cache.contains(other[0]));  // untouched shard
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.metrics().counter("cache.evictions").value(), 1u);
   EXPECT_LE(cache.bytes_used(), cache.capacity());
 }
 
@@ -250,10 +250,10 @@ TEST(SingleFlightTest, LoaderRunsOnceUnderConcurrentAcquires) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(loader_runs.load(), 1);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads) - 1);
-  EXPECT_GE(s.single_flight_waits, 1u);
+  const auto s = cache.metrics().snapshot();
+  EXPECT_EQ(s.counter("cache.misses"), 1u);
+  EXPECT_EQ(s.counter("cache.hits"), static_cast<std::uint64_t>(kThreads) - 1);
+  EXPECT_GE(s.counter("cache.single_flight_waits"), 1u);
   for (const auto& r : results) {
     ASSERT_NE(r, nullptr);
     EXPECT_EQ(r.get(), results[0].get());  // all adopted the one load
@@ -320,7 +320,8 @@ TEST(DemotionHookTest, EvictedVictimsFlowToHookAfterUnlock) {
   EXPECT_EQ(demoted[1], "b");
   EXPECT_FALSE(cache.contains("b"));
   // The hook received usable bytes, not a husk.
-  EXPECT_EQ(cache.stats().evictions, 1u);  // drop() is not an eviction
+  // drop() is not an eviction.
+  EXPECT_EQ(cache.metrics().counter("cache.evictions").value(), 1u);
 }
 
 TEST(DemotionHookTest, InvalidatedEntriesLeaveWithoutDemotion) {
@@ -349,7 +350,7 @@ TEST(DemotionHookTest, InvalidatedEntriesLeaveWithoutDemotion) {
                      &loaded);
   EXPECT_TRUE(loaded);
   cache.release("b");
-  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.metrics().counter("cache.evictions").value(), 0u);
 }
 
 /// A chunked cold object for tier tests: constant fill compresses well, so

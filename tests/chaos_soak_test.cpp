@@ -117,7 +117,7 @@ TEST(ChaosSoakTest, SeededTrainingSoakSeesEveryFileOncePerEpoch) {
           retry_events += inst.metrics().counter("retry.attempts").value() +
                           inst.metrics().counter("retry.timeouts").value() +
                           inst.metrics().counter("retry.crc_rejects").value();
-          failovers += inst.fs().stats().failovers;
+          failovers += inst.fs().metrics().counter("fs.failovers").value();
         }
         comm.barrier();
 

@@ -209,7 +209,7 @@ TEST(ChaosTest, CorruptedRepliesAreRejectedAndServedByReplica) {
           EXPECT_EQ(m.counter("retry.crc_rejects").value(),
                     static_cast<std::uint64_t>(kAttempts));
           EXPECT_EQ(m.counter("retry.exhausted").value(), 1u);
-          EXPECT_EQ(inst.fs().stats().failovers, 1u);
+          EXPECT_EQ(inst.fs().metrics().counter("fs.failovers").value(), 1u);
         }
         comm.barrier();
         inst.stop();
@@ -258,7 +258,7 @@ TEST(ChaosTest, OwnerDaemonDiesMidEpochFailoverCoversIt) {
             ASSERT_TRUE(got.has_value()) << i;
             EXPECT_EQ(*got, contents[static_cast<std::size_t>(i)]) << i;
           }
-          EXPECT_GE(inst.fs().stats().failovers, 1u);
+          EXPECT_GE(inst.fs().metrics().counter("fs.failovers").value(), 1u);
           EXPECT_GE(inst.metrics().counter("retry.timeouts").value(), 1u);
         }
         comm.barrier();
@@ -446,7 +446,7 @@ TEST(ChaosTest, ManualDaemonKillAndRestartKeepsCacheIntact) {
         comm.barrier();
         if (comm.rank() == 0) {
           // Cached file: readable while the owner is dead (pure cache hit).
-          EXPECT_TRUE(inst.fs().cache().contains("a"));
+          EXPECT_TRUE(inst.fs().tiers().plain().contains("a"));
           const auto got = posixfs::read_file(inst.fs(), "a");
           ASSERT_TRUE(got.has_value());
           EXPECT_EQ(*got, data_a);
@@ -460,7 +460,8 @@ TEST(ChaosTest, ManualDaemonKillAndRestartKeepsCacheIntact) {
           const auto got = posixfs::read_file(inst.fs(), "b");
           ASSERT_TRUE(got.has_value());
           EXPECT_EQ(*got, data_b);
-          EXPECT_TRUE(inst.fs().cache().contains("a"));  // survived throughout
+          // Survived throughout.
+          EXPECT_TRUE(inst.fs().tiers().plain().contains("a"));
         }
         comm.barrier();
         inst.stop();

@@ -130,9 +130,9 @@ TEST(FanStoreIntegrationTest, LocalAndRemoteReads) {
     EXPECT_EQ(*got0, d0);
     EXPECT_EQ(*got1, d1);
 
-    const auto stats = fs.stats();
-    EXPECT_EQ(stats.remote_fetches, 1u);  // exactly one file was remote
-    EXPECT_EQ(stats.local_misses, 1u);
+    const auto stats = fs.metrics().snapshot();
+    EXPECT_EQ(stats.counter("fs.remote_fetches"), 1u);  // exactly one was remote
+    EXPECT_EQ(stats.counter("fs.local_misses"), 1u);
 
     comm.barrier();  // both done before daemons stop
     inst.stop();
@@ -292,8 +292,8 @@ TEST(FanStoreIntegrationTest, CacheHitOnSecondOpen) {
     inst.exchange_metadata();
     (void)posixfs::read_file(inst.fs(), "f");
     (void)posixfs::read_file(inst.fs(), "f");
-    EXPECT_EQ(inst.fs().stats().cache_hits, 1u);
-    EXPECT_EQ(inst.fs().stats().local_misses, 1u);
+    EXPECT_EQ(inst.fs().metrics().counter("cache.hits").value(), 1u);
+    EXPECT_EQ(inst.fs().metrics().counter("fs.local_misses").value(), 1u);
   });
 }
 
@@ -446,7 +446,7 @@ TEST(FanStoreIntegrationTest, NeighbourReadRequiresRemoteFetch) {
     // Neighbour's file requires a remote fetch (no replication here).
     const int neighbour = (comm.rank() + 1) % 4;
     (void)posixfs::read_file(inst.fs(), "p/r" + std::to_string(neighbour));
-    EXPECT_EQ(inst.fs().stats().remote_fetches, 1u);
+    EXPECT_EQ(inst.fs().metrics().counter("fs.remote_fetches").value(), 1u);
     comm.barrier();
     inst.stop();
   });
@@ -472,11 +472,11 @@ TEST(FanStoreIntegrationTest, PeerDirectoryServesFetchesWithoutDaemon) {
     const auto got = posixfs::read_file(inst.fs(), "p/r" + std::to_string(neighbour));
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->size(), 4000u);
-    const auto stats = inst.fs().stats();
-    EXPECT_EQ(stats.remote_fetches, 1u);
-    EXPECT_EQ(stats.direct_fetches, 1u);  // served off the peer table
-    EXPECT_GT(stats.remote_bytes, 0u);    // wire cost still accounted
-    EXPECT_EQ(inst.daemon().fetches_served(), 0u);
+    const auto stats = inst.metrics().snapshot();
+    EXPECT_EQ(stats.counter("fs.remote_fetches"), 1u);
+    EXPECT_EQ(stats.counter("fs.direct_fetches"), 1u);  // off the peer table
+    EXPECT_GT(stats.counter("fs.remote_bytes"), 0u);  // wire cost accounted
+    EXPECT_EQ(inst.metrics().counter("daemon.fetches_served").value(), 0u);
 
     comm.barrier();  // both reads done before either backend goes away
     inst.stop();
@@ -520,7 +520,7 @@ TEST(FanStoreIntegrationTest, FullSharedFsFlowWithRingReplication) {
     }
     // 16 files / 4 partitions: own (4) + predecessor's replicated (4) are
     // local; the other 8 are remote fetches.
-    EXPECT_EQ(inst.fs().stats().remote_fetches, 8u);
+    EXPECT_EQ(inst.fs().metrics().counter("fs.remote_fetches").value(), 8u);
     comm.barrier();
     inst.stop();
   });
@@ -715,61 +715,6 @@ TEST(FanStoreIntegrationTest, StatsReportMentionsActivity) {
   });
 }
 
-TEST(RetryPolicyTest, ValidateRejectsBadConfigs) {
-  RetryPolicy p;
-  EXPECT_NO_THROW(p.validate());
-  p.max_attempts = 0;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-  p = RetryPolicy{};
-  p.base_delay_ms = -1;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-  p = RetryPolicy{};
-  p.base_delay_ms = 10;
-  p.max_delay_ms = 5;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-  p = RetryPolicy{};
-  p.jitter = 1.5;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-  p.jitter = -0.1;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-}
-
-TEST(RetryPolicyTest, ExponentialGrowthCapsWithoutJitter) {
-  RetryPolicy p;
-  p.jitter = 0.0;
-  p.base_delay_ms = 2;
-  p.max_delay_ms = 16;
-  EXPECT_EQ(p.delay_ms(1, 0), 2);
-  EXPECT_EQ(p.delay_ms(2, 0), 4);
-  EXPECT_EQ(p.delay_ms(3, 0), 8);
-  EXPECT_EQ(p.delay_ms(4, 0), 16);
-  EXPECT_EQ(p.delay_ms(5, 0), 16);   // hard cap
-  EXPECT_EQ(p.delay_ms(40, 0), 16);  // no overflow past the cap
-  p.base_delay_ms = 0;
-  EXPECT_EQ(p.delay_ms(3, 0), 0);  // backoff disabled
-}
-
-TEST(RetryPolicyTest, JitterIsDeterministicAndBounded) {
-  RetryPolicy p;
-  p.jitter = 0.5;
-  p.base_delay_ms = 8;
-  p.max_delay_ms = 64;
-  bool salt_matters = false;
-  for (int attempt = 1; attempt <= 6; ++attempt) {
-    const int full = std::min(p.max_delay_ms, p.base_delay_ms << (attempt - 1));
-    for (const std::uint64_t salt : {0ull, 1ull, 0xFEEDull}) {
-      const int d = p.delay_ms(attempt, salt);
-      // Same (seed, salt, attempt) -> same delay, always within
-      // [delay * (1 - jitter), delay].
-      EXPECT_EQ(d, p.delay_ms(attempt, salt));
-      EXPECT_GE(d, full / 2) << attempt;
-      EXPECT_LE(d, full) << attempt;
-    }
-    if (p.delay_ms(attempt, 1) != p.delay_ms(attempt, 2)) salt_matters = true;
-  }
-  EXPECT_TRUE(salt_matters);
-}
-
 TEST(FanStoreOptionsTest, NegativeTimeoutAndBadRetryAreRejected) {
   mpi::run_world(1, [&](mpi::Comm& comm) {
     {
@@ -814,7 +759,7 @@ TEST(FanStoreOptionsTest, ZeroTimeoutMeansWaitForever) {
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(*got, data);
       EXPECT_EQ(inst.metrics().counter("retry.timeouts").value(), 0u);
-      EXPECT_EQ(inst.fs().stats().failovers, 0u);
+      EXPECT_EQ(inst.fs().metrics().counter("fs.failovers").value(), 0u);
     }
     comm.barrier();
     inst.stop();

@@ -12,6 +12,7 @@
 #include "core/instance.hpp"
 #include "dlsim/datagen.hpp"
 #include "dlsim/prefetcher.hpp"
+#include "obs/metrics.hpp"
 #include "posixfs/mem_vfs.hpp"
 #include "tests/test_data.hpp"
 #include "util/rng.hpp"
@@ -106,15 +107,17 @@ TEST(PrefetcherTest, WarmsTheCache) {
     dlsim::Prefetcher prefetcher(inst.fs(), 4);
     prefetcher.prefetch(paths);
     prefetcher.wait();
-    EXPECT_EQ(prefetcher.files_warmed(), 16u);
-    EXPECT_EQ(prefetcher.failures(), 0u);
+    auto& m = inst.metrics();
+    EXPECT_EQ(m.counter("prefetch.warmed").value(), 16u);
+    EXPECT_EQ(m.counter("prefetch.failures").value(), 0u);
 
     // Every training-thread open is now a cache hit.
-    const auto before = inst.fs().stats();
+    const auto before = m.snapshot();
     for (const auto& p : paths) (void)posixfs::read_file(inst.fs(), p);
-    const auto after = inst.fs().stats();
-    EXPECT_EQ(after.cache_hits - before.cache_hits, 16u);
-    EXPECT_EQ(after.local_misses, before.local_misses);
+    const auto after = m.snapshot();
+    EXPECT_EQ(after.counter("cache.hits") - before.counter("cache.hits"), 16u);
+    EXPECT_EQ(after.counter("fs.local_misses"),
+              before.counter("fs.local_misses"));
   });
 }
 
@@ -140,8 +143,8 @@ TEST(PrefetcherTest, LeavesEntriesCachedButUnpinned) {
     dlsim::Prefetcher prefetcher(inst.fs(), 3);
     prefetcher.prefetch(paths);
     prefetcher.wait();
-    EXPECT_EQ(prefetcher.files_warmed(), 12u);
-    auto& cache = inst.fs().cache();
+    EXPECT_EQ(inst.metrics().counter("prefetch.warmed").value(), 12u);
+    auto& cache = inst.fs().tiers().plain();
     for (const auto& p : paths) {
       EXPECT_TRUE(cache.contains(p)) << p;
       EXPECT_EQ(cache.open_count(p), 0) << p;  // no refcount leak
@@ -178,19 +181,22 @@ TEST(PrefetcherTest, PipelinedRemoteWarmupStagesThenDecompresses) {
       dlsim::Prefetcher prefetcher(inst.fs(), 2, /*fetch_threads=*/2);
       prefetcher.prefetch(paths);
       prefetcher.wait();
-      EXPECT_EQ(prefetcher.files_warmed(), 8u);
-      EXPECT_EQ(prefetcher.failures(), 0u);
-      const auto mid = inst.fs().stats();
-      EXPECT_EQ(mid.remote_fetches, 8u);  // one wire transfer per file
+      auto& m = inst.metrics();
+      EXPECT_EQ(m.counter("prefetch.warmed").value(), 8u);
+      EXPECT_EQ(m.counter("prefetch.failures").value(), 0u);
+      const auto mid = m.snapshot();
+      EXPECT_EQ(mid.counter("fs.remote_fetches"), 8u);  // one transfer each
       // The compressed bytes were staged locally by the fetch stage.
       EXPECT_EQ(inst.backend().object_count(), 8u);
       for (const auto& p : paths) {
         (void)posixfs::read_file(inst.fs(), p);
-        EXPECT_EQ(inst.fs().cache().open_count(p), 0) << p;
+        EXPECT_EQ(inst.fs().tiers().plain().open_count(p), 0) << p;
       }
-      const auto after = inst.fs().stats();
-      EXPECT_EQ(after.cache_hits - mid.cache_hits, 8u);    // all hits
-      EXPECT_EQ(after.remote_fetches, mid.remote_fetches);  // no refetch
+      const auto after = m.snapshot();
+      EXPECT_EQ(after.counter("cache.hits") - mid.counter("cache.hits"),
+                8u);  // all hits
+      EXPECT_EQ(after.counter("fs.remote_fetches"),
+                mid.counter("fs.remote_fetches"));  // no refetch
     }
     comm.barrier();
     inst.stop();
@@ -203,8 +209,10 @@ TEST(PrefetcherTest, MissingFilesCountAsFailures) {
   dlsim::Prefetcher prefetcher(fs, 2);
   prefetcher.prefetch({"real", "ghost1", "ghost2"});
   prefetcher.wait();
-  EXPECT_EQ(prefetcher.files_warmed(), 1u);
-  EXPECT_EQ(prefetcher.failures(), 2u);
+  // Generic mode counts into the process-global registry.
+  auto& m = obs::MetricsRegistry::global();
+  EXPECT_EQ(m.counter("prefetch.warmed").value(), 1u);
+  EXPECT_EQ(m.counter("prefetch.failures").value(), 2u);
 }
 
 // A Vfs whose open() blocks until release() — holds the prefetcher's
@@ -264,24 +272,26 @@ TEST(PrefetcherTest, BoundedQueueDropsOldestUnderFlood) {
     paths.push_back(p);
   }
   dlsim::Prefetcher prefetcher(fs, 2);
-  const auto warmed0 = prefetcher.files_warmed();
-  const auto dropped0 = prefetcher.dropped();
+  auto& m = obs::MetricsRegistry::global();
+  const obs::Gauge& depth = m.gauge("prefetch.queue_depth");
+  const auto warmed0 = m.counter("prefetch.warmed").value();
+  const auto dropped0 = m.counter("prefetch.dropped").value();
   prefetcher.set_queue_limit(4, dlsim::Prefetcher::OverflowPolicy::kDropOldest);
 
   // Workers are gated, so the producer floods straight through: every push
   // past the high-water mark cancels the oldest unclaimed entry.
   prefetcher.prefetch(paths);
-  EXPECT_LE(prefetcher.queue_depth(), 4);
+  EXPECT_LE(depth.value(), 4);
   fs.release();
   prefetcher.wait();
 
-  const auto warmed = prefetcher.files_warmed() - warmed0;
-  const auto dropped = prefetcher.dropped() - dropped0;
+  const auto warmed = m.counter("prefetch.warmed").value() - warmed0;
+  const auto dropped = m.counter("prefetch.dropped").value() - dropped0;
   EXPECT_EQ(warmed + dropped, 64u);
   // At most high_water survivors plus whatever the 2 gated workers had
   // already claimed.
   EXPECT_GE(dropped, 64u - 4u - 2u);
-  EXPECT_EQ(prefetcher.queue_depth(), 0);
+  EXPECT_EQ(depth.value(), 0);
 }
 
 TEST(PrefetcherTest, BoundedQueueBlocksProducerUntilSlotsFree) {
@@ -293,21 +303,23 @@ TEST(PrefetcherTest, BoundedQueueBlocksProducerUntilSlotsFree) {
     paths.push_back(p);
   }
   dlsim::Prefetcher prefetcher(fs, 2);
-  const auto warmed0 = prefetcher.files_warmed();
-  const auto dropped0 = prefetcher.dropped();
+  auto& m = obs::MetricsRegistry::global();
+  const obs::Gauge& depth = m.gauge("prefetch.queue_depth");
+  const auto warmed0 = m.counter("prefetch.warmed").value();
+  const auto dropped0 = m.counter("prefetch.dropped").value();
   prefetcher.set_queue_limit(4, dlsim::Prefetcher::OverflowPolicy::kBlock);
 
   std::thread producer([&] { prefetcher.prefetch(paths); });
   // Invariant (not a timing assertion): the unclaimed backlog never
   // exceeds the high-water mark under kBlock, and nothing is dropped.
-  EXPECT_LE(prefetcher.queue_depth(), 4);
+  EXPECT_LE(depth.value(), 4);
   fs.release();  // workers drain; the blocked producer gets its slots
   producer.join();
   prefetcher.wait();
 
-  EXPECT_EQ(prefetcher.files_warmed() - warmed0, 12u);
-  EXPECT_EQ(prefetcher.dropped() - dropped0, 0u);
-  EXPECT_EQ(prefetcher.queue_depth(), 0);
+  EXPECT_EQ(m.counter("prefetch.warmed").value() - warmed0, 12u);
+  EXPECT_EQ(m.counter("prefetch.dropped").value() - dropped0, 0u);
+  EXPECT_EQ(depth.value(), 0);
 }
 
 // --- CheckpointManager ----------------------------------------------------

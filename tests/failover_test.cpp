@@ -65,7 +65,7 @@ TEST(FailoverTest, ReplicaServesWhenOwnerDaemonDies) {
       const auto got = posixfs::read_file(inst.fs(), "f");
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(*got, data);
-      EXPECT_EQ(inst.fs().stats().failovers, 1u);
+      EXPECT_EQ(inst.fs().metrics().counter("fs.failovers").value(), 1u);
     }
     comm.barrier();
     inst.stop();
@@ -129,7 +129,7 @@ TEST(FailoverTest, RingReplicationPlusFailoverEndToEnd) {
         ASSERT_TRUE(got.has_value()) << i;
         EXPECT_EQ(*got, testdata::runs_and_noise(4000, i)) << i;
       }
-      EXPECT_GE(inst.fs().stats().failovers, 1u);
+      EXPECT_GE(inst.fs().metrics().counter("fs.failovers").value(), 1u);
     }
     comm.barrier();
     inst.stop();
@@ -175,10 +175,10 @@ TEST_P(FailoverMatrixTest, ReplicaReachableIffHopsCoverDistance) {
         const auto got = posixfs::read_file(inst.fs(), "m");
         ASSERT_TRUE(got.has_value());
         EXPECT_EQ(*got, data);
-        EXPECT_EQ(inst.fs().stats().failovers, 1u);
+        EXPECT_EQ(inst.fs().metrics().counter("fs.failovers").value(), 1u);
       } else {
         EXPECT_EQ(inst.fs().open("m", posixfs::OpenMode::kRead), -EIO);
-        EXPECT_EQ(inst.fs().stats().failovers, 0u);
+        EXPECT_EQ(inst.fs().metrics().counter("fs.failovers").value(), 0u);
       }
     }
     comm.barrier();
@@ -238,7 +238,7 @@ TEST(FailoverTest, CrcRejectedReplyNeverLandsInCacheOrDecodeStats) {
           EXPECT_EQ(m.counter("retry.exhausted").value(), 1u);
           // ...and the poisoned bytes were never interpreted: no cache
           // entry, no successful remote fetch, zero decode work charged.
-          EXPECT_FALSE(inst.fs().cache().contains("c"));
+          EXPECT_FALSE(inst.fs().tiers().plain().contains("c"));
           EXPECT_EQ(m.counter("fs.remote_fetches").value(), 0u);
           EXPECT_EQ(m.counter("chunked.chunks_decoded").value(), 0u);
           EXPECT_EQ(m.counter("chunked.bytes_decoded").value(), 0u);
@@ -247,7 +247,7 @@ TEST(FailoverTest, CrcRejectedReplyNeverLandsInCacheOrDecodeStats) {
           const auto got = posixfs::read_file(inst.fs(), "c");
           ASSERT_TRUE(got.has_value());
           EXPECT_EQ(*got, data);
-          EXPECT_TRUE(inst.fs().cache().contains("c"));
+          EXPECT_TRUE(inst.fs().tiers().plain().contains("c"));
           EXPECT_GT(m.counter("chunked.chunks_decoded").value(), 0u);
           EXPECT_EQ(m.counter("retry.crc_rejects").value(), 2u);  // unchanged
         }
@@ -299,7 +299,7 @@ TEST(GlobalShuffleTest, EveryFileVisitedOncePerEpoch) {
     {
       std::lock_guard lk(mu);
       for (const auto& p : files) {
-        if (inst.fs().cache().contains(p)) read_paths.insert(p);
+        if (inst.fs().tiers().plain().contains(p)) read_paths.insert(p);
       }
     }
     comm.barrier();

@@ -213,9 +213,9 @@ TEST(IpcChaosTest, FaultedTrainerEpochOverTcpIsByteIdentical) {
     ChaosProxy proxy(served.host, served.port, /*seed=*/42);
     obs::MetricsRegistry client_metrics;
     ipc::ClientOptions copt;
-    copt.max_attempts = 16;
-    copt.base_delay_ms = 1;
-    copt.max_delay_ms = 16;
+    copt.retry.max_attempts = 16;
+    copt.retry.base_delay_ms = 1;
+    copt.retry.max_delay_ms = 16;
     copt.metrics = &client_metrics;
     ipc::UdsClientVfs client(
         "tcp:127.0.0.1:" + std::to_string(proxy.port()), copt);

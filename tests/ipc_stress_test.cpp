@@ -55,9 +55,9 @@ TEST(IpcSoakTest, HundredsOfClientsThroughFixedThreads) {
   server.start();
   const std::string spec = server.endpoints()[0].to_string();
   ClientOptions copt;
-  copt.max_attempts = 5;  // absorbs transient connect backlog overflow
-  copt.base_delay_ms = 1;
-  copt.max_delay_ms = 20;
+  copt.retry.max_attempts = 5;  // absorbs transient connect backlog overflow
+  copt.retry.base_delay_ms = 1;
+  copt.retry.max_delay_ms = 20;
 
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;

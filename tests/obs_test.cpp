@@ -757,7 +757,7 @@ TEST(ObsGoldenTest, PrefetcherMetricInvariants) {
     }
     // Prefetching leaves nothing pinned.
     for (const auto& path : all_files) {
-      EXPECT_EQ(inst.fs().cache().open_count(path), 0) << path;
+      EXPECT_EQ(inst.fs().tiers().plain().open_count(path), 0) << path;
     }
     comm.barrier();
     inst.stop();

@@ -194,7 +194,7 @@ std::uint64_t trace_hits(const std::vector<std::string>& seq,
     ap.record_access(p);
   }
   if (belady) cache.set_eviction_policy(nullptr);
-  return cache.stats().hits;
+  return cache.metrics().counter("cache.hits").value();
 }
 
 TEST(BeladyEvictionTest, HandComputedOptimalOnClassicSequence) {
@@ -247,8 +247,8 @@ TEST(BeladyEvictionTest, PlanEvictionCounterTracksPolicyEvictions) {
     ap.record_access(p);
   }
   EXPECT_EQ(metrics.snapshot().counter("plan.evictions"),
-            cache.stats().evictions);
-  EXPECT_GT(cache.stats().evictions, 0u);
+            cache.metrics().counter("cache.evictions").value());
+  EXPECT_GT(cache.metrics().counter("cache.evictions").value(), 0u);
   cache.set_eviction_policy(nullptr);
 }
 
@@ -397,6 +397,7 @@ TEST(PrefetchControllerTest, ClairvoyantTrainerEndToEnd) {
     copt.step_time_s = 0.05;
     copt.min_depth = 2;
     copt.max_depth = 8;
+    copt.stage_horizon = 4 * copt.max_depth;
     plan::PrefetchController ctl(ap, inst.fs(), warmer, &clock, copt);
 
     dlsim::TrainerOptions topt;
@@ -426,6 +427,98 @@ TEST(PrefetchControllerTest, ClairvoyantTrainerEndToEnd) {
 
     inst.install_plan(nullptr);
     comm.barrier();
+    inst.stop();
+  });
+}
+
+/// Warmer fake: records each enqueued batch and where the plan's cursor
+/// stood when it arrived. Warms nothing.
+class RecordingWarmer final : public plan::Warmer {
+ public:
+  explicit RecordingWarmer(const plan::AccessPlan& ap) : ap_(ap) {}
+  void enqueue(const std::vector<std::string>& paths) override {
+    batches.push_back(paths);
+    cursors.push_back(ap_.position());
+  }
+  void drain() override { ++drains; }
+
+  std::vector<std::vector<std::string>> batches;
+  std::vector<std::size_t> cursors;
+  int drains = 0;
+
+ private:
+  const plan::AccessPlan& ap_;
+};
+
+TEST(PrefetchControllerTest, FixedDepthWarmsEachStepsOwnBatchWindow) {
+  // min_depth == max_depth == batch_per_rank, no staging, no hot replicas:
+  // the reactive one-batch-ahead warmer. 10 files in batches of 3 leave one
+  // file unread per epoch, so the windows shift across epoch boundaries.
+  constexpr std::size_t kBatch = 3;
+  constexpr int kEpochs = 3;
+  std::vector<std::pair<std::string, Bytes>> data;
+  std::vector<std::string> files;
+  for (int i = 0; i < 10; ++i) {
+    files.push_back("ds/f" + std::to_string(i));
+    data.emplace_back(files.back(), blob(500, static_cast<std::uint8_t>(i)));
+  }
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    core::Instance inst(comm, {});
+    const auto& reg = compress::Registry::instance();
+    const auto* codec = reg.by_name("lz4");
+    format::PartitionWriter w;
+    for (const auto& [path, bytes] : data) {
+      w.add(format::make_record(path, *codec, reg.id_of(*codec), as_view(bytes)));
+    }
+    const Bytes part = w.serialize();
+    inst.load_partition_blob(as_view(part), 0);
+    inst.exchange_metadata();
+
+    plan::PlanOptions popt;
+    popt.seed = 5;
+    popt.epochs = kEpochs;
+    popt.batch_per_rank = kBatch;
+    plan::AccessPlan ap(files, popt, &inst.metrics());
+    RecordingWarmer warmer(ap);
+    plan::ControllerOptions copt;
+    copt.min_depth = kBatch;
+    copt.max_depth = kBatch;
+    copt.hot_replicas = 0;
+    copt.stage_horizon = 0;
+    simnet::VirtualClock clock;
+    plan::PrefetchController ctl(ap, inst.fs(), warmer, &clock, copt);
+
+    dlsim::TrainerOptions topt;
+    topt.batch_per_rank = kBatch;
+    topt.epochs = kEpochs;
+    topt.seed = 5;
+    topt.io_clock = &clock;
+    topt.metrics = &inst.metrics();
+    topt.plan = &ap;
+    topt.controller = &ctl;
+    topt.record_epoch_files = true;
+    const auto result = dlsim::run_training(inst.fs(), files, topt);
+
+    const std::vector<std::string> read = flatten(result.epoch_files);
+    ASSERT_EQ(read.size(), kEpochs * 3 * kBatch);
+    ASSERT_EQ(warmer.batches.size(), result.iterations);
+    EXPECT_EQ(warmer.drains, static_cast<int>(result.iterations));
+    for (std::size_t step = 0; step < warmer.batches.size(); ++step) {
+      // Issued at the top of the step, before any of its reads...
+      EXPECT_EQ(warmer.cursors[step], step * kBatch) << step;
+      // ...and exactly the files that step then read, in read order.
+      const std::vector<std::string> window(
+          read.begin() + static_cast<std::ptrdiff_t>(step * kBatch),
+          read.begin() + static_cast<std::ptrdiff_t>((step + 1) * kBatch));
+      EXPECT_EQ(warmer.batches[step], window) << step;
+    }
+    const auto snap = inst.metrics().snapshot();
+    EXPECT_EQ(snap.counter("plan.prefetch_issued"), read.size());
+    EXPECT_EQ(snap.counter("plan.staged"), 0u);
+    EXPECT_EQ(snap.counter("plan.stage_failures"), 0u);
+    EXPECT_EQ(snap.counter("plan.replicas_placed"), 0u);
+    EXPECT_EQ(snap.gauge("plan.lookahead_depth"),
+              static_cast<std::int64_t>(kBatch));
     inst.stop();
   });
 }

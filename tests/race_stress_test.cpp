@@ -58,13 +58,13 @@ TEST(RaceStressTest, CacheInsertEvictLookup) {
     });
   }
   for (auto& t : threads) t.join();
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses,
+  const auto stats = cache.metrics().snapshot();
+  EXPECT_EQ(stats.counter("cache.hits") + stats.counter("cache.misses"),
             static_cast<std::uint64_t>(kThreads) * kIters);
   // Single-flight: every miss ran the loader exactly once — concurrent
   // misses on one path coalesce; evictions must have kept the pool bounded
   // once every pin is dropped.
-  EXPECT_EQ(loader_runs.load(), static_cast<int>(stats.misses));
+  EXPECT_EQ(loader_runs.load(), static_cast<int>(stats.counter("cache.misses")));
   EXPECT_LE(cache.bytes_used(), cache.capacity());
 }
 
@@ -100,11 +100,11 @@ TEST(RaceStressTest, ShardedSingleFlightStress) {
     });
   }
   for (auto& t : threads) t.join();
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses,
+  const auto stats = cache.metrics().snapshot();
+  EXPECT_EQ(stats.counter("cache.hits") + stats.counter("cache.misses"),
             static_cast<std::uint64_t>(kThreads) * kIters);
   // Structural single-flight invariant: a loader run is exactly a miss.
-  EXPECT_EQ(loader_runs.load(), static_cast<int>(stats.misses));
+  EXPECT_EQ(loader_runs.load(), static_cast<int>(stats.counter("cache.misses")));
   EXPECT_LE(cache.bytes_used(), cache.capacity());
 }
 

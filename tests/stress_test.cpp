@@ -115,8 +115,8 @@ TEST(StressTest, ConcurrentReadsUnderCachePressure) {
     for (auto& th : threads) th.join();
     EXPECT_EQ(mismatches.load(), 0);
     // Eviction really happened and capacity was honoured at rest.
-    EXPECT_GT(fs.cache().stats().evictions, 0u);
-    EXPECT_LE(fs.cache().bytes_used(), opt.fs.cache_bytes + 16 * 1024);
+    EXPECT_GT(fs.metrics().counter("cache.evictions").value(), 0u);
+    EXPECT_LE(fs.tiers().plain().bytes_used(), opt.fs.cache_bytes + 16 * 1024);
   });
 }
 

@@ -1,15 +1,18 @@
 // Unit tests for the util module: CRC, RNG determinism, stats, thread pool,
-// CLI parsing, and byte helpers.
+// CLI parsing, byte helpers, and the retry backoff policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "ipc/uds_client.hpp"
 #include "util/bytes.hpp"
 #include "util/cli.hpp"
 #include "util/crc32.hpp"
+#include "util/retry.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -253,6 +256,68 @@ TEST(BytesTest, StringConversions) {
   const std::string s = "fanstore";
   EXPECT_EQ(to_string(as_view(s)), s);
   EXPECT_EQ(to_string(as_view(to_bytes(s))), s);
+}
+
+TEST(RetryPolicyTest, ValidateRejectsBadConfigs) {
+  RetryPolicy p;
+  EXPECT_NO_THROW(p.validate());
+  p.max_attempts = 0;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = RetryPolicy{};
+  p.base_delay_ms = -1;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = RetryPolicy{};
+  p.base_delay_ms = 10;
+  p.max_delay_ms = 5;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = RetryPolicy{};
+  p.jitter = 1.5;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p.jitter = -0.1;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  // The socket client validates its policy too: no silent clamp of a
+  // non-positive attempt count.
+  ipc::ClientOptions copt;
+  EXPECT_NO_THROW(copt.retry.validate());  // one attempt: no retries
+  copt.retry.max_attempts = 0;
+  EXPECT_THROW(ipc::UdsClientVfs("unix:/nonexistent.sock", copt),
+               std::invalid_argument);
+}
+
+TEST(RetryPolicyTest, ExponentialGrowthCapsWithoutJitter) {
+  RetryPolicy p;
+  p.jitter = 0.0;
+  p.base_delay_ms = 2;
+  p.max_delay_ms = 16;
+  EXPECT_EQ(p.delay_ms(1, 0), 2);
+  EXPECT_EQ(p.delay_ms(2, 0), 4);
+  EXPECT_EQ(p.delay_ms(3, 0), 8);
+  EXPECT_EQ(p.delay_ms(4, 0), 16);
+  EXPECT_EQ(p.delay_ms(5, 0), 16);   // hard cap
+  EXPECT_EQ(p.delay_ms(40, 0), 16);  // no overflow past the cap
+  p.base_delay_ms = 0;
+  EXPECT_EQ(p.delay_ms(3, 0), 0);  // backoff disabled
+}
+
+TEST(RetryPolicyTest, JitterIsDeterministicAndBounded) {
+  RetryPolicy p;
+  p.jitter = 0.5;
+  p.base_delay_ms = 8;
+  p.max_delay_ms = 64;
+  bool salt_matters = false;
+  for (int attempt = 1; attempt <= 6; ++attempt) {
+    const int full = std::min(p.max_delay_ms, p.base_delay_ms << (attempt - 1));
+    for (const std::uint64_t salt : {0ull, 1ull, 0xFEEDull}) {
+      const int d = p.delay_ms(attempt, salt);
+      // Same (seed, salt, attempt) -> same delay, always within
+      // [delay * (1 - jitter), delay].
+      EXPECT_EQ(d, p.delay_ms(attempt, salt));
+      EXPECT_GE(d, full / 2) << attempt;
+      EXPECT_LE(d, full) << attempt;
+    }
+    if (p.delay_ms(attempt, 1) != p.delay_ms(attempt, 2)) salt_matters = true;
+  }
+  EXPECT_TRUE(salt_matters);
 }
 
 }  // namespace

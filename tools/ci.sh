@@ -99,10 +99,10 @@ build/tools/lint/fanstore-lint \
   --baseline tools/lint/baseline.txt \
   src
 
-# Hot-path perf smoke: quick sharded-vs-legacy cache sweep. Catches gross
-# concurrency regressions; the quick numbers go to /tmp so the committed
-# BENCH_hotpath.json keeps the full run (`build/bench/bench_hotpath`
-# without --quick records it).
+# Hot-path perf smoke: quick sharded single-flight cache and FanStoreFs
+# read-path thread sweep. Catches gross concurrency regressions; the quick
+# numbers go to /tmp so the committed BENCH_hotpath.json keeps the full
+# run (`build/bench/bench_hotpath` without --quick records it).
 # Since the observability PR it also cross-checks the metrics registry
 # against the bench's own op/loader bookkeeping and exits non-zero on any
 # disagreement.
