@@ -45,14 +45,12 @@ BENCHMARK(BM_ThroughInterceptor);
 
 void BM_FanStoreCachedRead(benchmark::State& state) {
   mpi::World world(1);
-  mpi::Comm comm = world.comm(0);
-  core::MetadataStore meta;
-  core::RamBackend backend;
-  core::FanStoreFs fs(comm, &meta, &backend, {});
-  backend.put("f", core::Blob{0, Bytes(kFileBytes, 7)});
+  core::Instance inst(world.comm(0), {});
+  core::FanStoreFs& fs = inst.fs();
+  inst.backend().put("f", core::Blob{0, Bytes(kFileBytes, 7)});
   format::FileStat st;
   st.size = kFileBytes;
-  meta.insert("f", st);
+  inst.metadata().insert("f", st);
   Bytes buf(kFileBytes);
   read_cycle(fs, "f", buf);  // populate the cache
   for (auto _ : state) read_cycle(fs, "f", buf);
@@ -62,14 +60,12 @@ BENCHMARK(BM_FanStoreCachedRead);
 
 void BM_MetadataStat(benchmark::State& state) {
   mpi::World world(1);
-  mpi::Comm comm = world.comm(0);
-  core::MetadataStore meta;
-  core::RamBackend backend;
-  core::FanStoreFs fs(comm, &meta, &backend, {});
+  core::Instance inst(world.comm(0), {});
+  core::FanStoreFs& fs = inst.fs();
   for (int i = 0; i < 10000; ++i) {
     format::FileStat st;
     st.size = 1;
-    meta.insert("d" + std::to_string(i % 100) + "/f" + std::to_string(i), st);
+    inst.metadata().insert("d" + std::to_string(i % 100) + "/f" + std::to_string(i), st);
   }
   format::FileStat out;
   int i = 0;

@@ -1,9 +1,10 @@
 // Ablation: metadata placement. FanStore replicates all metadata to every
-// node via one allgather (then every stat() is a local hash lookup); the
-// alternative is a central metadata server queried over the interconnect.
-// This bench measures the real local-lookup cost, the real allgather
-// exchange cost at increasing rank counts, and models the central-server
-// per-op cost for comparison — including the §II-B1 enumeration storm.
+// node in one startup exchange, each rank pushing its entries to every
+// other (then every stat() is a local hash lookup); the alternative is a
+// central metadata server queried over the interconnect. This bench
+// measures the real local-lookup cost, the real exchange cost at
+// increasing rank counts, and models the central-server per-op cost for
+// comparison — including the §II-B1 enumeration storm.
 #include "bench/bench_util.hpp"
 #include "core/instance.hpp"
 #include "simnet/models.hpp"
@@ -32,7 +33,7 @@ double measure_local_lookup_ns(std::size_t nfiles) {
   return found > 0 ? ns : ns;
 }
 
-double measure_allgather_s(int ranks, std::size_t files_per_rank) {
+double measure_exchange_s(int ranks, std::size_t files_per_rank) {
   double result = 0;
   mpi::run_world(ranks, [&](mpi::Comm& comm) {
     core::Instance inst(comm, {});
@@ -77,11 +78,11 @@ int main() {
   }
   table.print();
 
-  bench::section("One-time cost of building the replicated view (real allgather)");
+  bench::section("One-time cost of building the replicated view (real full-replication exchange)");
   bench::Table ag({"ranks", "files/rank", "exchange wall time"});
   for (const int n : {2, 8, 32}) {
     ag.row({std::to_string(n), "500",
-            bench::fmt("%.1f ms", measure_allgather_s(n, 500) * 1000)});
+            bench::fmt("%.1f ms", measure_exchange_s(n, 500) * 1000)});
   }
   ag.print();
   std::printf(

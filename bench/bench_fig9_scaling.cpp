@@ -126,7 +126,7 @@ double lustre_enumeration_s(const simnet::ClusterSpec& cluster, int nodes,
 }
 
 // FanStore startup: each rank loads dataset_bytes/nodes of partitions from
-// the shared FS (bandwidth-bound, no metadata storm), then one allgather.
+// the shared FS (bandwidth-bound, no metadata storm), then one metadata exchange.
 double fanstore_startup_s(const ScalingCase& sc, int nodes, double dataset_bytes) {
   const double per_node = dataset_bytes / nodes;
   return per_node / sc.cluster.shared_fs.bandwidth_bps + 0.5 /*metadata exchange*/;
@@ -165,7 +165,7 @@ void scaling_study(const char* title, const ScalingCase& sc,
   table.print();
   if (with_lustre) {
     std::printf("(FanStore startup at the largest scale: %.0f s partition load +"
-                " metadata allgather)\n",
+                " metadata exchange)\n",
                 fanstore_startup_s(sc, node_counts.back(), paper_dataset_bytes));
   }
 }

@@ -21,19 +21,33 @@ HashRing::HashRing(const std::vector<int>& members, int replication_factor,
   rf_ = replication_factor < 1 ? 1 : replication_factor;
   if (vnodes < 1) vnodes = 1;
   points_.reserve(members_.size() * static_cast<std::size_t>(vnodes));
-  for (const int rank : members_) {
+  for (std::size_t i = 0; i < members_.size(); ++i) {
     // Vnode points derive from (rank, vnode index) only, so a member's
     // points are identical in every ring that contains it — the property
     // that makes membership changes move O(1/members) of the shards.
-    const std::uint64_t base =
-        util::mix64(0x9E3779B97F4A7C15ull ^ static_cast<std::uint64_t>(
-                                                static_cast<std::uint32_t>(rank)));
+    const std::uint64_t base = util::mix64(
+        0x9E3779B97F4A7C15ull ^
+        static_cast<std::uint64_t>(static_cast<std::uint32_t>(members_[i])));
     for (int v = 0; v < vnodes; ++v) {
+      // Points carry the member's index, which sorts like its rank.
       points_.emplace_back(util::mix64(base + static_cast<std::uint64_t>(v)),
-                           rank);
+                           static_cast<int>(i));
     }
   }
   std::sort(points_.begin(), points_.end());
+}
+
+std::vector<HashRing::Point>::const_iterator HashRing::first_point(
+    std::uint32_t shard) const {
+  const std::uint64_t h = util::mix64(0xC1A57E12D00Dull + shard);
+  const auto it = std::lower_bound(
+      points_.begin(), points_.end(),
+      std::make_pair(h, std::numeric_limits<int>::min()));
+  return it == points_.end() ? points_.begin() : it;
+}
+
+bool HashRing::full() const {
+  return static_cast<std::size_t>(rf_) >= members_.size();
 }
 
 std::vector<int> HashRing::shard_owners(std::uint32_t shard) const {
@@ -41,15 +55,18 @@ std::vector<int> HashRing::shard_owners(std::uint32_t shard) const {
   if (points_.empty()) return out;
   const std::size_t want =
       std::min(static_cast<std::size_t>(rf_), members_.size());
-  const std::uint64_t h = util::mix64(0xC1A57E12D00Dull + shard);
-  auto it = std::lower_bound(points_.begin(), points_.end(),
-                             std::make_pair(h, std::numeric_limits<int>::min()));
+  out.reserve(want);
+  // One pass clockwise; `seen` (by member index) dedupes in O(1), so even
+  // a full ring (want == members) costs a single scan of the points.
+  std::vector<bool> seen(members_.size(), false);
+  auto it = first_point(shard);
   for (std::size_t scanned = 0; scanned < points_.size() && out.size() < want;
        ++scanned, ++it) {
     if (it == points_.end()) it = points_.begin();
-    if (std::find(out.begin(), out.end(), it->second) == out.end()) {
-      out.push_back(it->second);
-    }
+    const auto idx = static_cast<std::size_t>(it->second);
+    if (seen[idx]) continue;
+    seen[idx] = true;
+    out.push_back(members_[idx]);
   }
   return out;
 }
@@ -60,13 +77,14 @@ std::vector<int> HashRing::owners(std::string_view path,
 }
 
 bool HashRing::is_owner(int rank, std::uint32_t shard) const {
+  if (full()) return std::binary_search(members_.begin(), members_.end(), rank);
   const auto o = shard_owners(shard);
   return std::find(o.begin(), o.end(), rank) != o.end();
 }
 
 int HashRing::primary(std::uint32_t shard) const {
-  const auto o = shard_owners(shard);
-  return o.empty() ? -1 : o.front();
+  if (points_.empty()) return -1;
+  return members_[static_cast<std::size_t>(first_point(shard)->second)];
 }
 
 }  // namespace fanstore::cluster

@@ -62,7 +62,6 @@ ClusterNode::ClusterNode(mpi::Comm comm, ShardStore* store, NodeOptions options)
     : comm_(comm),
       store_(store),
       options_(std::move(options)),
-      sharded_(options_.replication_factor < comm_.size()),
       owned_metrics_(options_.metrics != nullptr
                          ? nullptr
                          : std::make_unique<obs::MetricsRegistry>()),
@@ -74,7 +73,9 @@ ClusterNode::ClusterNode(mpi::Comm comm, ShardStore* store, NodeOptions options)
   if (options_.rpc_timeout_ms <= 0) {
     throw std::invalid_argument("ClusterNode: rpc_timeout_ms must be positive");
   }
-  if (options_.replication_factor < 1) options_.replication_factor = 1;
+  if (options_.replication_factor < 1) {
+    throw std::invalid_argument("ClusterNode: replication_factor must be >= 1");
+  }
 }
 
 ClusterNode::~ClusterNode() { stop(); }
@@ -143,8 +144,17 @@ void ClusterNode::rebuild_ring_locked() {
   prev_ring_ = ring_;
   ring_ = HashRing(view_.ring_members(), options_.replication_factor,
                    options_.vnodes);
+  update_full_locked();
   lookup_cache_.invalidate();
   m_.ring_rebuilds.inc();
+}
+
+void ClusterNode::update_full_locked() {
+  bool full = true;
+  for (std::uint32_t s = 0; s < options_.nshards && full; ++s) {
+    full = ring_.is_owner(comm_.rank(), s) && prev_ring_.is_owner(comm_.rank(), s);
+  }
+  full_.store(full);
 }
 
 bool ClusterNode::merge_view(const MembershipView& incoming) {
@@ -163,6 +173,7 @@ void ClusterNode::bootstrap(const std::vector<int>& members) {
   }
   rebuild_ring_locked();
   prev_ring_ = ring_;  // no older placement exists at bootstrap
+  update_full_locked();
 }
 
 void ClusterNode::gossip_now() {
@@ -431,6 +442,7 @@ RebalanceStats ClusterNode::rebalance(bool drop_unowned) {
 }
 
 std::vector<std::string> ClusterNode::enumerate_paths() {
+  if (!sharded()) return store_->all_paths();
   HashRing ring;
   std::vector<int> peers;
   {
@@ -467,14 +479,22 @@ std::vector<std::string> ClusterNode::enumerate_paths() {
 
 // --- MetaResolver ----------------------------------------------------------
 
-bool ClusterNode::sharded() const { return sharded_; }
-
 std::vector<int> ClusterNode::meta_owners(const std::string& path) {
   sync::MutexLock lock(mu_);
   return ring_.owners(path, options_.nshards);
 }
 
+std::optional<VersionedStat> ClusterNode::local_answer(
+    const std::string& path) const {
+  if (auto found = store_->lookup_versioned(path)) return found;
+  // Directories are synthesized, not stored: any rank indexing children
+  // of `path` can answer with an unversioned directory stat.
+  if (const auto any = store_->lookup_any(path)) return VersionedStat{*any, 0, 0};
+  return std::nullopt;
+}
+
 std::optional<VersionedStat> ClusterNode::resolve(const std::string& path) {
+  if (!sharded()) return local_answer(path);
   std::uint64_t epoch = 0;
   if (auto hit = lookup_cache_.find(path, &epoch)) {
     m_.lookup_cache_hits.inc();
@@ -520,6 +540,7 @@ std::optional<VersionedStat> ClusterNode::resolve(const std::string& path) {
 
 std::vector<posixfs::Dirent> ClusterNode::list_union(const std::string& dir) {
   std::vector<posixfs::Dirent> out = store_->list_local(dir);
+  if (!sharded()) return out;
   std::vector<int> peers;
   {
     sync::MutexLock lock(mu_);
@@ -559,6 +580,7 @@ std::vector<posixfs::Dirent> ClusterNode::list_union(const std::string& dir) {
 
 bool ClusterNode::dir_exists_union(const std::string& dir) {
   if (store_->dir_exists_local(dir)) return true;
+  if (!sharded()) return false;
   std::vector<int> peers;
   {
     sync::MutexLock lock(mu_);
@@ -603,14 +625,7 @@ void ClusterNode::handle_meta_lookup(const mpi::Message& msg) {
                          msg.payload.size() - 4);
   m_.meta_served.inc();
   Bytes body;
-  std::optional<VersionedStat> found = store_->lookup_versioned(path);
-  if (!found) {
-    // Directories are synthesized, not stored: any rank indexing children
-    // of `path` can answer with an unversioned directory stat.
-    if (const auto any = store_->lookup_any(path)) {
-      found = VersionedStat{*any, 0, 0};
-    }
-  }
+  const std::optional<VersionedStat> found = local_answer(path);
   if (!found) {
     body.push_back(kMetaNotFound);
   } else {

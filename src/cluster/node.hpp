@@ -1,5 +1,5 @@
 // ClusterNode: one rank's membership + sharded-metadata service (DESIGN.md
-// §13). It replaces the "allgather the whole namespace" model with:
+// §13), the only metadata path:
 //
 //   membership  — a MembershipView merged via incarnation-versioned gossip
 //                 (push on change; push-pull on join), so every rank
@@ -26,9 +26,10 @@
 //              (the membership-churn test suite runs this way on a
 //              ManualTimeSource world).
 //
-// Compatibility mode: replication_factor >= world size makes sharded()
-// false — Instance then keeps the classic allgather exchange byte for byte
-// and the resolver is never consulted.
+// Full replication (the paper's design) is the same service with every
+// rank an owner: when this rank owns every shard of the current and the
+// previous ring, sharded() is false and lookups, listings and enumeration
+// answer from the local store without sending anything.
 #pragma once
 
 #include <atomic>
@@ -71,8 +72,9 @@ constexpr std::uint8_t kMetaNotFound = 1;
 constexpr std::uint8_t kMetaMalformed = 2;
 
 struct NodeOptions {
-  /// Distinct owner ranks per metadata shard. >= world size selects the
-  /// full-replication compatibility mode (sharded() == false).
+  /// Distinct owner ranks per metadata shard, capped at the member count
+  /// (>= members is full replication). Below 1 is rejected at construction
+  /// (std::invalid_argument).
   int replication_factor = 1;
   int vnodes = 32;
   std::uint32_t nshards = 64;
@@ -150,11 +152,10 @@ class ClusterNode final : public MetaResolver {
   bool owns_shard(std::uint32_t shard) const EXCLUDES(mu_);
 
   // --- sharded metadata -------------------------------------------------
-  /// Collective replacement for the metadata allgather: every bootstrap
-  /// member pushes each of its local shards to that shard's owners
-  /// (point-to-point, one message per peer) and merges the members-1
-  /// pushes it receives. Must run before start() (the service thread also
-  /// handles kTagMetaPush).
+  /// The startup metadata exchange: every bootstrap member pushes each of
+  /// its local shards to that shard's owners (point-to-point, one message
+  /// per peer) and merges the members-1 pushes it receives. Must run
+  /// before start() (the service thread also handles kTagMetaPush).
   void exchange_initial();
   /// One pull round: fetch peers' shard digests, pull every owned shard
   /// whose digest differs. Convergence loops call this until !changed.
@@ -162,13 +163,17 @@ class ClusterNode final : public MetaResolver {
   /// anti_entropy plus (optionally) push-then-drop of shards this rank no
   /// longer owns under the current ring.
   RebalanceStats rebalance(bool drop_unowned = true);
-  /// Sharded namespace enumeration: this rank's primary shards locally +
-  /// one list RPC per serving peer (each contributes the shards it is
-  /// primary for). Sorted, deduplicated.
+  /// Namespace enumeration: this rank's primary shards locally + one list
+  /// RPC per serving peer (each contributes the shards it is primary for);
+  /// the local store alone under full replication. Sorted, deduplicated.
   std::vector<std::string> enumerate_paths();
 
+  /// False while this rank owns every shard of both the current and the
+  /// previous ring (full replication): the MetaResolver calls below then
+  /// answer from the local store and send no RPC.
+  bool sharded() const { return !full_.load(); }
+
   // --- MetaResolver (consumed by core::FanStoreFs) ----------------------
-  bool sharded() const override;
   std::optional<VersionedStat> resolve(const std::string& path) override;
   std::vector<int> meta_owners(const std::string& path) override;
   std::vector<posixfs::Dirent> list_union(const std::string& dir) override;
@@ -210,6 +215,12 @@ class ClusterNode final : public MetaResolver {
   /// Merges `incoming` into the view; rebuilds the ring on change.
   bool merge_view(const MembershipView& incoming) EXCLUDES(mu_);
   void rebuild_ring_locked() REQUIRES(mu_);
+  /// Recomputes full_ from ring_ and prev_ring_.
+  void update_full_locked() REQUIRES(mu_);
+
+  /// What this rank's store answers for `path`: the versioned file entry,
+  /// else a synthesized directory stat at version 0.
+  std::optional<VersionedStat> local_answer(const std::string& path) const;
 
   /// Sends [prefix?][u32 reply_tag][body] and waits for the crc-checked
   /// reply body (blocking with timeout in threaded mode, pump-bounded in
@@ -221,7 +232,6 @@ class ClusterNode final : public MetaResolver {
   mpi::Comm comm_;
   ShardStore* store_;  // internally synchronized
   NodeOptions options_;
-  bool sharded_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // when not injected
   Metrics m_;
 
@@ -232,6 +242,7 @@ class ClusterNode final : public MetaResolver {
   MembershipView view_ GUARDED_BY(mu_);
   HashRing ring_ GUARDED_BY(mu_);
   HashRing prev_ring_ GUARDED_BY(mu_);  // lookup fallback mid-rebalance
+  std::atomic<bool> full_{false};       // written under mu_; see sharded()
 
   LookupCache lookup_cache_{kLookupCacheEntries};  // internally synchronized
 

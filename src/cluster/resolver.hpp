@@ -1,9 +1,9 @@
 // What the POSIX face needs from the metadata cluster when a local lookup
-// misses: resolve a path from its remote shard owners, know who those
-// owners are (write-meta replication targets), and union directory
-// listings across serving ranks. ClusterNode implements this; FanStoreFs
-// consumes it through a pointer so core never depends on the cluster
-// service's wire details.
+// misses: resolve a path from its shard owners, know who those owners are
+// (write-meta replication targets), and union directory listings across
+// serving ranks. ClusterNode implements this; FanStoreFs consumes it
+// through a pointer so core never depends on the cluster service's wire
+// details.
 #pragma once
 
 #include <optional>
@@ -19,14 +19,11 @@ class MetaResolver {
  public:
   virtual ~MetaResolver() = default;
 
-  /// False in the replication_factor >= nranks compatibility mode: every
-  /// rank holds the full namespace, so the fs never consults the resolver
-  /// and behaves byte-identically to the classic allgather build.
-  virtual bool sharded() const = 0;
-
-  /// Remote metadata lookup: current shard owners first, previous-ring
-  /// owners mid-rebalance, then any serving rank (directory synthesis).
-  /// ClusterNode answers repeats of dataset files from its LookupCache.
+  /// Metadata lookup after a local miss: current shard owners first,
+  /// previous-ring owners mid-rebalance, then any serving rank (directory
+  /// synthesis). ClusterNode answers repeats of dataset files from its
+  /// LookupCache, and every lookup from the local store when this rank
+  /// owns every shard.
   virtual std::optional<VersionedStat> resolve(const std::string& path) = 0;
 
   /// The ranks that must hold `path`'s metadata (write replication set).

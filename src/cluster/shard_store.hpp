@@ -91,6 +91,9 @@ class ShardStore {
   /// Sorted file paths of one shard.
   virtual std::vector<std::string> shard_paths(std::uint32_t shard,
                                                std::uint32_t nshards) const = 0;
+
+  /// Every file path held locally, sorted.
+  virtual std::vector<std::string> all_paths() const = 0;
 };
 
 }  // namespace fanstore::cluster

@@ -44,18 +44,12 @@ bool fetch_reply_crc_ok(ByteView payload) {
   return crc == stored;
 }
 
-Bytes encode_write_meta(std::string_view path, const format::FileStat& stat) {
+Bytes encode_write_meta(std::string_view path, const cluster::VersionedStat& entry) {
   Bytes out;
   append_le<std::uint16_t>(out, static_cast<std::uint16_t>(path.size()));
   out.insert(out.end(), path.begin(), path.end());
   out.resize(out.size() + format::kStatBytes);
-  stat.serialize(out.data() + out.size() - format::kStatBytes);
-  return out;
-}
-
-Bytes encode_write_meta_versioned(std::string_view path,
-                                  const cluster::VersionedStat& entry) {
-  Bytes out = encode_write_meta(path, entry.stat);
+  entry.stat.serialize(out.data() + out.size() - format::kStatBytes);
   append_le<std::uint64_t>(out, entry.version);
   append_le<std::uint32_t>(out, entry.writer);
   return out;
@@ -177,24 +171,20 @@ void Daemon::handle_write_meta(const mpi::Message& msg) {
     return;
   }
   const std::uint16_t len = load_le<std::uint16_t>(msg.payload.data());
-  if (msg.payload.size() < 2u + len + format::kStatBytes) {
-    FANSTORE_LOG_WARN("daemon rank ", comm_.rank(), ": truncated write-meta");
+  // Without its [u64 version][u32 writer] suffix the entry has no place in
+  // the last-writer-wins order: drop it like any other truncation.
+  if (msg.payload.size() < 2u + len + format::kStatBytes + 12u) {
+    FANSTORE_LOG_WARN("daemon rank ", comm_.rank(),
+                      ": truncated or unversioned write-meta");
     return;
   }
-  const std::string path(reinterpret_cast<const char*>(msg.payload.data()) + 2, len);
-  const auto stat = format::FileStat::deserialize(msg.payload.data() + 2 + len);
-  // A 12-byte suffix marks the versioned (sharded-replication) variant;
-  // the classic home-rank forward applies unconditionally as before.
-  if (msg.payload.size() >= 2u + len + format::kStatBytes + 12u) {
-    cluster::VersionedStat entry;
-    entry.stat = stat;
-    entry.version = load_le<std::uint64_t>(msg.payload.data() + 2 + len + format::kStatBytes);
-    entry.writer =
-        load_le<std::uint32_t>(msg.payload.data() + 2 + len + format::kStatBytes + 8);
-    meta_->insert_versioned(path, entry);
-  } else {
-    meta_->insert(path, stat);
-  }
+  const std::uint8_t* p = msg.payload.data() + 2;
+  const std::string path(reinterpret_cast<const char*>(p), len);
+  cluster::VersionedStat entry;
+  entry.stat = format::FileStat::deserialize(p + len);
+  entry.version = load_le<std::uint64_t>(p + len + format::kStatBytes);
+  entry.writer = load_le<std::uint32_t>(p + len + format::kStatBytes + 8);
+  meta_->insert_versioned(path, entry);
   meta_received_->inc();
 }
 

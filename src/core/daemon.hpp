@@ -6,8 +6,9 @@
 //   reply_tag      rsp : [u8 status][u16 compressor][u64 raw_size]
 //                        [u32 crc][data…]
 //   kTagWriteMeta  one-way: [u16 path_len][path][144 B stat]
-//                  (+ optional [u64 version][u32 writer] suffix when the
-//                   sharded metadata cluster replicates a write)
+//                  [u64 version][u32 writer] — a written file's metadata,
+//                  sent to every owner of its shard; a payload without the
+//                  version suffix is malformed and dropped
 //   kTagShutdown   one-way, self-addressed by stop()
 //
 // Both directions carry a CRC-32 so a corrupted message is *detected* and
@@ -60,14 +61,9 @@ Bytes encode_fetch_reply(std::uint8_t status, const Blob* blob, std::uint64_t ra
 /// crc matches its header + data bytes.
 bool fetch_reply_crc_ok(ByteView payload);
 
-/// Encodes a write-metadata forward.
-Bytes encode_write_meta(std::string_view path, const format::FileStat& stat);
-
-/// Versioned variant for sharded-metadata replication: the classic payload
-/// plus a [u64 version][u32 writer] suffix, applied via deterministic
+/// Encodes a write-metadata forward, applied via deterministic
 /// last-writer-wins at the receiving shard owner.
-Bytes encode_write_meta_versioned(std::string_view path,
-                                  const cluster::VersionedStat& entry);
+Bytes encode_write_meta(std::string_view path, const cluster::VersionedStat& entry);
 
 class Daemon {
  public:

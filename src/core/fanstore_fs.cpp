@@ -82,11 +82,9 @@ FanStoreFs::FanStoreFs(mpi::Comm comm, MetadataStore* meta,
     throw std::invalid_argument("FanStoreFs: failover_hops must be >= 0");
   }
   options_.retry.validate();
-}
-
-int FanStoreFs::home_rank(std::string_view path) const {
-  return static_cast<int>(std::hash<std::string_view>{}(path) %
-                          static_cast<std::size_t>(comm_.size()));
+  if (options_.meta_resolver == nullptr) {
+    throw std::invalid_argument("FanStoreFs: meta_resolver is required");
+  }
 }
 
 FanStoreFs::FetchStatus FanStoreFs::fetch_from(int rank, const std::string& path,
@@ -310,7 +308,6 @@ void FanStoreFs::materialize_entry(const std::string& path, CachedFile& file,
 
 std::optional<format::FileStat> FanStoreFs::stat_of(const std::string& path) {
   if (const auto local = meta_->lookup(path)) return local;
-  if (!sharded_meta()) return std::nullopt;
   const auto remote = options_.meta_resolver->resolve(path);
   if (!remote) return std::nullopt;
   return remote->stat;
@@ -377,7 +374,7 @@ int FanStoreFs::open(std::string_view path_in, posixfs::OpenMode mode) {
 
   if (mode == posixfs::OpenMode::kWrite) {
     // Multi-read/single-write model: write-once, one writer at a time
-    // (under sharded metadata the existence check spans the shard owners).
+    // (the existence check spans the shard owners).
     const auto existing = stat_of(path);
     if (existing && existing->type == format::FileType::kRegular) {
       return -EEXIST;
@@ -474,28 +471,17 @@ int FanStoreFs::close(int fd) {
 
   charge(options_.cost.read_path.file_write_time(blob.data.size()));
   backend_->put(of->path, std::move(blob));
-  if (sharded_meta()) {
-    // Sharded model (§13): the metadata replicates to every shard owner
-    // with a (version, writer) tag; concurrent writers of one path resolve
-    // by deterministic last-writer-wins at each replica, no home-rank
-    // forwarding hop.
-    const cluster::VersionedStat entry{stat, 1,
-                                       static_cast<std::uint32_t>(comm_.rank())};
-    meta_->insert_versioned(of->path, entry);
-    for (const int owner : options_.meta_resolver->meta_owners(of->path)) {
-      if (owner == comm_.rank()) continue;
-      comm_.send(owner, kTagWriteMeta, encode_write_meta_versioned(of->path, entry));
-      charge(options_.cost.network.transfer_time(
-          of->path.size() + format::kStatBytes + 12, options_.cost.nodes));
-    }
-  } else {
-    meta_->insert(of->path, stat);
-    const int home = home_rank(of->path);
-    if (home != comm_.rank()) {
-      comm_.send(home, kTagWriteMeta, encode_write_meta(of->path, stat));
-      charge(options_.cost.network.transfer_time(of->path.size() + format::kStatBytes,
-                                                 options_.cost.nodes));
-    }
+  // The metadata replicates to every shard owner (every rank under full
+  // replication) with a (version, writer) tag; concurrent writers of one
+  // path resolve by deterministic last-writer-wins at each replica (§13).
+  const cluster::VersionedStat entry{stat, 1,
+                                     static_cast<std::uint32_t>(comm_.rank())};
+  meta_->insert_versioned(of->path, entry);
+  for (const int owner : options_.meta_resolver->meta_owners(of->path)) {
+    if (owner == comm_.rank()) continue;
+    comm_.send(owner, kTagWriteMeta, encode_write_meta(of->path, entry));
+    charge(options_.cost.network.transfer_time(
+        of->path.size() + format::kStatBytes + 12, options_.cost.nodes));
   }
   {
     sync::MutexLock lk(writer_mu_);
@@ -647,16 +633,10 @@ int FanStoreFs::stat(std::string_view path_in, format::FileStat* out) {
 int FanStoreFs::opendir(std::string_view path_in) {
   const std::string path = posixfs::normalize_path(path_in);
   charge_metadata();
-  std::vector<posixfs::Dirent> entries;
-  if (sharded_meta()) {
-    // Sharded namespace: the local store only indexes directories whose
-    // children hash here, so existence and listing union across ranks.
-    if (!options_.meta_resolver->dir_exists_union(path)) return -ENOENT;
-    entries = options_.meta_resolver->list_union(path);
-  } else {
-    if (!meta_->dir_exists(path)) return -ENOENT;
-    entries = meta_->list(path);
-  }
+  // A sharded store only indexes directories whose children hash here, so
+  // existence and listing union across ranks (local under full replication).
+  if (!options_.meta_resolver->dir_exists_union(path)) return -ENOENT;
+  std::vector<posixfs::Dirent> entries = options_.meta_resolver->list_union(path);
   sync::MutexLock lk(dir_mu_);
   const int h = next_dir_++;
   open_dirs_[h] = OpenDir{std::move(entries), 0};

@@ -7,7 +7,8 @@
 // close() — Fig. 4: drops the pin; refcount-FIFO eviction reclaims space.
 // write   — multi-read/single-write model: one writer, write-once; on
 //           close the data is dumped to the local backend and the metadata
-//           forwarded to the path's home rank (§V-D).
+//           sent to every owner of the path's shard (§V-D; every rank under
+//           full replication).
 //
 // Hot-path concurrency (see DESIGN.md "Hot path"): unrelated opens never
 // serialize on one lock. The fd table, dir table, and writer set each have
@@ -122,12 +123,10 @@ class FanStoreFs final : public posixfs::Vfs {
     /// Cold objects >= this size are admitted to the compressed tier only
     /// (plain copy dropped at last close). 0 = always admit to plain RAM.
     std::size_t plain_admit_max_bytes = 0;
-    /// Sharded-metadata resolver (cluster::ClusterNode; DESIGN.md §13).
-    /// When set and sharded(), a local metadata miss consults the shard's
-    /// owners, directory listings union across serving ranks, and write
-    /// metadata replicates to every owner instead of one home rank.
-    /// nullptr (or the replication_factor == nranks compatibility mode)
-    /// keeps the classic full-replication behavior byte for byte.
+    /// Metadata resolver (cluster::ClusterNode; DESIGN.md §13), required:
+    /// the constructor throws std::invalid_argument on nullptr. A local
+    /// metadata miss and every directory listing go through it, and write
+    /// metadata replicates to every owner of the path's shard.
     cluster::MetaResolver* meta_resolver = nullptr;
   };
 
@@ -180,10 +179,6 @@ class FanStoreFs final : public posixfs::Vfs {
 
   /// The registry holding this fs's metrics (injected or private).
   obs::MetricsRegistry& metrics() const { return *metrics_; }
-
-  /// Home rank for a path's write metadata (§V-D "node with the
-  /// corresponding rank").
-  int home_rank(std::string_view path) const;
 
  private:
   /// Per-fd state. `path`, `mode`, `stat`, and `pinned` are immutable after
@@ -273,17 +268,11 @@ class FanStoreFs final : public posixfs::Vfs {
 
   std::size_t decode_threads() const;
 
-  /// True when a sharded metadata resolver is active (DESIGN.md §13); the
-  /// compatibility mode (rf >= nranks) and classic builds are both false.
-  bool sharded_meta() const {
-    return options_.meta_resolver != nullptr && options_.meta_resolver->sharded();
-  }
-
-  /// Metadata lookup honoring the sharded resolver: local shard store
-  /// first, then the resolver. Remote entries never enter the local store
-  /// (shard digests stay a pure function of ownership, so anti-entropy
-  /// never re-transfers convenience copies); the resolver keeps dataset
-  /// answers in its own lookup cache (DESIGN.md §13).
+  /// Metadata lookup: local shard store first, then the resolver. Remote
+  /// entries never enter the local store (shard digests stay a pure
+  /// function of ownership, so anti-entropy never re-transfers convenience
+  /// copies); the resolver keeps dataset answers in its own lookup cache
+  /// (DESIGN.md §13).
   std::optional<format::FileStat> stat_of(const std::string& path);
 
   /// Outcome of one fetch attempt. kMiss is definitive for that rank (it

@@ -44,27 +44,24 @@ Instance::Instance(mpi::Comm comm, Options options)
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     options_.fs.metrics = owned_metrics_.get();
   }
-  // The cluster node (when configured) must exist before the fs so the fs
-  // can resolve metadata through it; replication_factor == 0 keeps the
-  // classic no-cluster layout with a null resolver.
-  if (options_.cluster.replication_factor > 0) {
-    cluster::NodeOptions co;
-    co.replication_factor = options_.cluster.replication_factor;
-    co.vnodes = options_.cluster.vnodes;
-    co.nshards = options_.cluster.nshards;
-    co.rpc_timeout_ms = options_.cluster.rpc_timeout_ms;
-    co.metrics = options_.fs.metrics;
-    co.fault = options_.fault;
-    cluster_ = std::make_unique<cluster::ClusterNode>(comm_, &meta_, co);
-    if (options_.cluster.member) {
-      std::vector<int> members = options_.cluster.initial_members;
-      if (members.empty()) {
-        for (int r = 0; r < comm_.size(); ++r) members.push_back(r);
-      }
-      cluster_->bootstrap(members);
+  // The cluster node must exist before the fs: the fs resolves metadata
+  // through it.
+  cluster::NodeOptions co;
+  co.replication_factor = options_.cluster.replication_factor;
+  co.vnodes = options_.cluster.vnodes;
+  co.nshards = options_.cluster.nshards;
+  co.rpc_timeout_ms = options_.cluster.rpc_timeout_ms;
+  co.metrics = options_.fs.metrics;
+  co.fault = options_.fault;
+  cluster_ = std::make_unique<cluster::ClusterNode>(comm_, &meta_, co);
+  if (options_.cluster.member) {
+    std::vector<int> members = options_.cluster.initial_members;
+    if (members.empty()) {
+      for (int r = 0; r < comm_.size(); ++r) members.push_back(r);
     }
-    options_.fs.meta_resolver = cluster_.get();
+    cluster_->bootstrap(members);
   }
+  options_.fs.meta_resolver = cluster_.get();
   fs_ = std::make_unique<FanStoreFs>(comm_, &meta_, backend_.get(), options_.fs);
   daemon_ = std::make_unique<Daemon>(comm_, &meta_, backend_.get(),
                                      options_.fs.metrics, options_.fault,
@@ -180,26 +177,13 @@ void Instance::replicate_ring(int rounds) {
 }
 
 void Instance::exchange_metadata() {
-  // Sharded mode: each member pushes each shard only to its owners —
-  // point-to-point, no collective, so spare (non-member) ranks need not
-  // participate. The compatibility mode (rf >= nranks) and classic builds
-  // take the identical allgather path below, byte for byte.
-  if (cluster_ != nullptr && cluster_->sharded()) {
-    cluster_->exchange_initial();
-    return;
-  }
-  const auto blobs = comm_.allgather(as_view(meta_.serialize()));
-  for (int r = 0; r < comm_.size(); ++r) {
-    if (r == comm_.rank()) continue;
-    meta_.merge_serialized(as_view(blobs[static_cast<std::size_t>(r)]));
-  }
+  // Each member pushes each shard only to its owners — point-to-point, no
+  // collective, so spare (non-member) ranks need not participate.
+  cluster_->exchange_initial();
 }
 
 std::vector<std::string> Instance::dataset_paths() {
-  if (cluster_ != nullptr && cluster_->sharded()) {
-    return cluster_->enumerate_paths();
-  }
-  return meta_.all_paths();
+  return cluster_->enumerate_paths();
 }
 
 std::string Instance::stats_report() const {
@@ -245,7 +229,7 @@ std::string Instance::metrics_dump(bool json) const {
 
 void Instance::start_daemon() {
   daemon_->start();
-  if (cluster_ != nullptr) cluster_->start();
+  cluster_->start();
   if (!options_.serve_endpoints.empty() && server_ == nullptr) {
     std::vector<ipc::Endpoint> eps;
     eps.reserve(options_.serve_endpoints.size());

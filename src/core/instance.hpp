@@ -3,11 +3,12 @@
 //
 //   1. load partitions p with p % nranks == rank from the shared FS
 //   2. optionally replicate neighbour partitions around a virtual ring
-//   3. exchange metadata — allgather (full replication) or, with a sharded
-//      metadata cluster configured, per-shard pushes to the shard owners
+//   3. exchange metadata — per-shard pushes to the shard owners (every
+//      rank under full replication, the default)
 //   4. start the daemon (and the cluster's metadata service) and serve
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -52,13 +53,13 @@ class Instance {
     std::vector<std::string> serve_endpoints;
     /// listen(2) backlog for those endpoints.
     int serve_backlog = 64;
-    /// Sharded metadata cluster (cluster/node.hpp, DESIGN.md §13).
+    /// Metadata cluster (cluster/node.hpp, DESIGN.md §13).
     struct ClusterConfig {
-      /// 0 = classic full replication, no cluster node at all (the
-      /// pre-cluster behavior). >= nranks = a cluster node exists but runs
-      /// the byte-identical allgather compatibility mode. Anything in
-      /// between shards the namespace with this many owners per shard.
-      int replication_factor = 0;
+      /// Owners per metadata shard, capped at the member count. The
+      /// default makes every rank an owner of every shard: full
+      /// replication, the paper's design. Below 1 is rejected
+      /// (std::invalid_argument).
+      int replication_factor = std::numeric_limits<int>::max();
       int vnodes = 32;
       std::uint32_t nshards = 64;
       int rpc_timeout_ms = 2000;
@@ -101,15 +102,14 @@ class Instance {
   /// into local hits. Collective: all ranks must call with equal `rounds`.
   void replicate_ring(int rounds = 1);
 
-  /// Collective among bootstrap members: allgather local metadata into the
-  /// global view (classic / compatibility mode), or the sharded
-  /// point-to-point push exchange when the cluster shards the namespace.
+  /// Collective among bootstrap members: the point-to-point push of each
+  /// local shard to its owners (ClusterNode::exchange_initial).
   void exchange_metadata();
 
-  /// Every dataset path this rank can enumerate: the sharded listing union
-  /// when the cluster shards the namespace, the local (fully replicated)
-  /// namespace otherwise. The trainer's enumeration step — callers bcast
-  /// one rank's result when all ranks must agree on ordering.
+  /// Every dataset path this rank can enumerate
+  /// (ClusterNode::enumerate_paths; the local store under full
+  /// replication). The trainer's enumeration step — callers bcast one
+  /// rank's result when all ranks must agree on ordering.
   std::vector<std::string> dataset_paths();
 
   void start_daemon();
@@ -134,7 +134,7 @@ class Instance {
   MetadataStore& metadata() { return meta_; }
   CompressedBackend& backend() { return *backend_; }
   Daemon& daemon() { return *daemon_; }
-  /// The metadata cluster node; null when cluster.replication_factor == 0.
+  /// The metadata cluster node (never null).
   cluster::ClusterNode* cluster_node() { return cluster_.get(); }
   mpi::Comm comm() const { return comm_; }
 

@@ -60,8 +60,8 @@ bool MetadataStore::insert_locked(const std::string& path,
     index_parents_locked(path);
     return true;
   }
-  // Classic inserts overwrite unconditionally (load/allgather semantics);
-  // replicated inserts race under deterministic last-writer-wins.
+  // Load-time inserts overwrite unconditionally; replicated inserts race
+  // under deterministic last-writer-wins.
   if (versioned && !entry.wins_over(it->second)) return false;
   it->second = entry;
   return true;
@@ -111,7 +111,7 @@ bool MetadataStore::dir_exists(const std::string& path) const {
 
 bool MetadataStore::dir_exists_local(const std::string& path) const {
   // The synthesized root ("" exists everywhere) must not make every rank
-  // claim knowledge of an empty namespace, but the classic contract keeps
+  // claim knowledge of an empty namespace, but dir_exists() keeps
   // it: remote unions simply dedupe.
   return dir_exists(path);
 }
@@ -145,43 +145,6 @@ std::vector<std::string> MetadataStore::all_paths() const {
   for (const auto& [p, s] : files_) out.push_back(p);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-Bytes MetadataStore::serialize() const {
-  sync::MutexLock lk(mu_);
-  Bytes out;
-  append_le<std::uint32_t>(out, static_cast<std::uint32_t>(files_.size()));
-  for (const auto& [path, entry] : files_) {
-    append_le<std::uint16_t>(out, static_cast<std::uint16_t>(path.size()));
-    out.insert(out.end(), path.begin(), path.end());
-    out.resize(out.size() + format::kStatBytes);
-    entry.stat.serialize(out.data() + out.size() - format::kStatBytes);
-  }
-  return out;
-}
-
-void MetadataStore::merge_serialized(ByteView blob) {
-  if (blob.size() < 4) {
-    if (blob.empty()) return;
-    throw std::invalid_argument("MetadataStore: truncated metadata blob");
-  }
-  const std::uint32_t count = load_le<std::uint32_t>(blob.data());
-  std::size_t pos = 4;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (pos + 2 > blob.size()) {
-      throw std::invalid_argument("MetadataStore: truncated entry header");
-    }
-    const std::uint16_t len = load_le<std::uint16_t>(blob.data() + pos);
-    pos += 2;
-    if (pos + len + format::kStatBytes > blob.size()) {
-      throw std::invalid_argument("MetadataStore: truncated entry body");
-    }
-    std::string path(reinterpret_cast<const char*>(blob.data() + pos), len);
-    pos += len;
-    const auto stat = format::FileStat::deserialize(blob.data() + pos);
-    pos += format::kStatBytes;
-    insert(path, stat);
-  }
 }
 
 std::uint64_t MetadataStore::shard_digest(std::uint32_t shard,

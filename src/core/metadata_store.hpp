@@ -1,16 +1,14 @@
-// In-RAM metadata store (§IV-C1): the per-rank shard-local namespace. In
-// the classic full-replication mode every node holds the complete
-// namespace after one allgather; under the sharded metadata cluster
-// (cluster/node.hpp, DESIGN.md §13) each rank holds only the shards the
-// hash ring assigns it (plus entries it authored), and misses resolve
-// against the shard's owners. Either way the metadata storms of §II-B1
-// (millions of stat() calls from dozens of I/O threads) are answered from
-// RAM, not the PFS.
+// In-RAM metadata store (§IV-C1): the per-rank shard-local namespace. The
+// metadata cluster (cluster/node.hpp, DESIGN.md §13) fills it with the
+// shards the hash ring assigns this rank (plus entries it authored); under
+// full replication, the default, that is every shard, so every node holds
+// the complete namespace, as in the paper. Misses of shards owned
+// elsewhere resolve against their owners. Either way the metadata storms
+// of §II-B1 (millions of stat() calls from dozens of I/O threads) are
+// answered from RAM, not the PFS.
 //
 // Entries carry a (version, writer) pair with a deterministic
-// last-writer-wins merge so replicas converge without owner forwarding;
-// the classic insert()/serialize() surface is preserved byte for byte for
-// the replication_factor == nranks compatibility mode.
+// last-writer-wins merge so replicas converge without owner forwarding.
 #pragma once
 
 #include <optional>
@@ -31,8 +29,7 @@ class MetadataStore final : public cluster::ShardStore {
  public:
   /// Inserts or replaces the entry for `path` (normalized, dataset-rooted)
   /// unconditionally at version 0 — the load-time path (partition
-  /// manifests, allgather merge). Parent directories become visible
-  /// automatically.
+  /// manifests). Parent directories become visible automatically.
   void insert(const std::string& path, const format::FileStat& stat) EXCLUDES(mu_);
 
   std::optional<format::FileStat> lookup(const std::string& path) const EXCLUDES(mu_);
@@ -43,16 +40,6 @@ class MetadataStore final : public cluster::ShardStore {
   std::vector<posixfs::Dirent> list(const std::string& dir) const EXCLUDES(mu_);
 
   std::size_t file_count() const EXCLUDES(mu_);
-
-  /// All file paths, sorted (tests and the trainer's enumeration step).
-  std::vector<std::string> all_paths() const EXCLUDES(mu_);
-
-  /// Serializes every entry for the metadata allgather (classic wire
-  /// format, no version fields — byte-compatible with pre-cluster builds).
-  Bytes serialize() const EXCLUDES(mu_);
-
-  /// Merges entries from another rank's serialize() output.
-  void merge_serialized(ByteView blob) EXCLUDES(mu_);
 
   // --- cluster::ShardStore ----------------------------------------------
   bool insert_versioned(const std::string& path,
@@ -74,6 +61,7 @@ class MetadataStore final : public cluster::ShardStore {
   std::vector<std::string> shard_paths(std::uint32_t shard,
                                        std::uint32_t nshards) const override
       EXCLUDES(mu_);
+  std::vector<std::string> all_paths() const override EXCLUDES(mu_);
 
  private:
   bool insert_locked(const std::string& path, const cluster::VersionedStat& entry,

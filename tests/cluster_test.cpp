@@ -251,6 +251,52 @@ TEST(ClusterPropertyTest, RandomChurnSchedulesConvergeToIdenticalOwnership) {
   }
 }
 
+// Full replication is the ring with rf = members. Its owner lists must be
+// the same clockwise walk the partial rings take — every rf-k owner list a
+// prefix of it — and its ownership queries must agree with that list, at a
+// small and a large member count.
+TEST(ClusterPropertyTest, FullRingOwnershipExtendsEveryPartialRing) {
+  for (const int nmembers : {8, 64}) {
+    SCOPED_TRACE("members " + std::to_string(nmembers));
+    std::vector<int> members;
+    for (int r = 0; r < nmembers; ++r) members.push_back(3 * r + 1);  // sparse ranks
+    const HashRing full(members, nmembers);
+    const HashRing beyond(members, nmembers * 4);  // rf caps at the member count
+    for (const int rf : {1, 2, 3, nmembers - 1}) {
+      const HashRing partial(members, rf);
+      for (std::uint32_t s = 0; s < kShards; ++s) {
+        const auto all = full.shard_owners(s);
+        const auto some = partial.shard_owners(s);
+        ASSERT_EQ(some.size(), static_cast<std::size_t>(rf)) << s;
+        EXPECT_TRUE(std::equal(some.begin(), some.end(), all.begin())) << s;
+        EXPECT_EQ(partial.primary(s), full.primary(s)) << s;
+      }
+    }
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      const auto owners = full.shard_owners(s);
+      EXPECT_EQ(owners, beyond.shard_owners(s)) << s;
+      std::vector<int> sorted = owners;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, members) << s;  // every member exactly once
+      EXPECT_EQ(full.primary(s), owners.front()) << s;
+      for (const int r : members) EXPECT_TRUE(full.is_owner(r, s)) << s;
+      EXPECT_FALSE(full.is_owner(0, s)) << s;  // not a member
+    }
+  }
+}
+
+TEST(ClusterNodeTest, ReplicationFactorBelowOneIsRejected) {
+  mpi::World world(1);
+  core::MetadataStore store;
+  for (const int rf : {0, -1}) {
+    cluster::NodeOptions o;
+    o.replication_factor = rf;
+    EXPECT_THROW(cluster::ClusterNode(world.comm(0), &store, o),
+                 std::invalid_argument)
+        << rf;
+  }
+}
+
 // ----------------------------------------------- MetadataStore as ShardStore
 
 TEST(ShardStoreTest, ShardOfIsStableAndInRange) {

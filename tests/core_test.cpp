@@ -54,17 +54,6 @@ TEST(MetadataStoreTest, InsertLookupListStructure) {
   EXPECT_EQ(top[0].type, format::FileType::kDirectory);
 }
 
-TEST(MetadataStoreTest, SerializeMergeRoundTrip) {
-  MetadataStore a, b;
-  a.insert("x/1", regular_stat(11, 0));
-  a.insert("x/2", regular_stat(22, 0));
-  b.merge_serialized(as_view(a.serialize()));
-  EXPECT_EQ(b.file_count(), 2u);
-  EXPECT_EQ(b.lookup("x/2")->size, 22u);
-  // Merging garbage is rejected.
-  EXPECT_THROW(b.merge_serialized(as_view(Bytes{9, 9, 9})), std::invalid_argument);
-}
-
 TEST(BackendTest, RamBackendPutGet) {
   RamBackend be;
   be.put("a", Blob{7, Bytes{1, 2, 3}});
@@ -164,68 +153,83 @@ TEST(FanStoreIntegrationTest, MetadataFullyReplicatedAfterExchange) {
   });
 }
 
-TEST(FanStoreIntegrationTest, RfEqualsNranksMatchesClassicAllgather) {
-  // replication_factor == nranks is the compatibility mode (DESIGN.md §13):
-  // every rank owns every shard, so the sharded push exchange must converge
-  // to the same fully replicated metadata as the classic allgather —
-  // byte-identical canonical (sorted per-shard) serialization and the
-  // identical namespace on every rank. serialize() itself iterates the
-  // hash map in insertion order, so the canonical form is the concatenation
-  // of serialize_shard() over all shards, which sorts within each shard.
+TEST(FanStoreIntegrationTest, FullReplicationAnswersEverythingLocally) {
+  // The default config is full replication (DESIGN.md §13): every rank
+  // owns every shard, so after the push exchange every rank's canonical
+  // namespace (the concatenation of serialize_shard() over all shards,
+  // each sorted) is the union of the loaded partitions and identical on
+  // all ranks. stat, opendir/readdir, the write-open EEXIST check and
+  // enumeration then answer from the local store: no rank sends a lookup
+  // RPC and none serves one.
   constexpr int kRanks = 3;
-  constexpr std::uint32_t kShards = 64;
-  std::vector<Bytes> classic_blob(kRanks), sharded_blob(kRanks);
-  std::vector<std::vector<std::string>> classic_paths(kRanks);
-
-  auto canonical = [](Instance& inst) {
-    Bytes out;
-    for (std::uint32_t s = 0; s < kShards; ++s) {
-      const Bytes shard = inst.metadata().serialize_shard(s, kShards);
-      out.insert(out.end(), shard.begin(), shard.end());
-    }
-    return out;
+  constexpr int kFiles = 3;
+  const auto path_of = [](int rank, int i) {
+    return "full/r" + std::to_string(rank) + "/f" + std::to_string(i);
   };
-
-  auto load_files = [](Instance& inst, int rank) {
-    std::vector<std::pair<std::string, Bytes>> files;
-    for (int i = 0; i < 3; ++i) {
-      files.emplace_back(
-          "compat/r" + std::to_string(rank) + "/f" + std::to_string(i),
-          testdata::random_bytes(64 + static_cast<std::size_t>(i),
-                                 static_cast<std::uint64_t>(rank * 10 + i)));
-    }
-    inst.load_partition_blob(as_view(make_partition(files, "store")),
-                             static_cast<std::uint32_t>(rank));
-  };
+  std::vector<std::string> all;
+  for (int r = 0; r < kRanks; ++r) {
+    for (int i = 0; i < kFiles; ++i) all.push_back(path_of(r, i));
+  }
+  std::sort(all.begin(), all.end());
+  std::vector<Bytes> canonical(kRanks);
 
   mpi::run_world(kRanks, [&](mpi::Comm& comm) {
     Instance inst(comm, {});
-    load_files(inst, comm.rank());
+    std::vector<std::pair<std::string, Bytes>> files;
+    for (int i = 0; i < kFiles; ++i) {
+      files.emplace_back(path_of(comm.rank(), i),
+                         testdata::random_bytes(64 + static_cast<std::size_t>(i),
+                                                static_cast<std::uint64_t>(comm.rank() * 10 + i)));
+    }
+    inst.load_partition_blob(as_view(make_partition(files, "store")),
+                             static_cast<std::uint32_t>(comm.rank()));
     inst.exchange_metadata();
-    classic_blob[static_cast<std::size_t>(comm.rank())] = canonical(inst);
-    classic_paths[static_cast<std::size_t>(comm.rank())] =
-        inst.metadata().all_paths();
-  });
-  mpi::run_world(kRanks, [&](mpi::Comm& comm) {
-    Instance::Options opt;
-    opt.cluster.replication_factor = kRanks;
-    Instance inst(comm, std::move(opt));
-    load_files(inst, comm.rank());
-    inst.exchange_metadata();
+    inst.start_daemon();
+    comm.barrier();
+
     auto* node = inst.cluster_node();
-    ASSERT_NE(node, nullptr);
+    EXPECT_FALSE(node->sharded());
     for (std::uint32_t s = 0; s < node->nshards(); ++s) {
       EXPECT_TRUE(node->owns_shard(s)) << "shard " << s;
     }
-    sharded_blob[static_cast<std::size_t>(comm.rank())] = canonical(inst);
-    EXPECT_EQ(inst.metadata().all_paths(),
-              classic_paths[static_cast<std::size_t>(comm.rank())]);
+    Bytes& mine = canonical[static_cast<std::size_t>(comm.rank())];
+    for (std::uint32_t s = 0; s < node->nshards(); ++s) {
+      const Bytes shard = inst.metadata().serialize_shard(s, node->nshards());
+      mine.insert(mine.end(), shard.begin(), shard.end());
+    }
+    EXPECT_EQ(inst.metadata().all_paths(), all);
+
+    auto& fs = inst.fs();
+    for (const auto& p : all) {
+      format::FileStat st;
+      EXPECT_EQ(fs.stat(p, &st), 0) << p;
+    }
+    for (const std::string dir : {"", "full", "full/r0", "full/r1", "full/r2"}) {
+      const int h = fs.opendir(dir);
+      ASSERT_GE(h, 0) << dir;
+      int n = 0;
+      while (fs.readdir(h)) ++n;
+      fs.closedir(h);
+      EXPECT_EQ(n, dir.empty() ? 1 : dir == "full" ? kRanks : kFiles) << dir;
+    }
+    EXPECT_EQ(inst.dataset_paths(), all);
+    comm.barrier();  // no rank writes before every rank has listed
+
+    EXPECT_EQ(fs.open(all.front(), OpenMode::kWrite), -EEXIST);
+    const std::string out = "full/out/r" + std::to_string(comm.rank());
+    const int fd = fs.open(out, OpenMode::kWrite);  // the existence check misses
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(fs.close(fd), 0);
+    EXPECT_EQ(fs.open(out, OpenMode::kWrite), -EEXIST);
+
+    comm.barrier();  // every rank's calls are done before reading counters
+    EXPECT_EQ(inst.metrics().counter("cluster.lookups_remote").value(), 0u);
+    EXPECT_EQ(inst.metrics().counter("cluster.meta_served").value(), 0u);
+    comm.barrier();
+    inst.stop();
   });
-  for (int r = 0; r < kRanks; ++r) {
-    EXPECT_EQ(sharded_blob[static_cast<std::size_t>(r)],
-              classic_blob[static_cast<std::size_t>(r)])
-        << "rank " << r;
-    EXPECT_EQ(classic_blob[static_cast<std::size_t>(r)], classic_blob[0]);
+  for (int r = 1; r < kRanks; ++r) {
+    EXPECT_EQ(canonical[static_cast<std::size_t>(r)], canonical[0]) << "rank " << r;
   }
 }
 
@@ -382,21 +386,17 @@ TEST(FanStoreIntegrationTest, WriteOnceModel) {
     }
     comm.barrier();
     if (comm.rank() == 1) {
-      // The home rank of the path received forwarded metadata, or rank 0
-      // kept it local; either way rank 0 sees it and rank 1 sees it iff
-      // rank 1 is the home rank.
-      if (fs.home_rank("out/ckpt_1.h5") == 1) {
-        // The forward is asynchronous: poll until the daemon applies it.
-        format::FileStat st;
-        int rc = -ENOENT;
-        for (int tries = 0; tries < 200 && rc != 0; ++tries) {
-          rc = fs.stat("out/ckpt_1.h5", &st);
-          if (rc != 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        EXPECT_EQ(rc, 0);
-        EXPECT_EQ(st.size, 4096u);
-        EXPECT_EQ(st.owner_rank, 0u);
+      // Under full replication the write metadata goes to every rank. The
+      // forward is asynchronous: poll until the daemon applies it.
+      format::FileStat st;
+      int rc = -ENOENT;
+      for (int tries = 0; tries < 200 && rc != 0; ++tries) {
+        rc = fs.stat("out/ckpt_1.h5", &st);
+        if (rc != 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
+      EXPECT_EQ(rc, 0);
+      EXPECT_EQ(st.size, 4096u);
+      EXPECT_EQ(st.owner_rank, 0u);
     }
     comm.barrier();
     inst.stop();
@@ -544,12 +544,19 @@ TEST(DaemonProtocolTest, FetchNotFoundAndMalformed) {
       // Garbage (too short) is dropped without killing the daemon.
       comm.send(1, kTagFetch, Bytes{1});
       comm.send(1, kTagWriteMeta, Bytes{1});
+      // So is write metadata without its [u64 version][u32 writer] suffix.
+      Bytes unversioned = encode_write_meta("unversioned", {regular_stat(7), 1, 0});
+      unversioned.resize(unversioned.size() - 12);
+      comm.send(1, kTagWriteMeta, unversioned);
       // Daemon still alive: valid request answered.
       comm.send(1, kTagFetch, encode_fetch_request(5002, "ghost"));
       reply = comm.recv(1, 5002);
       EXPECT_EQ(reply.payload[0], kFetchNotFound);
     }
-    comm.barrier();
+    comm.barrier();  // the daemon handled rank 0's messages in order
+    if (comm.rank() == 1) {
+      EXPECT_FALSE(inst.metadata().lookup("unversioned").has_value());
+    }
     inst.stop();
   });
 }

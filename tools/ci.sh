@@ -141,11 +141,13 @@ build/bench/bench_ipc --quick --json /tmp/BENCH_ipc_quick.json
 echo "==== [bench] bench_tiered --quick ===="
 build/bench/bench_tiered --quick --json /tmp/BENCH_tiered_quick.json
 
-# Sharded-metadata smoke (DESIGN.md §13): classic allgather vs the
-# consistent-hash-sharded exchange at 8 and 64 ranks in-process (512 ranks
-# modeled analytically). The per-rank exchange-bytes gate is enforced on
-# every run; the wall-clock gate only on hardware with >= 8 cores. Run
-# without --quick for the committed BENCH_cluster.json numbers.
+# Sharded-metadata smoke (DESIGN.md §13): full replication (rf = ranks) vs
+# the consistent-hash-sharded namespace (rf = 2), both through the same push
+# exchange, at 8 and 64 ranks in-process (512 ranks modeled analytically).
+# The per-rank exchange-bytes gate and the zero-RPC gate for
+# full-replication lookups are enforced on every run; the wall-clock gate
+# only on hardware with >= 8 cores. Run without --quick for the committed
+# BENCH_cluster.json numbers.
 echo "==== [bench] bench_cluster --quick ===="
 build/bench/bench_cluster --quick --json /tmp/BENCH_cluster_quick.json
 
