@@ -1,7 +1,6 @@
 #include "compress/chunked.hpp"
 
 #include <bit>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -96,20 +95,12 @@ ByteView ChunkedFrame::chunk_compressed(std::size_t i) const {
   return payload_.subspan(static_cast<std::size_t>(off), csize);
 }
 
-Bytes ChunkedFrame::decode_chunk(std::size_t i) const {
-  const std::uint8_t* e = table_.data() + i * kChunkTableEntrySize;
-  const auto want_crc = load_le<std::uint32_t>(e + 12);
-  const ByteView comp = chunk_compressed(i);
-  if (crc32(comp) != want_crc) corrupt("chunk crc mismatch");
-  Bytes plain = inner_->decompress(comp, chunk_plain_size(i));
-  if (plain.size() != chunk_plain_size(i)) corrupt("chunk size mismatch");
-  return plain;
-}
-
 void ChunkedFrame::decode_chunk_into(std::size_t i, MutByteView out) const {
-  Bytes plain = decode_chunk(i);
-  if (out.size() != plain.size()) corrupt("chunk output size mismatch");
-  std::memcpy(out.data(), plain.data(), plain.size());
+  if (out.size() != chunk_plain_size(i)) corrupt("chunk output size mismatch");
+  const std::uint8_t* e = table_.data() + i * kChunkTableEntrySize;
+  const ByteView comp = chunk_compressed(i);
+  if (crc32(comp) != load_le<std::uint32_t>(e + 12)) corrupt("chunk crc mismatch");
+  inner_->decompress_into(comp, out);
 }
 
 ChunkedCompressor::ChunkedCompressor(const Compressor* inner,

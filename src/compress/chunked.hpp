@@ -95,9 +95,10 @@ class ChunkedFrame {
   /// Compressed bytes of chunk i (view into the parsed buffer).
   ByteView chunk_compressed(std::size_t i) const;
 
-  /// Decodes chunk i, verifying its crc32 first. Throws CorruptDataError.
-  Bytes decode_chunk(std::size_t i) const;
-  /// Decodes chunk i directly into `out` (must be chunk_plain_size(i) long).
+  /// Verifies chunk i's crc32, then decodes it straight into `out`, which
+  /// must be chunk_plain_size(i) long, through the inner codec's
+  /// decompress_into(): no temporary, and no write outside `out`. Throws
+  /// CorruptDataError; `out` may then be partly written.
   void decode_chunk_into(std::size_t i, MutByteView out) const;
 
  private:

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -18,7 +19,8 @@ namespace fanstore::compress {
 /// Stable 2-byte codec-configuration identifier, persisted in partitions.
 using CompressorId = std::uint16_t;
 
-/// Thrown by decompress() when the input stream is malformed or truncated.
+/// Thrown by decompress() and decompress_into() when the input stream is
+/// malformed or truncated.
 class CorruptDataError : public std::runtime_error {
  public:
   explicit CorruptDataError(const std::string& what) : std::runtime_error(what) {}
@@ -40,6 +42,20 @@ class Compressor {
   /// (FanStore stores it in the per-file stat record). Throws
   /// CorruptDataError on malformed input.
   virtual Bytes decompress(ByteView src, std::size_t original_size) const = 0;
+
+  /// Reverses compress() straight into `out`, whose size is the exact
+  /// uncompressed size. The decoder writes only inside `out`: never a byte
+  /// before or past it, so neighbouring spans of one buffer (the chunks of
+  /// a CachedFile) may decode concurrently. On CorruptDataError `out` may
+  /// be partly written. The default decodes into a temporary through
+  /// decompress() and copies; codecs on the chunked hot path override it.
+  virtual void decompress_into(ByteView src, MutByteView out) const {
+    const Bytes plain = decompress(src, out.size());
+    if (plain.size() != out.size()) {
+      throw CorruptDataError(name() + ": decoded size mismatch");
+    }
+    if (!plain.empty()) std::memcpy(out.data(), plain.data(), plain.size());
+  }
 };
 
 /// Convenience: compression ratio (original / compressed); >= 1 is a win.

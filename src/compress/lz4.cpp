@@ -17,6 +17,12 @@ namespace {
 
 constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kWindow = 65535;
+// Decoder shortcut bounds (the reference decoder's): input left after the
+// token covers the 16-byte literal move and the offset that follows at most
+// 14 literals, and output left covers the longest shortcut sequence, 14
+// literals then an 18-byte match move.
+constexpr std::size_t kShortcutIn = 18;
+constexpr std::size_t kShortcutOut = 32;
 
 void write_varlen(Bytes& out, std::size_t v) {
   while (v >= 255) {
@@ -65,48 +71,86 @@ class Lz4Compressor final : public Compressor {
   }
 
   Bytes decompress(ByteView src, std::size_t original_size) const override {
-    // Over-allocate by kCopySlack so copy_match can use wide strides
-    // (trimmed before returning).
-    Bytes out(original_size + kCopySlack);
-    std::size_t o = 0;
-    std::size_t i = 0;
-    const std::size_t n = src.size();
+    Bytes out(original_size);
+    decompress_into(src, MutByteView(out.data(), out.size()));
+    return out;
+  }
+
+  void decompress_into(ByteView src, MutByteView out) const override {
+    const std::uint8_t* ip = src.data();
+    const std::uint8_t* const iend = ip + src.size();
+    std::uint8_t* const obegin = out.data();
+    std::uint8_t* op = obegin;
+    std::uint8_t* const oend = obegin + out.size();
+    auto remaining_in = [&] { return static_cast<std::size_t>(iend - ip); };
+    auto remaining_out = [&] { return static_cast<std::size_t>(oend - op); };
     auto read_varlen = [&](std::size_t base) {
       std::size_t v = base;
       for (;;) {
-        if (i >= n) throw CorruptDataError("lz4: truncated varlen");
-        const std::uint8_t b = src[i++];
+        if (ip == iend) throw CorruptDataError("lz4: truncated varlen");
+        const std::uint8_t b = *ip++;
         v += b;
         if (b != 255) return v;
       }
     };
-    while (o < original_size) {
-      if (i >= n) throw CorruptDataError("lz4: truncated token");
-      const std::uint8_t token = src[i++];
-      std::size_t lit_len = token >> 4;
-      if (lit_len == 15) lit_len = read_varlen(15);
-      if (i + lit_len > n) throw CorruptDataError("lz4: truncated literals");
-      if (o + lit_len > original_size) throw CorruptDataError("lz4: overlong literals");
-      std::memcpy(out.data() + o, src.data() + i, lit_len);
-      o += lit_len;
-      i += lit_len;
-      if (o == original_size) break;  // stream ends with literals
-      if (i + 2 > n) throw CorruptDataError("lz4: truncated offset");
-      const std::size_t distance = load_le<std::uint16_t>(src.data() + i);
-      i += 2;
-      if (distance == 0 || distance > o) {
+    auto read_distance = [&] {
+      const std::size_t distance = load_le<std::uint16_t>(ip);
+      ip += 2;
+      if (distance == 0 || distance > static_cast<std::size_t>(op - obegin)) {
         throw CorruptDataError("lz4: bad match distance");
       }
-      std::size_t match_len = (token & 0x0F) + kMinMatch;
-      if ((token & 0x0F) == 15) match_len = read_varlen(15 + kMinMatch);
-      if (o + match_len > original_size) {
-        throw CorruptDataError("lz4: overlong match");
+      return distance;
+    };
+    while (op != oend) {
+      if (ip == iend) throw CorruptDataError("lz4: truncated token");
+      const std::uint8_t token = *ip++;
+      const std::size_t lit_nib = token >> 4;
+      const std::size_t match_nib = token & 0x0F;
+      std::size_t distance = 0;
+      if (lit_nib != 15 && remaining_in() >= kShortcutIn &&
+          remaining_out() >= kShortcutOut) {
+        // The shortcut of the reference decoder (LZ4_decompress_generic):
+        // with both buffers far from their ends, the literal run and the
+        // offset lie inside the input and a short match fits the output,
+        // so fixed-width moves replace every bound check but the
+        // distance's. Bytes written past the run or match are rewritten
+        // by the next sequence.
+        std::memcpy(op, ip, 16);
+        op += lit_nib;
+        ip += lit_nib;
+        distance = read_distance();
+        if (match_nib != 15 && distance >= 8) {
+          const std::uint8_t* match = op - distance;
+          std::memcpy(op, match, 8);
+          std::memcpy(op + 8, match + 8, 8);
+          std::memcpy(op + 16, match + 16, 2);
+          op += match_nib + kMinMatch;
+          continue;
+        }
+      } else {
+        const std::size_t lit_len = lit_nib == 15 ? read_varlen(15) : lit_nib;
+        if (lit_len > remaining_in()) throw CorruptDataError("lz4: truncated literals");
+        if (lit_len > remaining_out()) throw CorruptDataError("lz4: overlong literals");
+        std::memcpy(op, ip, lit_len);
+        op += lit_len;
+        ip += lit_len;
+        if (op == oend) break;  // stream ends with literals
+        if (remaining_in() < 2) throw CorruptDataError("lz4: truncated offset");
+        distance = read_distance();
       }
-      copy_match(out.data() + o, distance, match_len);
-      o += match_len;
+      const std::size_t match_len =
+          match_nib == 15 ? read_varlen(15 + kMinMatch) : match_nib + kMinMatch;
+      if (match_len > remaining_out()) throw CorruptDataError("lz4: overlong match");
+      // copy_match's wide strides overrun the match by up to kCopySlack
+      // bytes; near the end of `out` the copy goes byte by byte instead.
+      if (remaining_out() - match_len >= kCopySlack) {
+        copy_match(op, distance, match_len);
+      } else {
+        const std::uint8_t* match = op - distance;
+        for (std::size_t k = 0; k < match_len; ++k) op[k] = match[k];
+      }
+      op += match_len;
     }
-    out.resize(original_size);
-    return out;
   }
 
  private:

@@ -57,8 +57,9 @@ inline std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
   return static_cast<std::size_t>(a - start);
 }
 
-/// Slack every decoder's output buffer must carry past original_size so
-/// copy_match() may over-write in wide strides.
+/// Bytes copy_match() may write past the end of a match. A decoder either
+/// over-allocates its output by this much (lzf, lzss, lzsse8) or copies
+/// byte by byte when fewer bytes of `out` remain (lz4's decompress_into).
 inline constexpr std::size_t kCopySlack = 16;
 
 /// Expands an LZ match: copies `length` bytes from `dst - distance` to
@@ -66,8 +67,7 @@ inline constexpr std::size_t kCopySlack = 16;
 /// Wide strides are overlap-safe because a 16 (resp. 8) byte block read at
 /// dst - distance + k never reaches dst + k when distance >= 16 (resp. 8);
 /// shorter distances take the scalar path. The caller must guarantee
-/// kCopySlack writable bytes past dst + length (decoders over-allocate and
-/// truncate at the end).
+/// kCopySlack writable bytes past dst + length.
 inline void copy_match(std::uint8_t* dst, std::size_t distance,
                        std::size_t length) {
   const std::uint8_t* src = dst - distance;

@@ -5,6 +5,9 @@
 // small pread of a large object decodes at most the overlapping chunks).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "compress/chunked.hpp"
 #include "compress/registry.hpp"
 #include "core/cached_file.hpp"
@@ -108,8 +111,8 @@ TEST(ChunkedFrameTest, DecodesSingleChunks) {
   ASSERT_EQ(frame.chunk_count(), 4u);
   std::size_t total = 0;
   for (std::size_t i = 0; i < frame.chunk_count(); ++i) {
-    const Bytes chunk = frame.decode_chunk(i);
-    ASSERT_EQ(chunk.size(), frame.chunk_plain_size(i));
+    Bytes chunk(frame.chunk_plain_size(i));
+    frame.decode_chunk_into(i, MutByteView(chunk.data(), chunk.size()));
     EXPECT_TRUE(std::equal(chunk.begin(), chunk.end(),
                            original.begin() +
                                static_cast<std::ptrdiff_t>(frame.chunk_begin(i))))
@@ -117,6 +120,11 @@ TEST(ChunkedFrameTest, DecodesSingleChunks) {
     total += chunk.size();
   }
   EXPECT_EQ(total, original.size());
+  // The output span must be exactly the chunk's plain size.
+  Bytes short_out(frame.chunk_plain_size(0) - 1);
+  EXPECT_THROW(frame.decode_chunk_into(
+                   0, MutByteView(short_out.data(), short_out.size())),
+               CorruptDataError);
 }
 
 TEST(ChunkedFrameTest, EmptyInputProducesZeroChunks) {
@@ -175,6 +183,74 @@ TEST(CachedFileTest, PartialReadDecodesOnlyOverlappingChunks) {
   EXPECT_TRUE(file.fully_materialized());
   EXPECT_EQ(file.plain(), original);
   EXPECT_GE(file.charge_bytes(), original.size());
+}
+
+// Chunks decode in place into one shared buffer, so a decoder that wrote
+// past its chunk would clobber a neighbour. Reverse order makes every
+// decode run with its right-hand neighbour already ready; 4 threads make
+// neighbours decode concurrently. 4 KiB lz4 chunks of text-like data hold
+// many short sequences, so the decoder's 16-byte literal and 18-byte match
+// moves run in every chunk, up to its last 32 bytes.
+TEST(CachedFileTest, InPlaceDecodeNeverTouchesNeighbouringChunks) {
+  const Bytes original = testdata::text_like(300000, 17);
+  compress::CompressorId id = 0;
+  const Bytes packed = pack_chunked(original, "chunked-4k+lz4", &id);
+  auto expect_chunk = [&](const CachedFile& file, std::size_t i,
+                          const Bytes& got) {
+    const std::size_t begin = i * file.chunk_size();
+    EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                           original.begin() + static_cast<std::ptrdiff_t>(begin)))
+        << "chunk " << i;
+  };
+  auto read_chunk = [&](CachedFile& file, std::size_t i,
+                        CachedFile::DecodeStats* ds) {
+    const std::size_t begin = i * file.chunk_size();
+    Bytes got(std::min(file.chunk_size(), original.size() - begin));
+    file.read_range(begin, MutByteView(got.data(), got.size()), ds);
+    return got;
+  };
+
+  {
+    CachedFile file(Bytes(packed), id, original.size());
+    ASSERT_EQ(file.chunk_count(), 74u);  // ceil(300000 / 4096)
+    for (std::size_t i = file.chunk_count(); i-- > 0;) {
+      CachedFile::DecodeStats ds;
+      expect_chunk(file, i, read_chunk(file, i, &ds));
+      EXPECT_EQ(ds.chunks_decoded, 1u) << "chunk " << i;
+      // Every chunk decoded so far is unchanged, and stays ready.
+      for (std::size_t j = i; j < file.chunk_count(); ++j) {
+        CachedFile::DecodeStats again;
+        expect_chunk(file, j, read_chunk(file, j, &again));
+        EXPECT_EQ(again.chunks_decoded, 0u) << "chunk " << j;
+      }
+    }
+    EXPECT_TRUE(file.fully_materialized());
+    EXPECT_EQ(file.plain(), original);
+  }
+
+  {
+    CachedFile file(Bytes(packed), id, original.size());
+    const std::size_t chunks = file.chunk_count();
+    std::vector<std::thread> workers;
+    std::vector<Bytes> seen(chunks);
+    std::atomic<int> errors{0};
+    for (std::size_t t = 0; t < 4; ++t) {
+      workers.emplace_back([&, t] {
+        try {
+          for (std::size_t i = chunks; i-- > 0;) {
+            if (i % 4 == t) seen[i] = read_chunk(file, i, nullptr);
+          }
+        } catch (const std::exception&) {
+          errors.fetch_add(1);
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    ASSERT_EQ(errors.load(), 0);
+    EXPECT_TRUE(file.fully_materialized());
+    for (std::size_t i = 0; i < chunks; ++i) expect_chunk(file, i, seen[i]);
+    EXPECT_EQ(file.plain(), original);
+  }
 }
 
 TEST(CachedFileTest, NonChunkedIsFullyMaterializedAtConstruction) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <set>
+#include <utility>
 
 #include "util/rng.hpp"
 
@@ -269,6 +272,164 @@ TEST(Lz4Test, HigherLevelsNeverWorseThanFast) {
   const auto fast = make_lz4fast(16)->compress(as_view(data)).size();
   const auto hc = make_lz4hc(9)->compress(as_view(data)).size();
   EXPECT_LE(hc, fast);
+}
+
+// --- LZ4 decoder boundary sweep ---------------------------------------------
+//
+// The decoder takes a shortcut with fixed-width moves when the literal run
+// is under 15, the match under 19 with distance >= 8, at least 18 input
+// bytes follow the token and at least 32 output bytes remain. The sweep
+// crafts streams on both sides of each bound and checks every one, and
+// every truncation and single-bit flip of it, against the byte-serial
+// decoder below.
+
+void append_lz4_varlen(Bytes& s, std::size_t v) {
+  for (; v >= 255; v -= 255) s.push_back(255);
+  s.push_back(static_cast<std::uint8_t>(v));
+}
+
+// Byte-serial LZ4 block decoder: the format with no wide moves and no
+// shortcut. Returns nullopt wherever the stream is malformed.
+std::optional<Bytes> reference_lz4(ByteView src, std::size_t size) {
+  Bytes out;
+  std::size_t i = 0;
+  auto read_varlen = [&](std::size_t& v) {
+    for (;;) {
+      if (i >= src.size()) return false;
+      const std::uint8_t b = src[i++];
+      v += b;
+      if (b != 255) return true;
+    }
+  };
+  while (out.size() < size) {
+    if (i >= src.size()) return std::nullopt;
+    const std::uint8_t token = src[i++];
+    std::size_t lit_len = token >> 4;
+    if (lit_len == 15 && !read_varlen(lit_len)) return std::nullopt;
+    if (lit_len > src.size() - i || lit_len > size - out.size()) return std::nullopt;
+    for (std::size_t k = 0; k < lit_len; ++k) out.push_back(src[i++]);
+    if (out.size() == size) break;
+    if (src.size() - i < 2) return std::nullopt;
+    const std::size_t distance = src[i] | (std::size_t{src[i + 1]} << 8);
+    i += 2;
+    if (distance == 0 || distance > out.size()) return std::nullopt;
+    std::size_t match_len = (token & 0x0F) + 4;
+    if ((token & 0x0F) == 15 && !read_varlen(match_len)) return std::nullopt;
+    if (match_len > size - out.size()) return std::nullopt;
+    for (std::size_t k = 0; k < match_len; ++k) {
+      out.push_back(out[out.size() - distance]);
+    }
+  }
+  return out;
+}
+
+// Appends one sequence (match_len 0: a final literal-only sequence) to an
+// LZ4 stream and its plain output.
+void append_lz4_sequence(Bytes& stream, Bytes& plain, std::size_t lit_len,
+                         std::size_t match_len, std::size_t distance) {
+  const std::size_t match_nib = match_len == 0 ? 0 : match_len - 4;
+  stream.push_back(static_cast<std::uint8_t>((std::min<std::size_t>(lit_len, 15) << 4) |
+                                             std::min<std::size_t>(match_nib, 15)));
+  if (lit_len >= 15) append_lz4_varlen(stream, lit_len - 15);
+  for (std::size_t k = 0; k < lit_len; ++k) {
+    const auto b = static_cast<std::uint8_t>(plain.size() * 37 + 11);
+    stream.push_back(b);
+    plain.push_back(b);
+  }
+  if (match_len == 0) return;
+  stream.push_back(static_cast<std::uint8_t>(distance));
+  stream.push_back(static_cast<std::uint8_t>(distance >> 8));
+  if (match_nib >= 15) append_lz4_varlen(stream, match_nib - 15);
+  for (std::size_t k = 0; k < match_len; ++k) {
+    plain.push_back(plain[plain.size() - distance]);
+  }
+}
+
+TEST(Lz4Test, BoundarySweepMatchesByteSerialDecoder) {
+  const auto codec = make_lz4();
+  constexpr std::size_t kGuard = 32;
+  constexpr std::uint8_t kCanary = 0xC3;
+  std::size_t streams = 0;
+  std::set<std::pair<std::size_t, std::size_t>> shortcut_edges;
+
+  // Decodes `stream` into a span between guard bytes and checks the result
+  // against the byte-serial decoder: the same bytes where it accepts the
+  // stream, CorruptDataError where it rejects it.
+  auto check = [&](const Bytes& stream, std::size_t size) {
+    const std::optional<Bytes> want = reference_lz4(as_view(stream), size);
+    Bytes buf(kGuard + size + kGuard, kCanary);
+    const MutByteView span(buf.data() + kGuard, size);
+    bool threw = false;
+    try {
+      codec->decompress_into(as_view(stream), span);
+    } catch (const CorruptDataError&) {
+      threw = true;
+    }
+    for (std::size_t k = 0; k < kGuard; ++k) {
+      ASSERT_EQ(buf[k], kCanary) << "write before the span";
+      ASSERT_EQ(buf[buf.size() - 1 - k], kCanary) << "write past the span";
+    }
+    ASSERT_EQ(threw, !want.has_value());
+    if (want.has_value()) {
+      ASSERT_TRUE(std::equal(span.begin(), span.end(), want->begin()));
+    }
+  };
+
+  for (const std::size_t lit : {0, 14, 15}) {
+    for (const std::size_t match : {4, 18, 19}) {
+      for (const std::size_t distance : {7, 8, 16}) {
+        for (const std::size_t tail : {0, 1, 12, 13, 14, 15}) {
+          for (const std::size_t pad : {0, 1, 2}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "lit " << lit << " match " << match << " distance "
+                         << distance << " tail " << tail << " pad " << pad);
+            // 24 bytes of history, then the sequence under test, then an
+            // optional literal-only tail and bytes past the stream's end.
+            Bytes stream;
+            Bytes plain;
+            append_lz4_sequence(stream, plain, 20, 4, 1);
+            const std::size_t token_at = stream.size();
+            const std::size_t out_at = plain.size();
+            append_lz4_sequence(stream, plain, lit, match, distance);
+            if (tail > 0) append_lz4_sequence(stream, plain, tail, 0, 0);
+            stream.insert(stream.end(), pad, 0x5C);
+            const std::size_t in_left = stream.size() - token_at - 1;
+            const std::size_t out_left = plain.size() - out_at;
+            if (lit < 15 && match < 19 && distance >= 8) {
+              shortcut_edges.emplace(out_left, in_left);
+            }
+
+            ASSERT_EQ(reference_lz4(as_view(stream), plain.size()), plain);
+            ASSERT_EQ(codec->decompress(as_view(stream), plain.size()), plain);
+            check(stream, plain.size());
+            // One byte less output: the last sequence overruns the span.
+            check(stream, plain.size() - 1);
+            for (std::size_t len = 0; len < stream.size(); ++len) {
+              check(Bytes(stream.begin(), stream.begin() + static_cast<std::ptrdiff_t>(len)),
+                    plain.size());
+            }
+            for (std::size_t bit = 0; bit < stream.size() * 8; ++bit) {
+              Bytes flipped = stream;
+              flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+              check(flipped, plain.size());
+            }
+            if (HasFatalFailure()) return;
+            ++streams;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(streams, 486u);
+  // The sweep straddles both shortcut bounds: 31/32 output bytes left and
+  // 17/18 input bytes left after the token.
+  for (const std::size_t out_left : {31, 32}) {
+    for (const std::size_t in_left : {17, 18}) {
+      EXPECT_TRUE(shortcut_edges.count({out_left, in_left}))
+          << "no stream with " << out_left << " output and " << in_left
+          << " input bytes left";
+    }
+  }
 }
 
 TEST(LzwTest, DictionaryResetPathRoundTrips) {

@@ -2,11 +2,13 @@
 // randomly corrupt compressed streams (bit flips, truncations, prefix
 // garbage) and assert the decoder never crashes or over-allocates — it
 // either throws CorruptDataError or returns (possibly wrong) bytes of the
-// requested size. This is the robustness FanStore needs when a partition
-// arrives damaged from the shared FS or the interconnect.
+// requested size. decompress_into() must, in addition, never write outside
+// its span. This is the robustness FanStore needs when a partition arrives
+// damaged from the shared FS or the interconnect.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 
 #include "compress/chunked.hpp"
 #include "compress/registry.hpp"
@@ -17,6 +19,36 @@
 
 namespace fanstore::compress {
 namespace {
+
+// One of three damage classes, chosen by `trial`: random bit flips, a
+// truncation, or a run of overwritten bytes.
+Bytes mutate(const Bytes& packed, int trial, Rng& rng) {
+  Bytes mutated = packed;
+  switch (trial % 3) {
+    case 0: {  // random bit flips
+      const int flips = 1 + static_cast<int>(rng.next_below(8));
+      for (int f = 0; f < flips; ++f) {
+        mutated[rng.next_below(mutated.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.next_below(8));
+      }
+      break;
+    }
+    case 1: {  // truncation
+      mutated.resize(rng.next_below(mutated.size()));
+      break;
+    }
+    default: {  // byte overwrite runs
+      const std::size_t start = rng.next_below(mutated.size());
+      const std::size_t len =
+          std::min<std::size_t>(mutated.size() - start, 1 + rng.next_below(64));
+      for (std::size_t i = 0; i < len; ++i) {
+        mutated[start + i] = static_cast<std::uint8_t>(rng.next_u64());
+      }
+      break;
+    }
+  }
+  return mutated;
+}
 
 class CorruptionFuzzTest : public ::testing::TestWithParam<CompressorId> {};
 
@@ -29,30 +61,7 @@ TEST_P(CorruptionFuzzTest, SurvivesRandomCorruption) {
 
   Rng rng(GetParam() * 7919u + 13);
   for (int trial = 0; trial < 30; ++trial) {
-    Bytes mutated = packed;
-    switch (trial % 3) {
-      case 0: {  // random bit flips
-        const int flips = 1 + static_cast<int>(rng.next_below(8));
-        for (int f = 0; f < flips; ++f) {
-          mutated[rng.next_below(mutated.size())] ^=
-              static_cast<std::uint8_t>(1u << rng.next_below(8));
-        }
-        break;
-      }
-      case 1: {  // truncation
-        mutated.resize(rng.next_below(mutated.size()));
-        break;
-      }
-      default: {  // byte overwrite runs
-        const std::size_t start = rng.next_below(mutated.size());
-        const std::size_t len =
-            std::min<std::size_t>(mutated.size() - start, 1 + rng.next_below(64));
-        for (std::size_t i = 0; i < len; ++i) {
-          mutated[start + i] = static_cast<std::uint8_t>(rng.next_u64());
-        }
-        break;
-      }
-    }
+    const Bytes mutated = mutate(packed, trial, rng);
     try {
       const Bytes out = codec->decompress(as_view(mutated), original.size());
       // Wrong output is acceptable; wrong *size* is not.
@@ -62,6 +71,61 @@ TEST_P(CorruptionFuzzTest, SurvivesRandomCorruption) {
     } catch (const std::exception& e) {
       FAIL() << codec->name() << ": unexpected exception type: " << e.what();
     }
+  }
+}
+
+// decompress_into() must write only inside its span: the chunks of a
+// CachedFile share one buffer, and a byte written past a chunk lands in its
+// neighbour, where ASan cannot see it. The span sits between canary bytes
+// of one buffer; valid input must decode byte-exact, damaged input must
+// throw CorruptDataError or fill the whole span, and the canaries must
+// survive both. A span counts as filled when decoding over two different
+// fill patterns gives the same bytes.
+TEST_P(CorruptionFuzzTest, DecompressIntoStaysInsideItsSpan) {
+  const Compressor* codec = Registry::instance().by_id(GetParam());
+  ASSERT_NE(codec, nullptr);
+  const Bytes original = testdata::runs_and_noise(30000, 1234);
+  const Bytes packed = codec->compress(as_view(original));
+  ASSERT_FALSE(packed.empty());
+
+  constexpr std::size_t kGuard = 64;
+  Bytes buf(kGuard + original.size() + kGuard);
+  const MutByteView span(buf.data() + kGuard, original.size());
+  // Decodes `input` over a buffer filled with `fill`; returns the span, or
+  // nullopt on CorruptDataError. Fails the test if a guard byte changed.
+  auto decode_over = [&](const Bytes& input,
+                         std::uint8_t fill) -> std::optional<Bytes> {
+    std::fill(buf.begin(), buf.end(), fill);
+    std::optional<Bytes> got;
+    try {
+      codec->decompress_into(as_view(input), span);
+      got.emplace(span.begin(), span.end());
+    } catch (const CorruptDataError&) {
+      // Expected for most mutations.
+    }
+    for (std::size_t k = 0; k < kGuard; ++k) {
+      EXPECT_EQ(buf[k], fill) << codec->name() << ": wrote " << kGuard - k
+                              << " bytes before the span";
+      EXPECT_EQ(buf[buf.size() - 1 - k], fill)
+          << codec->name() << ": wrote " << kGuard - k << " bytes past the span";
+      if (buf[k] != fill || buf[buf.size() - 1 - k] != fill) break;
+    }
+    return got;
+  };
+
+  const std::optional<Bytes> valid = decode_over(packed, 0xA5);
+  ASSERT_TRUE(valid.has_value()) << codec->name();
+  EXPECT_EQ(*valid, original) << codec->name();
+
+  Rng rng(GetParam() * 7919u + 13);
+  for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE(trial);
+    const Bytes mutated = mutate(packed, trial, rng);
+    const std::optional<Bytes> first = decode_over(mutated, 0xA5);
+    if (!first.has_value()) continue;
+    const std::optional<Bytes> second = decode_over(mutated, 0x5A);
+    ASSERT_TRUE(second.has_value()) << codec->name();
+    EXPECT_EQ(*first, *second) << codec->name() << ": span not fully written";
   }
 }
 

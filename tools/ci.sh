@@ -71,12 +71,16 @@ run_chaos_seeds "chaos" build
 run_churn_seeds "churn" build
 
 # Labeled quick passes: the observability + stress subset (`ctest -L obs` /
-# `-L stress`) and the chunked-container subset (`ctest -L chunked`) on their
-# own, as the fast signals to rerun while iterating on obs/ or compress/.
+# `-L stress`), the chunked-container subset (`ctest -L chunked`) and the
+# codec subset (`ctest -L codec`: round trips, the LZ4 boundary sweep and
+# the corruption fuzzer with its out-of-span write guards) on their own, as
+# the fast signals to rerun while iterating on obs/ or compress/.
 echo "==== [labels] ctest -L 'obs|stress' ===="
 ctest --test-dir build --output-on-failure -j "$jobs" -L 'obs|stress'
 echo "==== [labels] ctest -L chunked ===="
 ctest --test-dir build --output-on-failure -j "$jobs" -L chunked
+echo "==== [labels] ctest -L codec ===="
+ctest --test-dir build --output-on-failure -j "$jobs" -L codec
 echo "==== [labels] ctest -L plan ===="
 ctest --test-dir build --output-on-failure -j "$jobs" -L plan
 echo "==== [labels] ctest -L ipc ===="
