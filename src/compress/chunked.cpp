@@ -30,14 +30,12 @@ CompressorId chunked_id(CompressorId inner, std::size_t chunk_size) {
   if (inner >= 1024) {
     throw std::invalid_argument("chunked_id: inner id outside flat range");
   }
-  if (chunk_size < kMinChunkSize || !std::has_single_bit(chunk_size)) {
+  if (chunk_size < kMinChunkSize || chunk_size > kMaxChunkSize ||
+      !std::has_single_bit(chunk_size)) {
     throw std::invalid_argument(
-        "chunked_id: chunk size must be a power of two >= 4 KiB");
+        "chunked_id: chunk size must be a power of two in [4 KiB, 2 GiB]");
   }
   const auto log2 = static_cast<unsigned>(std::countr_zero(chunk_size)) - 12u;
-  if (log2 > 0x1F) {
-    throw std::invalid_argument("chunked_id: chunk size too large");
-  }
   return static_cast<CompressorId>(kChunkedFlag | (log2 << 10) | inner);
 }
 

@@ -29,7 +29,8 @@
 //
 //   bit 15        1 = chunked frame
 //   bits 10..14   log2(chunk_size) - 12   (chunk sizes are powers of two,
-//                                          4 KiB .. 8 TiB)
+//                                          4 KiB .. 2 GiB: the header's
+//                                          u32 chunk_size caps the range)
 //   bits 0..9     inner CompressorId      (all flat ids are < 1024)
 //
 // so the 2-byte compressor field in partitions and daemon replies round-trips
@@ -46,6 +47,7 @@ namespace fanstore::compress {
 
 inline constexpr CompressorId kChunkedFlag = 0x8000;
 inline constexpr std::size_t kMinChunkSize = std::size_t{4} << 10;  // 4 KiB
+inline constexpr std::size_t kMaxChunkSize = std::size_t{2} << 30;  // 2 GiB
 inline constexpr std::uint32_t kChunkedMagic = 0x314B4346;          // "FCK1"
 inline constexpr std::size_t kChunkedHeaderSize = 15;
 inline constexpr std::size_t kChunkTableEntrySize = 16;
@@ -55,8 +57,8 @@ inline constexpr bool is_chunked_id(CompressorId id) {
 }
 
 /// Structural id for chunked(inner, chunk_size). Throws std::invalid_argument
-/// when chunk_size is not a power of two >= 4 KiB, or inner is itself chunked
-/// or >= 1024 (outside the flat id space).
+/// when chunk_size is not a power of two in [4 KiB, 2 GiB], or inner is
+/// itself chunked or >= 1024 (outside the flat id space).
 CompressorId chunked_id(CompressorId inner, std::size_t chunk_size);
 
 /// Inner codec id encoded in a chunked id (no validation of the flag).

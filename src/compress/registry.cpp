@@ -191,6 +191,7 @@ const Compressor* Registry::chunked_by_id(CompressorId id) const {
   // a registered flat codec and the size bits must round-trip.
   const CompressorId inner_id = chunked_inner_id(id);
   const std::size_t chunk_size = chunked_chunk_size(id);
+  if (chunk_size > kMaxChunkSize) return nullptr;
   const Compressor* inner = nullptr;
   for (const auto& e : entries_) {
     if (e.id == inner_id) {
@@ -224,6 +225,9 @@ const Compressor* Registry::by_name(std::string_view name) const {
     std::size_t i = 0;
     while (i < size_tok.size() && size_tok[i] >= '0' && size_tok[i] <= '9') {
       value = value * 10 + static_cast<std::size_t>(size_tok[i] - '0');
+      // Every valid size is <= 2 GiB; stopping here keeps the digits and
+      // the unit shift below from wrapping into a small valid size.
+      if (value > kMaxChunkSize) return nullptr;
       ++i;
     }
     if (i == 0 || i + 1 != size_tok.size()) return nullptr;

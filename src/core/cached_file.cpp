@@ -69,7 +69,7 @@ bool CachedFile::ensure_chunk(std::size_t i) {
 void CachedFile::read_range(std::size_t offset, MutByteView out,
                             DecodeStats* stats) {
   if (out.empty()) return;
-  if (chunk_count_ > 0 && !fully_materialized()) {
+  if (!fully_materialized()) {
     const std::size_t cs = frame_.chunk_size();
     const std::size_t first = offset / cs;
     const std::size_t last = (offset + out.size() - 1) / cs;
@@ -84,7 +84,7 @@ void CachedFile::read_range(std::size_t offset, MutByteView out,
 }
 
 void CachedFile::materialize_all(std::size_t threads, DecodeStats* stats) {
-  if (chunk_count_ == 0 || fully_materialized()) return;
+  if (fully_materialized()) return;
   std::vector<std::size_t> missing;
   missing.reserve(chunk_count_);
   for (std::size_t i = 0; i < chunk_count_; ++i) {

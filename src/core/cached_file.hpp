@@ -1,8 +1,9 @@
 // A cache entry that may be only partially decompressed.
 //
-// Non-chunked files are fully materialized at construction (exactly the old
-// PlainCache value). Chunked files (compress/chunked.hpp) keep the
-// *compressed* frame and decode chunks on demand:
+// A compressed file has one form, the chunked frame (compress/chunked.hpp);
+// the plain constructor holds stored (id 0) blobs and frames FanStoreFs
+// decoded before admission. A frame entry keeps the *compressed* frame and
+// decodes chunks on demand:
 //
 //   - read_range() decodes only the chunks overlapping the request — the
 //     pread() latency win: a 64 KiB read of a 100 MB object touches at most
@@ -23,7 +24,9 @@
 // it would race with concurrent readers holding ChunkedFrame views, and the
 // shared_ptr aliasing used by PlainCache needs a stable owner anyway.
 // charge_bytes() therefore accounts compressed size + materialized plain
-// bytes.
+// bytes. Where nothing needs the frame after decode (no cache tier, eager
+// open), FanStoreFs decodes before the entry is shared and keeps only
+// take_plain(), so such an entry is charged its plain size alone.
 //
 // Lock order: cached_file.mu is a leaf — decode runs with no lock held and
 // callers (FanStoreFs) only take it via this class.
@@ -49,7 +52,7 @@ class CachedFile {
     std::size_t bytes_decoded = 0;  // uncompressed bytes of those chunks
   };
 
-  /// Fully-materialized entry (non-chunked codecs, or pre-decoded data).
+  /// Fully-materialized entry: stored blobs, or a frame decoded up front.
   explicit CachedFile(Bytes plain);
 
   /// Lazy chunked entry: parses and validates the frame, allocates the
@@ -95,6 +98,10 @@ class CachedFile {
 
   /// The full plain contents; only valid once fully_materialized().
   const Bytes& plain() const { return plain_; }
+
+  /// Moves the plain contents out of an entry nobody else references
+  /// (FanStoreFs keeps them and drops the frame before admission).
+  Bytes take_plain() && { return std::move(plain_); }
 
   /// The retained compressed frame of a chunked entry (empty for
   /// non-chunked entries). Immutable after construction — the tiered cache

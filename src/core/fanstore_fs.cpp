@@ -7,6 +7,7 @@
 
 #include "compress/chunked.hpp"
 #include "compress/registry.hpp"
+#include "format/partition.hpp"
 #include "util/crc32.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -233,40 +234,35 @@ ColdResult FanStoreFs::load_cached(const std::string& path,
   if (!blob) {
     throw std::runtime_error("fanstore: owner rank has no data for " + path);
   }
-  result.plain_crc = stat.crc;
-  if (compress::is_chunked_id(blob->compressor)) {
+  if (blob->compressor == 0) {
+    // Stored blob: the plain bytes themselves, checked before admission.
+    if (blob->data.size() != stat.size ||
+        (stat.crc != 0 && crc32(as_view(blob->data)) != stat.crc)) {
+      throw std::runtime_error("fanstore: CRC mismatch for " + path);
+    }
+    result.file = std::make_shared<CachedFile>(std::move(blob->data));
+  } else if (compress::is_chunked_id(blob->compressor)) {
     // Chunked frame: parse + validate now, decode nothing. Chunks decode
     // (and their cost is charged) exactly once each, wherever they first
     // materialize — eager open, prefetch warm, or a pread range. The frame
     // stays inside the CachedFile, so the tiered cache demotes it without
     // a separate compressed copy here.
-    result.file = std::make_shared<CachedFile>(std::move(blob->data),
-                                               blob->compressor, stat.size);
-    io_.load_us.record(static_cast<std::uint64_t>(timer.elapsed_us()));
-    return result;
-  }
-  const compress::Compressor* codec =
-      compress::Registry::instance().by_id(blob->compressor);
-  if (codec == nullptr) {
-    throw std::runtime_error("fanstore: unknown compressor id for " + path);
-  }
-  Bytes plain = codec->decompress(as_view(blob->data), stat.size);
-  if (stat.crc != 0 && crc32(as_view(plain)) != stat.crc) {
-    throw std::runtime_error("fanstore: CRC mismatch for " + path);
-  }
-  if (blob->compressor != 0) {
-    charge(simnet::CodecSpeedTable::shared().decompress_seconds(blob->compressor,
-                                                                plain.size()));
-  }
-  if (blob->compressor != 0 && cache_.wants_cold_compressed(stat.size)) {
-    // The tiered cache wants the flat compressed form for write-through
-    // admission (admit-to-compressed-only) — hand it over instead of
-    // discarding it.
-    result.compressed = std::move(blob->data);
-    result.compressor = blob->compressor;
+    auto file = std::make_shared<CachedFile>(std::move(blob->data),
+                                             blob->compressor, stat.size);
+    if (!cache_.tiers_enabled() && !options_.lazy_chunked_open) {
+      // Nothing below the plain tier takes the frame and no read decodes
+      // lazily: decode here, inside the single-flight slot, and admit only
+      // the plain bytes, so the entry is never charged frame + plain.
+      materialize_entry(path, *file, stat);
+      file = std::make_shared<CachedFile>(std::move(*file).take_plain());
+    }
+    result.file = std::move(file);
+  } else {
+    throw std::runtime_error("fanstore: compressor id " +
+                             std::to_string(blob->compressor) +
+                             " is neither store nor a chunked frame for " + path);
   }
   io_.load_us.record(static_cast<std::uint64_t>(timer.elapsed_us()));
-  result.file = std::make_shared<CachedFile>(std::move(plain));
   return result;
 }
 
@@ -458,19 +454,14 @@ int FanStoreFs::close(int fd) {
     sync::MutexLock flk(of->mu);
     plain = std::move(of->buffer);
   }
-  Blob blob;
-  blob.compressor = options_.write_compressor;
-  blob.data = codec->compress(as_view(plain));
-
-  format::FileStat stat;
-  stat.size = plain.size();
-  stat.compressed_size = blob.data.size();
-  stat.crc = crc32(as_view(plain));
+  format::FileRecord rec = format::make_record(
+      of->path, *codec, options_.write_compressor, as_view(plain));
+  format::FileStat stat = rec.stat;
   stat.type = format::FileType::kRegular;
   stat.owner_rank = static_cast<std::uint32_t>(comm_.rank());
 
-  charge(options_.cost.read_path.file_write_time(blob.data.size()));
-  backend_->put(of->path, std::move(blob));
+  charge(options_.cost.read_path.file_write_time(rec.data.size()));
+  backend_->put(of->path, Blob{rec.compressor, std::move(rec.data)});
   // The metadata replicates to every shard owner (every rank under full
   // replication) with a (version, writer) tag; concurrent writers of one
   // path resolve by deterministic last-writer-wins at each replica (§13).
@@ -562,7 +553,7 @@ std::int64_t FanStoreFs::pread(int fd, MutByteView buf, std::uint64_t offset) {
     charge_chunk_decode(file, ds, 1);  // per-range decode charges only
     cache_.recharge(of->path);         // the decoded bytes, serially
   }
-  if (was_partial && file.is_chunked()) {
+  if (was_partial) {
     // The headline win, made observable: this read finished without the
     // whole file decoded, skipping every non-overlapping chunk.
     const std::size_t cs = file.chunk_size();

@@ -120,7 +120,7 @@ class FanStoreFs final : public posixfs::Vfs {
     std::string spill_root = ".fanstore-spill";
     /// Lower-tier hits before an entry's bytes move up a tier (min 1).
     std::size_t promote_after_hits = 2;
-    /// Cold objects >= this size are admitted to the compressed tier only
+    /// Cold frames >= this size are admitted to the compressed tier only
     /// (plain copy dropped at last close). 0 = always admit to plain RAM.
     std::size_t plain_admit_max_bytes = 0;
     /// Metadata resolver (cluster::ClusterNode; DESIGN.md §13), required:
@@ -242,13 +242,14 @@ class FanStoreFs final : public posixfs::Vfs {
     charge(options_.cost.read_path.metadata_op_s);
   }
 
-  /// Loads `path` (Fig. 2), charging fetch costs. Non-chunked blobs are
-  /// decompressed here (decompress cost charged); chunked blobs come back
-  /// as a lazy CachedFile with nothing decoded — materialize_entry() or a
-  /// per-range read decodes (and charges) later, exactly once per chunk.
-  /// The ColdResult carries the fetch source (peer vs local backend) for
-  /// tier accounting, plus the flat compressed blob when the tiered cache
-  /// wants it for write-through admission.
+  /// Loads `path` (Fig. 2), charging fetch costs. A stored (id 0) blob is
+  /// crc-checked and kept as plain bytes. A chunked frame comes back as a
+  /// lazy CachedFile: materialize_entry() or a per-range read decodes (and
+  /// charges) it later, exactly once per chunk. With no tier enabled and
+  /// an eager open, the frame is decoded here instead and only its plain
+  /// bytes are returned. Any other codec id is refused (throws). The
+  /// ColdResult carries the fetch source (peer vs local backend) for tier
+  /// accounting.
   ColdResult load_cached(const std::string& path,
                          const format::FileStat& stat);
 

@@ -5,9 +5,7 @@
 #include <vector>
 
 #include "compress/chunked.hpp"
-#include "compress/registry.hpp"
 #include "posixfs/mem_vfs.hpp"
-#include "simnet/codec_speed.hpp"
 #include "util/crc32.hpp"
 
 namespace fanstore::core {
@@ -145,22 +143,15 @@ std::shared_ptr<CachedFile> TieredCache::load_below(const std::string& path,
     cold_loads_->inc();
   }
   // Write-through admission for admit-to-compressed-only objects: their
-  // steady-state home is the compressed tier, so park the compressed form
-  // now — the plain copy is dropped at last release (see release()).
-  if (wants_cold_compressed(r.file->size())) {
+  // steady-state home is the compressed tier, so park the frame now — the
+  // plain copy is dropped at last release (see release()). Stored blobs
+  // have no compressed form and are admitted plain.
+  if (r.file->is_chunked() && wants_cold_compressed(r.file->size())) {
     CompressedEntry e;
+    e.compressor = r.file->container_id();
+    e.payload = r.file->compressed_bytes();
     e.original_size = r.file->size();
-    e.plain_crc = r.plain_crc;
     e.pinned_home = true;
-    if (r.file->is_chunked()) {
-      e.compressor = r.file->container_id();
-      e.payload = r.file->compressed_bytes();
-    } else if (!r.compressed.empty()) {
-      e.compressor = r.compressor;
-      e.payload = std::move(r.compressed);
-    } else {
-      return std::move(r.file);  // no compressed form available: admit plain
-    }
     if (insert_compressed(path, std::move(e))) comp_admits_->inc();
   }
   return std::move(r.file);
@@ -172,7 +163,6 @@ std::shared_ptr<CachedFile> TieredCache::lookup_compressed(
   compress::CompressorId compressor = 0;
   Bytes payload;
   std::uint64_t original_size = 0;
-  std::uint32_t plain_crc = 0;
   bool promote = false;
   {
     sync::MutexLock lk(comp_mu_);
@@ -182,7 +172,6 @@ std::shared_ptr<CachedFile> TieredCache::lookup_compressed(
     e.hits++;
     compressor = e.compressor;
     original_size = e.original_size;
-    plain_crc = e.plain_crc;
     // Promote on the Nth hit (default second): the bytes *move* up — the
     // tier-1 copy is erased so plain RAM and compressed RAM never hold the
     // same object twice. Admit-to-compressed-only homes never promote.
@@ -199,7 +188,10 @@ std::shared_ptr<CachedFile> TieredCache::lookup_compressed(
   }
   comp_hits_->inc();
   if (promote) comp_promotes_->inc();
-  return rebuild(compressor, std::move(payload), original_size, plain_crc);
+  // Frames come back lazy: the hit decodes per range exactly like a fresh
+  // cold load, which is the point of keeping tier-1 entries in frame form.
+  return std::make_shared<CachedFile>(std::move(payload), compressor,
+                                      original_size);
 }
 
 std::shared_ptr<CachedFile> TieredCache::lookup_spill(const std::string& path) {
@@ -242,77 +234,44 @@ std::shared_ptr<CachedFile> TieredCache::lookup_spill(const std::string& path) {
   }
   spill_hits_->inc();
   if (promote) spill_promotes_->inc();
-  return rebuild(rec.compressor, std::move(rec.payload), rec.original_size,
-                 rec.plain_crc);
-}
-
-std::shared_ptr<CachedFile> TieredCache::rebuild(
-    compress::CompressorId compressor, Bytes payload,
-    std::size_t original_size, std::uint32_t plain_crc) {
-  if (compressor == 0) {
-    // Plain bytes (flat entries demoted through the spill tier).
-    if (plain_crc != 0 && crc32(as_view(payload)) != plain_crc) {
-      throw compress::CorruptDataError("tiered plain payload crc mismatch");
-    }
-    return std::make_shared<CachedFile>(std::move(payload));
+  if (rec.compressor != 0) {
+    // A frame comes back lazy; the constructor rejects any other id.
+    return std::make_shared<CachedFile>(std::move(rec.payload), rec.compressor,
+                                        rec.original_size);
   }
-  if (compress::is_chunked_id(compressor)) {
-    // Chunked containers come back lazy: the hit decodes per-range exactly
-    // like a fresh cold load, which is the whole point of keeping tier-1
-    // entries in container form.
-    return std::make_shared<CachedFile>(std::move(payload), compressor,
-                                        original_size);
+  if (rec.plain_crc != 0 && crc32(as_view(rec.payload)) != rec.plain_crc) {
+    throw compress::CorruptDataError("tiered plain payload crc mismatch");
   }
-  const auto* codec = compress::Registry::instance().by_id(compressor);
-  if (codec == nullptr) {
-    throw compress::CorruptDataError("tiered payload has unknown codec id");
-  }
-  Bytes plain = codec->decompress(as_view(payload), original_size);
-  if (plain_crc != 0 && crc32(as_view(plain)) != plain_crc) {
-    throw compress::CorruptDataError("tiered payload crc mismatch");
-  }
-  charge(simnet::CodecSpeedTable::shared().decompress_seconds(
-      compressor, plain.size()));
-  return std::make_shared<CachedFile>(std::move(plain));
+  return std::make_shared<CachedFile>(std::move(rec.payload));
 }
 
 void TieredCache::demote(const std::string& path,
                          const std::shared_ptr<CachedFile>& file) {
   // Runs with no plain-shard lock held (PlainCache fires the hook after
-  // unlocking). Chunked entries carry their compressed frame — demote that
-  // form to the compressed tier. Flat entries only have plain bytes, whose
-  // RAM footprint equals what was just evicted, so compressed RAM would buy
-  // nothing: they go straight to the spill device.
-  if (tier1_on_ && file->is_chunked()) {
+  // unlocking). Frame entries carry their compressed frame — demote that
+  // form to the compressed tier. Plain-only entries (stored blobs) have
+  // only plain bytes, whose RAM footprint equals what was just evicted, so
+  // compressed RAM would buy nothing: they go straight to the spill device.
+  const bool framed = file->is_chunked();
+  if (tier1_on_ && framed) {
     CompressedEntry e;
     e.compressor = file->container_id();
     e.payload = file->compressed_bytes();
     e.original_size = file->size();
-    if (insert_compressed(path, std::move(e))) {
-      comp_demotes_->inc();
-      return;
-    }
-    return;  // already resident below: dedupe, drop this copy
-  }
-  if (tier2_on_) {
-    if (file->is_chunked()) {
-      if (insert_spill(path, file->container_id(), file->size(), 0,
-                       as_view(file->compressed_bytes()))) {
-        spill_demotes_->inc();
-      }
-      return;
-    }
-    if (!file->fully_materialized()) {
-      dropped_->inc();  // cannot snapshot a partially-decoded flat entry
-      return;
-    }
-    if (insert_spill(path, 0, file->size(), crc32(as_view(file->plain())),
-                     as_view(file->plain()))) {
-      spill_demotes_->inc();
-    }
+    // false = already resident below: dedupe, drop this copy.
+    if (insert_compressed(path, std::move(e))) comp_demotes_->inc();
     return;
   }
-  dropped_->inc();
+  if (!tier2_on_) {
+    dropped_->inc();
+    return;
+  }
+  const ByteView payload =
+      as_view(framed ? file->compressed_bytes() : file->plain());
+  if (insert_spill(path, file->container_id(), file->size(),
+                   framed ? 0 : crc32(payload), payload)) {
+    spill_demotes_->inc();
+  }
 }
 
 bool TieredCache::insert_compressed(const std::string& path,
@@ -321,8 +280,8 @@ bool TieredCache::insert_compressed(const std::string& path,
   if (sz > opt_.compressed_bytes) {
     // Larger than the whole tier: skip straight to spill.
     if (tier2_on_) {
-      if (insert_spill(path, entry.compressor, entry.original_size,
-                       entry.plain_crc, as_view(entry.payload))) {
+      if (insert_spill(path, entry.compressor, entry.original_size, 0,
+                       as_view(entry.payload))) {
         spill_demotes_->inc();
       }
     } else {
@@ -371,8 +330,8 @@ bool TieredCache::insert_compressed(const std::string& path,
   for (auto& v : victims) {
     comp_evictions_->inc();
     if (tier2_on_) {
-      if (insert_spill(v.path, v.entry.compressor, v.entry.original_size,
-                       v.entry.plain_crc, as_view(v.entry.payload))) {
+      if (insert_spill(v.path, v.entry.compressor, v.entry.original_size, 0,
+                       as_view(v.entry.payload))) {
         spill_demotes_->inc();
       }
     } else {

@@ -2,25 +2,27 @@
 // into a four-tier stack behind the same acquire/release interface —
 //
 //   tier 0  plain RAM        decompressed entries, sharded pool (PlainCache)
-//   tier 1  compressed RAM   entries in their compressed/chunked-container
-//                            form; a hit re-decodes (chunked entries come
-//                            back lazy, so per-range decode stays cheap)
+//   tier 1  compressed RAM   entries in their chunked-frame form; a hit
+//                            comes back lazy, so per-range decode stays
+//                            cheap
 //   tier 2  SSD spill        crc-framed spill records on a local Vfs,
 //                            charged against an ssd StorageModel
 //   tier 3  peer RAM         the owner rank's backend via the cold loader
 //                            (PeerDirectory direct read or daemon fetch)
 //   cold    local backend    the rank's own compressed partition
 //
-// Eviction from tier N is *demotion* into tier N+1: the PlainCache demotion
-// hook feeds tier 1 (chunked frames) or tier 2 (flat plain bytes); tier-1
-// eviction spills its compressed payload; tier-2 eviction drops the record.
+// Every compressed object is a chunked frame (format::make_record); only
+// stored (id 0) blobs are plain bytes. Eviction from tier N is *demotion*
+// into tier N+1: the PlainCache demotion hook feeds tier 1 (an entry's
+// frame) or tier 2 (a stored blob's plain bytes); tier-1 eviction spills
+// its frame; tier-2 eviction drops the record.
 // Promotion is hit-driven — a lower-tier hit always materializes into plain
 // RAM (the read path needs decompressed bytes) but the lower-tier copy is
 // retained until `promote_after_hits` cumulative hits, so one-shot scans do
-// not purge the capacity tiers. Large cold objects can be admitted to the
+// not purge the capacity tiers. Large cold frames can be admitted to the
 // compressed tier only (`plain_admit_max_bytes`): they stream through plain
-// RAM while pinned and their steady-state home is the compressed frame,
-// decoded per-range on every hit.
+// RAM while pinned and their steady-state home is the frame, decoded
+// per-range on every hit.
 //
 // The clairvoyant EvictionPolicy (DESIGN.md §10) applies per tier: when a
 // plan is installed, tier-1 and tier-2 victim scans also pick the entry
@@ -59,24 +61,19 @@ namespace fanstore::core {
 /// peer-RAM tier from the rank's own backend.
 enum class ColdSource { kLocalBackend, kPeer };
 
-/// What the cold loader hands the tiered cache: the usable entry plus,
-/// optionally, its compressed form for write-through admission into the
-/// compressed tier (admit-to-compressed-only). For chunked entries the
-/// compressed frame already lives inside `file`; `compressed` is only for
-/// flat codecs, whose blob the loader would otherwise discard.
+/// What the cold loader hands the tiered cache: the usable entry (a frame
+/// entry carries its compressed frame for demotion or write-through
+/// admission) and where its bytes came from.
 struct ColdResult {
   std::shared_ptr<CachedFile> file;
-  Bytes compressed;                       // empty = no flat compressed copy
-  compress::CompressorId compressor = 0;  // id of `compressed`
-  std::uint32_t plain_crc = 0;            // crc32 of plain bytes; 0 = unknown
   ColdSource source = ColdSource::kLocalBackend;
 };
 
 /// One decoded spill record (see encode_spill_record for the layout).
 struct SpillRecord {
-  compress::CompressorId compressor = 0;  // 0 = plain bytes
+  compress::CompressorId compressor = 0;  // 0 = plain bytes, else a frame
   std::uint64_t original_size = 0;
-  std::uint32_t plain_crc = 0;
+  std::uint32_t plain_crc = 0;  // checks plain (id 0) payloads; 0 = unknown
   Bytes payload;
 };
 
@@ -111,14 +108,14 @@ class TieredCache {
     /// Cumulative lower-tier hits after which the lower copy is released
     /// upward (the bytes move instead of duplicating). Minimum 1.
     std::size_t promote_after_hits = 2;
-    /// Cold objects at least this large are admitted to the compressed
+    /// Cold frames at least this large are admitted to the compressed
     /// tier only: their plain-RAM copy is dropped at last release instead
     /// of lingering. 0 = always admit to plain RAM.
     std::size_t plain_admit_max_bytes = 0;
     /// Registry for the "cache.*" and (when a tier is enabled) "tier.*"
     /// metrics; nullptr gives the stack a private registry.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Virtual-time charging for spill I/O and flat promote decompression.
+    /// Virtual-time charging for spill I/O.
     simnet::VirtualClock* clock = nullptr;
     bool charge_costs = false;
     simnet::StorageModel spill_storage = simnet::ssd_storage();
@@ -155,11 +152,6 @@ class TieredCache {
   /// farthest-next-use victim scans in the compressed and spill tiers.
   void set_eviction_policy(const EvictionPolicy* policy);
 
-  /// True when the cold loader should carry the flat compressed blob for
-  /// write-through admission of a `size`-byte object (FanStoreFs asks
-  /// before discarding the blob it decompressed).
-  bool wants_cold_compressed(std::size_t size) const;
-
   // --- Introspection (tests, stats_report) ---
   bool tiers_enabled() const { return tier1_on_ || tier2_on_; }
   bool compressed_contains(const std::string& path) const;
@@ -172,13 +164,12 @@ class TieredCache {
   obs::MetricsRegistry& metrics() const { return plain_.metrics(); }
 
  private:
-  /// A tier-1 entry: the compressed (or chunked-container) form plus the
-  /// metadata needed to rebuild a CachedFile and to decide promotion.
+  /// A tier-1 entry: the chunked frame plus the metadata needed to rebuild
+  /// a lazy CachedFile and to decide promotion.
   struct CompressedEntry {
-    compress::CompressorId compressor = 0;
+    compress::CompressorId compressor = 0;  // the frame's chunked id
     Bytes payload;
     std::uint64_t original_size = 0;
-    std::uint32_t plain_crc = 0;
     std::size_t hits = 0;
     /// Write-through admissions that must keep their tier-1 residency
     /// (admit-to-compressed-only): never promoted out, and their plain
@@ -196,7 +187,7 @@ class TieredCache {
   };
 
   /// PlainCache demotion-hook target: route an evicted tier-0 entry to
-  /// tier 1 (chunked frame) or tier 2 (flat plain bytes).
+  /// tier 1 (its frame) or tier 2 (a stored blob's plain bytes).
   void demote(const std::string& path,
               const std::shared_ptr<CachedFile>& file);
 
@@ -218,12 +209,9 @@ class TieredCache {
                     std::uint64_t original_size, std::uint32_t plain_crc,
                     ByteView payload);
 
-  /// Rebuilds a usable entry from a tier payload: chunked ids come back
-  /// lazy, flat codecs decompress (cost charged) and crc-check, id 0 is
-  /// plain bytes.
-  std::shared_ptr<CachedFile> rebuild(compress::CompressorId compressor,
-                                      Bytes payload, std::size_t original_size,
-                                      std::uint32_t plain_crc);
+  /// True when a cold frame of `size` bytes is admitted to the compressed
+  /// tier only (`plain_admit_max_bytes`).
+  bool wants_cold_compressed(std::size_t size) const;
 
   std::string spill_path(const std::string& path) const;
   void reclaim_spill_locked(const std::string& path, const SpillEntry& e)

@@ -1,8 +1,11 @@
 #include "format/partition.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
+#include "compress/chunked.hpp"
 #include "compress/registry.hpp"
 #include "util/crc32.hpp"
 
@@ -92,11 +95,25 @@ std::vector<FileRecordView> scan_partition(ByteView blob) {
 }
 
 FileRecord make_record(std::string path, const compress::Compressor& codec,
-                       compress::CompressorId codec_id, ByteView raw) {
+                       compress::CompressorId codec_id, ByteView raw,
+                       std::size_t chunk_size, std::size_t threads) {
   FileRecord r;
   r.path = std::move(path);
+  const auto* chunked = dynamic_cast<const compress::ChunkedCompressor*>(&codec);
+  if (codec_id == 0) {
+    r.data = codec.compress(raw);  // stored blobs stay plain bytes
+  } else if (chunked != nullptr) {
+    r.data = chunked->compress_with(raw, threads);  // the id passes through
+  } else {
+    if (chunk_size == 0) {
+      chunk_size = std::clamp(std::bit_ceil(raw.size()), compress::kMinChunkSize,
+                              compress::kMaxChunkSize);
+    }
+    const compress::ChunkedCompressor framed(&codec, codec_id, chunk_size);
+    codec_id = compress::chunked_id(codec_id, chunk_size);
+    r.data = framed.compress_with(raw, threads);
+  }
   r.compressor = codec_id;
-  r.data = codec.compress(raw);
   r.stat.size = raw.size();
   r.stat.compressed_size = r.data.size();
   r.stat.crc = crc32(raw);

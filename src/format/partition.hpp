@@ -65,9 +65,15 @@ class PartitionWriter {
 /// views alias the input buffer, which must outlive them).
 std::vector<FileRecordView> scan_partition(ByteView blob);
 
-/// Convenience: compress `raw` with `codec` and build the full record.
+/// Compresses `raw` and builds the full record; this is the one place that
+/// decides the object form. Codec id 0 (store) keeps the plain bytes. A
+/// chunked id is encoded as given. Any other codec is framed as
+/// chunked(codec_id, chunk_size), where chunk_size 0 means one chunk per
+/// file: the smallest power of two >= raw.size(), clamped to
+/// [4 KiB, 2 GiB]. Chunks compress on up to `threads` threads.
 FileRecord make_record(std::string path, const compress::Compressor& codec,
-                       compress::CompressorId codec_id, ByteView raw);
+                       compress::CompressorId codec_id, ByteView raw,
+                       std::size_t chunk_size = 0, std::size_t threads = 1);
 
 /// Decompresses a scanned record and verifies its CRC.
 Bytes extract_record(const FileRecordView& view);

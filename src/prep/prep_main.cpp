@@ -24,9 +24,10 @@ int main(int argc, char** argv) {
                  "usage: %s --src=<dataset dir> --dst=<output dir>\n"
                  "          [--partitions=N] [--compressor=NAME|auto-a,b,c]\n"
                  "          [--threads=T] [--broadcast=dir1,dir2]\n"
-                 "          [--chunk-size=BYTES[k|m]]  (chunked container;\n"
-                 "           power of two >= 4k, enables parallel/partial\n"
-                 "           decode at read time)\n",
+                 "          [--chunk-size=BYTES[k|m]]  (chunk size of the\n"
+                 "           chunked frame every compressed file is written\n"
+                 "           in; power of two in [4k, 2048m]; default: one\n"
+                 "           chunk per file)\n",
                  args.program().c_str());
     return src.empty() || dst.empty() ? 2 : 0;
   }

@@ -8,7 +8,6 @@
 #include "compress/chunked.hpp"
 #include "compress/registry.hpp"
 #include "format/partition.hpp"
-#include "util/crc32.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
@@ -37,26 +36,13 @@ std::vector<std::string> auto_candidates(const std::string& spec) {
 
 format::FileRecord compress_one(const std::string& rel_path, ByteView raw,
                                 const std::vector<const compress::Compressor*>& codecs,
-                                std::size_t inner_threads) {
+                                std::size_t chunk_size, std::size_t inner_threads) {
   const auto& reg = compress::Registry::instance();
   format::FileRecord best;
   bool have = false;
   for (const auto* codec : codecs) {
-    format::FileRecord rec;
-    const auto* chunked = dynamic_cast<const compress::ChunkedCompressor*>(codec);
-    if (chunked != nullptr && inner_threads > 1) {
-      // Chunk-parallel encode: same record as make_record(), but the
-      // chunks compress across the worker budget left over by the
-      // per-file parallel_for.
-      rec.path = rel_path;
-      rec.compressor = reg.id_of(*codec);
-      rec.data = chunked->compress_with(raw, inner_threads);
-      rec.stat.size = raw.size();
-      rec.stat.compressed_size = rec.data.size();
-      rec.stat.crc = crc32(raw);
-    } else {
-      rec = format::make_record(rel_path, *codec, reg.id_of(*codec), raw);
-    }
+    format::FileRecord rec = format::make_record(rel_path, *codec, reg.id_of(*codec),
+                                                 raw, chunk_size, inner_threads);
     if (!have || rec.data.size() < best.data.size()) {
       best = std::move(rec);
       have = true;
@@ -97,14 +83,15 @@ std::vector<std::size_t> assign_partitions(
 std::vector<Bytes> build_partitions(
     posixfs::Vfs& src, const std::vector<std::string>& files,
     std::size_t num_partitions, const std::vector<const compress::Compressor*>& codecs,
-    int threads, Placement placement, std::vector<PartitionInfo>* infos) {
+    std::size_t chunk_size, int threads, Placement placement,
+    std::vector<PartitionInfo>* infos) {
   // Compress files in parallel (the multi-threaded round-robin of §V-B);
   // records land in a dense array so partition assembly is deterministic.
   std::vector<format::FileRecord> records(files.size());
   std::vector<std::string> errors(files.size());
   // When there are fewer files than workers (huge-object datasets), the
   // spare workers compress chunks *within* each file instead of idling —
-  // chunked codecs parallelize across both axes.
+  // framed files parallelize across both axes.
   const std::size_t nthreads = threads <= 0 ? 1 : static_cast<std::size_t>(threads);
   const std::size_t inner_threads =
       files.empty() ? 1 : std::max<std::size_t>(1, nthreads / files.size());
@@ -114,7 +101,8 @@ std::vector<Bytes> build_partitions(
       errors[i] = "unreadable file: " + files[i];
       return;
     }
-    records[i] = compress_one(files[i], as_view(*raw), codecs, inner_threads);
+    records[i] =
+        compress_one(files[i], as_view(*raw), codecs, chunk_size, inner_threads);
   });
   for (const auto& e : errors) {
     if (!e.empty()) throw std::runtime_error("prep: " + e);
@@ -256,12 +244,7 @@ Manifest prepare_dataset(posixfs::Vfs& src, const std::string& src_root,
     codecs.push_back(c);
   }
   if (options.chunk_size != 0) {
-    // Wrap every candidate in the chunked container; the partition format
-    // carries the structural chunked id transparently.
-    for (auto& c : codecs) {
-      const auto id = compress::chunked_id(reg.id_of(*c), options.chunk_size);
-      c = reg.by_id(id);  // synthesized + cached by the registry
-    }
+    (void)compress::chunked_id(0, options.chunk_size);  // rejects a bad size
   }
 
   // Partition-eligible files exclude broadcast subtrees.
@@ -292,7 +275,8 @@ Manifest prepare_dataset(posixfs::Vfs& src, const std::string& src_root,
   std::vector<PartitionInfo> infos;
   const auto blobs =
       build_partitions(src, scattered, static_cast<std::size_t>(options.num_partitions),
-                       codecs, options.threads, options.placement, &infos);
+                       codecs, options.chunk_size, options.threads,
+                       options.placement, &infos);
   for (std::size_t p = 0; p < blobs.size(); ++p) {
     infos[p].path = part_name(dst_root, "part", p);
     const int rc = posixfs::write_file(dst, infos[p].path, as_view(blobs[p]));
@@ -303,8 +287,8 @@ Manifest prepare_dataset(posixfs::Vfs& src, const std::string& src_root,
     if (broadcast_sets[b].empty()) continue;
     std::vector<PartitionInfo> binfo;
     const auto bblobs = build_partitions(src, broadcast_sets[b], 1, codecs,
-                                         options.threads, Placement::kRoundRobin,
-                                         &binfo);
+                                         options.chunk_size, options.threads,
+                                         Placement::kRoundRobin, &binfo);
     binfo[0].path = part_name(dst_root, "bcast", b);
     const int rc = posixfs::write_file(dst, binfo[0].path, as_view(bblobs[0]));
     if (rc != 0) throw std::runtime_error("prep: cannot write " + binfo[0].path);

@@ -34,11 +34,13 @@ struct PrepOptions {
   /// Source subdirectories broadcast to every node (§V-B).
   std::vector<std::string> broadcast_dirs;
   Placement placement = Placement::kRoundRobin;
-  /// When non-zero, every resolved codec is wrapped in the chunked
-  /// container (compress/chunked.hpp) with this chunk size (a power of two
-  /// >= 4 KiB). Chunked files decompress in parallel at read time and
-  /// support range-partial decode; the cost is the per-chunk table overhead
-  /// and slightly worse ratio (smaller compression contexts).
+  /// Chunk size of the chunked container (compress/chunked.hpp) that every
+  /// compressed file is written in; "store" files stay plain bytes. 0 (the
+  /// default) means one chunk per file, which keeps each file one
+  /// compressed object. A power of two in [4 KiB, 2 GiB] splits larger
+  /// files: they decode in parallel and serve range reads chunk by chunk,
+  /// at the cost of a 16-byte table entry per chunk and smaller
+  /// compression contexts.
   std::size_t chunk_size = 0;
 };
 

@@ -40,6 +40,16 @@ TEST(ChunkedIdTest, RejectsInvalidCombinations) {
   // Nesting: a chunked id is not a valid inner.
   const CompressorId outer = chunked_id(1, 4096);
   EXPECT_THROW(chunked_id(outer, 4096), std::invalid_argument);
+  // The frame header stores the chunk size as a u32: 2 GiB is the largest.
+  EXPECT_EQ(chunked_chunk_size(chunked_id(1, std::size_t{2} << 30)),
+            std::size_t{2} << 30);
+  EXPECT_THROW(chunked_id(1, std::size_t{4} << 30), std::invalid_argument);
+  const auto& reg = Registry::instance();
+  EXPECT_EQ(reg.by_name("chunked-4096m+lz4"), nullptr);
+  // A size token that overflows must not wrap into a small valid size.
+  EXPECT_EQ(reg.by_name("chunked-17592186044420m+lz4"), nullptr);
+  EXPECT_EQ(reg.by_id(static_cast<CompressorId>(kChunkedFlag | (20u << 10) | 1u)),
+            nullptr);  // size bits beyond 2 GiB
 }
 
 TEST(ChunkedRegistryTest, SynthesizesByIdAndName) {

@@ -298,6 +298,9 @@ TEST(FanStoreIntegrationTest, CacheHitOnSecondOpen) {
     (void)posixfs::read_file(inst.fs(), "f");
     EXPECT_EQ(inst.fs().metrics().counter("cache.hits").value(), 1u);
     EXPECT_EQ(inst.fs().metrics().counter("fs.local_misses").value(), 1u);
+    // No tier, eager open: the one-chunk frame is decoded before admission,
+    // so the entry is charged its plain bytes only, never frame + plain.
+    EXPECT_EQ(inst.fs().tiers().plain().bytes_used(), data.size());
   });
 }
 
@@ -616,6 +619,30 @@ TEST(FanStoreIntegrationTest, CheckpointManagerOverFanStore) {
   });
 }
 
+
+TEST(FanStoreIntegrationTest, UnframedCompressedBlobIsRefused) {
+  // Every compressed object is a chunked frame. A blob stored under a flat
+  // codec id is refused like an unknown codec: -EIO on every open, nothing
+  // cached. A store (id 0) blob still reads back as plain bytes.
+  const Bytes data = testdata::text_like(5000, 43);
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    Instance inst(comm, {});
+    inst.load_partition_blob(
+        as_view(make_partition({{"stored", data}, {"flat", data}}, "store")), 0);
+    inst.exchange_metadata();
+    const auto& reg = compress::Registry::instance();
+    const auto lz4 = reg.id_by_name("lz4");
+    inst.backend().put("flat", Blob{lz4, reg.by_id(lz4)->compress(as_view(data))});
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      EXPECT_EQ(inst.fs().open("flat", posixfs::OpenMode::kRead), -EIO)
+          << "attempt " << attempt;
+      EXPECT_FALSE(inst.fs().tiers().contains("flat")) << "attempt " << attempt;
+    }
+    const auto got = posixfs::read_file(inst.fs(), "stored");
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, data);
+  });
+}
 
 // Virtual-clock proof that chunked decompress cost is charged exactly once
 // per chunk, wherever the chunk happens to materialize — the PR-3-era bug

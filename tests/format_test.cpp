@@ -2,6 +2,7 @@
 // scanner round-trips, validation, and corruption rejection.
 #include <gtest/gtest.h>
 
+#include "compress/chunked.hpp"
 #include "compress/registry.hpp"
 #include "format/partition.hpp"
 #include "tests/test_data.hpp"
@@ -62,9 +63,30 @@ TEST(PartitionTest, WriteScanRoundTrip) {
   ASSERT_EQ(views.size(), 5u);
   for (std::size_t i = 0; i < views.size(); ++i) {
     EXPECT_EQ(views[i].path, "dir/cate" + std::to_string(i) + "/file" + std::to_string(i));
-    EXPECT_EQ(views[i].compressor, reg.id_by_name("lz4hc"));
+    // A compressed record is always a chunked frame around the chosen codec.
+    EXPECT_TRUE(compress::is_chunked_id(views[i].compressor));
+    EXPECT_EQ(compress::chunked_inner_id(views[i].compressor), reg.id_by_name("lz4hc"));
     EXPECT_EQ(views[i].stat.size, raws[i].size());
     EXPECT_EQ(extract_record(views[i]), raws[i]);
+  }
+
+  // A one-chunk frame (chunk size 0) costs exactly its header and one
+  // table entry over the codec's own output, for every codec; store (id 0)
+  // stays plain bytes. The 3000-byte file gets the smallest chunk, 4 KiB.
+  const Bytes raw = testdata::text_like(3000, 99);
+  for (const auto& e : reg.all()) {
+    const FileRecord rec = make_record("f", *e.codec, e.id, as_view(raw));
+    const std::size_t framing = e.id == 0 ? 0 : 31;  // 15 B header + 16 B table
+    EXPECT_EQ(rec.data.size(), e.codec->compress(as_view(raw)).size() + framing)
+        << e.codec->name();
+    EXPECT_EQ(rec.compressor,
+              e.id == 0 ? e.id : compress::chunked_id(e.id, std::size_t{4} << 10))
+        << e.codec->name();
+    PartitionWriter one;
+    one.add(FileRecord(rec));
+    const Bytes one_blob = one.serialize();
+    EXPECT_EQ(extract_record(scan_partition(as_view(one_blob))[0]), raw)
+        << e.codec->name();
   }
 }
 

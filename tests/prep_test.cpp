@@ -2,6 +2,7 @@
 // round-trips, auto compressor selection, and broadcast directories.
 #include <gtest/gtest.h>
 
+#include "compress/chunked.hpp"
 #include "compress/registry.hpp"
 #include "format/partition.hpp"
 #include "posixfs/mem_vfs.hpp"
@@ -92,7 +93,10 @@ TEST(PrepTest, AutoCompressorPicksSmallest) {
     if (v.path == "ds/rand") {
       EXPECT_EQ(v.compressor, reg.id_by_name("store")) << "random data: store wins";
     } else {
-      EXPECT_EQ(v.compressor, reg.id_by_name("lzma")) << "text: lzma wins";
+      // Compressed files are chunked frames; the winner is the inner codec.
+      EXPECT_TRUE(compress::is_chunked_id(v.compressor));
+      EXPECT_EQ(compress::chunked_inner_id(v.compressor), reg.id_by_name("lzma"))
+          << "text: lzma wins";
     }
   }
 }
@@ -106,6 +110,11 @@ TEST(PrepTest, ErrorsAreReported) {
   EXPECT_THROW(prepare_dataset(src, "ds", dst, "out", opt), std::invalid_argument);
   opt.compressor = "lz4";
   opt.num_partitions = 0;
+  EXPECT_THROW(prepare_dataset(src, "ds", dst, "out", opt), std::invalid_argument);
+  // A bad chunk size is rejected even when every file is stored unframed.
+  opt.num_partitions = 1;
+  opt.compressor = "store";
+  opt.chunk_size = 3000;
   EXPECT_THROW(prepare_dataset(src, "ds", dst, "out", opt), std::invalid_argument);
 }
 

@@ -109,6 +109,15 @@ TEST(CodecSpeedTest, CalibratesAndOrdersCodecs) {
   // Derived per-byte cost is consistent.
   EXPECT_NEAR(table.decompress_seconds(reg.id_by_name("lzsse8"), 1 << 20),
               (1 << 20) / fast, 1e-9);
+  // A one-chunk frame costs exactly the flat decode, on any thread count.
+  for (const char* name : {"lzsse8", "lzma"}) {
+    const auto id = reg.id_by_name(name);
+    for (const std::size_t threads : {1u, 4u}) {
+      EXPECT_EQ(table.chunked_decompress_seconds(id, 100000, 1, threads),
+                table.decompress_seconds(id, 100000))
+          << name << " threads=" << threads;
+    }
+  }
 }
 
 TEST(CodecSpeedTest, OverrideForTests) {
