@@ -6,6 +6,7 @@
 // increasing rank counts, and models the central-server per-op cost for
 // comparison — including the §II-B1 enumeration storm.
 #include "bench/bench_util.hpp"
+#include "cluster/metadata_store.hpp"
 #include "core/instance.hpp"
 #include "simnet/models.hpp"
 #include "util/timer.hpp"
@@ -15,7 +16,7 @@ using namespace fanstore;
 namespace {
 
 double measure_local_lookup_ns(std::size_t nfiles) {
-  core::MetadataStore meta;
+  cluster::MetadataStore meta;
   for (std::size_t i = 0; i < nfiles; ++i) {
     format::FileStat st;
     st.size = i;

@@ -13,14 +13,12 @@ std::uint32_t shard_of(std::string_view path, std::uint32_t nshards) {
   return static_cast<std::uint32_t>(util::stable_hash64(path) % nshards);
 }
 
-HashRing::HashRing(const std::vector<int>& members, int replication_factor,
-                   int vnodes) {
+HashRing::HashRing(const std::vector<int>& members, int replication_factor) {
   members_ = members;
   std::sort(members_.begin(), members_.end());
   members_.erase(std::unique(members_.begin(), members_.end()), members_.end());
   rf_ = replication_factor < 1 ? 1 : replication_factor;
-  if (vnodes < 1) vnodes = 1;
-  points_.reserve(members_.size() * static_cast<std::size_t>(vnodes));
+  points_.reserve(members_.size() * static_cast<std::size_t>(kVnodes));
   for (std::size_t i = 0; i < members_.size(); ++i) {
     // Vnode points derive from (rank, vnode index) only, so a member's
     // points are identical in every ring that contains it — the property
@@ -28,7 +26,7 @@ HashRing::HashRing(const std::vector<int>& members, int replication_factor,
     const std::uint64_t base = util::mix64(
         0x9E3779B97F4A7C15ull ^
         static_cast<std::uint64_t>(static_cast<std::uint32_t>(members_[i])));
-    for (int v = 0; v < vnodes; ++v) {
+    for (int v = 0; v < kVnodes; ++v) {
       // Points carry the member's index, which sorts like its rank.
       points_.emplace_back(util::mix64(base + static_cast<std::uint64_t>(v)),
                            static_cast<int>(i));

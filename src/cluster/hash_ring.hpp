@@ -1,12 +1,11 @@
-// Consistent-hash ring with virtual nodes (the Hoard-style placement
-// layer). Each member rank contributes `vnodes` points; a shard's owners
-// are the first `replication_factor` *distinct* ranks clockwise from the
-// shard's hash.
+// Consistent-hash ring (the Hoard-style placement layer). Each member
+// rank contributes kVnodes points; a shard's owners are the first
+// `replication_factor` *distinct* ranks clockwise from the shard's hash.
 //
 // Determinism contract: ownership is a pure function of
-// (sorted member set, replication_factor, vnodes) — no RNG, no ambient
-// state — so any two ranks holding the same converged MembershipView
-// compute identical owner lists without communicating.
+// (sorted member set, replication_factor) — no RNG, no ambient state — so
+// any two ranks holding the same converged MembershipView compute
+// identical owner lists without communicating.
 #pragma once
 
 #include <cstdint>
@@ -16,14 +15,17 @@
 
 namespace fanstore::cluster {
 
+/// Ring points per member rank: a constant, so every rank builds the same
+/// ring from the same member set.
+constexpr int kVnodes = 32;
+
 class HashRing {
  public:
   /// An empty ring owns nothing (owners() returns {}).
   HashRing() = default;
 
   /// `members` need not be sorted or unique; the ring canonicalizes.
-  HashRing(const std::vector<int>& members, int replication_factor,
-           int vnodes = 32);
+  HashRing(const std::vector<int>& members, int replication_factor);
 
   /// The owner ranks of `shard`, primary first: min(replication_factor,
   /// members) distinct ranks clockwise from hash(shard). At most one scan

@@ -1,6 +1,6 @@
-// LookupCache: the resolver's bounded, positive-only memo of remote
-// metadata answers (DESIGN.md §13 "Lookup cache"). ClusterNode::resolve
-// serves repeats of dataset lookups from it instead of an RPC, so the
+// LookupCache: ClusterNode::resolve's bounded, positive-only memo of remote
+// metadata answers (DESIGN.md §13 "Lookup cache"). resolve() serves
+// repeats of dataset lookups from it instead of an RPC, so the
 // paper's stat() storm (§II-B1) stays in RAM under sharded metadata.
 //
 // It holds only regular files from the dataset load (version 0): the

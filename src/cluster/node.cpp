@@ -58,21 +58,13 @@ ClusterNode::Metrics::Metrics(obs::MetricsRegistry& m)
       push_bytes(m.counter("cluster.push_bytes")),
       merge_skipped(m.counter("cluster.merge_skipped")) {}
 
-ClusterNode::ClusterNode(mpi::Comm comm, ShardStore* store, NodeOptions options)
+ClusterNode::ClusterNode(mpi::Comm comm, NodeOptions options)
     : comm_(comm),
-      store_(store),
       options_(std::move(options)),
       owned_metrics_(options_.metrics != nullptr
                          ? nullptr
                          : std::make_unique<obs::MetricsRegistry>()),
       m_(options_.metrics != nullptr ? *options_.metrics : *owned_metrics_) {
-  if (store_ == nullptr) throw std::invalid_argument("ClusterNode: null store");
-  if (options_.nshards == 0) {
-    throw std::invalid_argument("ClusterNode: nshards must be positive");
-  }
-  if (options_.rpc_timeout_ms <= 0) {
-    throw std::invalid_argument("ClusterNode: rpc_timeout_ms must be positive");
-  }
   if (options_.replication_factor < 1) {
     throw std::invalid_argument("ClusterNode: replication_factor must be >= 1");
   }
@@ -142,8 +134,7 @@ void ClusterNode::handle(const mpi::Message& msg) {
 
 void ClusterNode::rebuild_ring_locked() {
   prev_ring_ = ring_;
-  ring_ = HashRing(view_.ring_members(), options_.replication_factor,
-                   options_.vnodes);
+  ring_ = HashRing(view_.ring_members(), options_.replication_factor);
   update_full_locked();
   lookup_cache_.invalidate();
   m_.ring_rebuilds.inc();
@@ -151,7 +142,7 @@ void ClusterNode::rebuild_ring_locked() {
 
 void ClusterNode::update_full_locked() {
   bool full = true;
-  for (std::uint32_t s = 0; s < options_.nshards && full; ++s) {
+  for (std::uint32_t s = 0; s < kShards && full; ++s) {
     full = ring_.is_owner(comm_.rank(), s) && prev_ring_.is_owner(comm_.rank(), s);
   }
   full_.store(full);
@@ -294,16 +285,16 @@ void ClusterNode::exchange_initial() {
   if (!participant || members.size() < 2) return;
 
   // Serialize each local shard once, then concatenate per destination.
-  std::vector<Bytes> shard_blobs(options_.nshards);
-  for (std::uint32_t s = 0; s < options_.nshards; ++s) {
-    shard_blobs[s] = store_->serialize_shard(s, options_.nshards);
+  std::vector<Bytes> shard_blobs(kShards);
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    shard_blobs[s] = store_.serialize_shard(s, kShards);
   }
   for (const int dest : members) {
     if (dest == comm_.rank()) continue;
     Bytes body;
     std::uint32_t count = 0;
     append_le<std::uint32_t>(body, 0);  // patched below
-    for (std::uint32_t s = 0; s < options_.nshards; ++s) {
+    for (std::uint32_t s = 0; s < kShards; ++s) {
       // An empty shard serializes to just its [u32 count=0] header.
       if (shard_blobs[s].size() <= 4) continue;
       if (!ring.is_owner(dest, s)) continue;
@@ -339,7 +330,7 @@ std::size_t ClusterNode::merge_push_body(ByteView body) {
     pos += len;
     std::size_t applied = 0;
     try {
-      applied = store_->merge_shard(blob);
+      applied = store_.merge_shard(blob);
     } catch (const std::invalid_argument&) {
       continue;  // corrupted shard blob: anti-entropy re-pulls it intact
     }
@@ -356,7 +347,7 @@ SyncStats ClusterNode::anti_entropy() {
   std::vector<int> peers;
   {
     sync::MutexLock lock(mu_);
-    for (std::uint32_t s = 0; s < options_.nshards; ++s) {
+    for (std::uint32_t s = 0; s < kShards; ++s) {
       if (ring_.is_owner(comm_.rank(), s)) owned.push_back(s);
     }
     peers = view_.serving_members();
@@ -369,7 +360,7 @@ SyncStats ClusterNode::anti_entropy() {
     ++st.digest_rpcs;
     if (!digests || digests->size() < 4) continue;
     const std::uint32_t remote_n = load_le<std::uint32_t>(digests->data());
-    if (remote_n != options_.nshards ||
+    if (remote_n != kShards ||
         digests->size() < 4 + 8 * static_cast<std::size_t>(remote_n)) {
       continue;  // mismatched shard count: differently configured peer
     }
@@ -381,7 +372,7 @@ SyncStats ClusterNode::anti_entropy() {
     for (const std::uint32_t s : owned) {
       const std::uint64_t theirs = load_le<std::uint64_t>(digests->data() + 4 + 8 * s);
       if (theirs == 0) continue;
-      if (theirs == store_->shard_digest(s, options_.nshards)) continue;
+      if (theirs == store_.shard_digest(s, kShards)) continue;
       want.push_back(s);
     }
     if (want.empty()) continue;
@@ -409,13 +400,13 @@ RebalanceStats ClusterNode::rebalance(bool drop_unowned) {
     sync::MutexLock lock(mu_);
     ring = ring_;
   }
-  for (std::uint32_t s = 0; s < options_.nshards; ++s) {
+  for (std::uint32_t s = 0; s < kShards; ++s) {
     if (ring.is_owner(comm_.rank(), s)) continue;
-    if (store_->shard_digest(s, options_.nshards) == 0) continue;
+    if (store_.shard_digest(s, kShards) == 0) continue;
     // Push-then-drop: hand the shard to each current owner first, so the
     // drop can never lose the only copy of an entry (merges are
     // idempotent — owners that already converged apply nothing).
-    const Bytes blob = store_->serialize_shard(s, options_.nshards);
+    const Bytes blob = store_.serialize_shard(s, kShards);
     Bytes body;
     append_le<std::uint32_t>(body, 1);
     append_le<std::uint32_t>(body, s);
@@ -434,7 +425,7 @@ RebalanceStats ClusterNode::rebalance(bool drop_unowned) {
     // owners' forever, so anti-entropy would re-transfer the same bytes
     // every round. The converged invariant is exact: a shard's entries
     // live on its `replication_factor` owners and nowhere else.
-    store_->drop_shard(s, options_.nshards, /*keep_owner_rank=*/-1);
+    store_.drop_shard(s, kShards);
     ++rs.shards_dropped;
     m_.shards_dropped.inc();
   }
@@ -442,7 +433,7 @@ RebalanceStats ClusterNode::rebalance(bool drop_unowned) {
 }
 
 std::vector<std::string> ClusterNode::enumerate_paths() {
-  if (!sharded()) return store_->all_paths();
+  if (!sharded()) return store_.all_paths();
   HashRing ring;
   std::vector<int> peers;
   {
@@ -451,9 +442,9 @@ std::vector<std::string> ClusterNode::enumerate_paths() {
     peers = view_.serving_members();
   }
   std::vector<std::string> out;
-  for (std::uint32_t s = 0; s < options_.nshards; ++s) {
+  for (std::uint32_t s = 0; s < kShards; ++s) {
     if (ring.primary(s) == comm_.rank()) {
-      const auto mine = store_->shard_paths(s, options_.nshards);
+      const auto mine = store_.shard_paths(s, kShards);
       out.insert(out.end(), mine.begin(), mine.end());
     }
   }
@@ -477,19 +468,27 @@ std::vector<std::string> ClusterNode::enumerate_paths() {
   return out;
 }
 
-// --- MetaResolver ----------------------------------------------------------
+// --- lookups ---------------------------------------------------------------
+
+std::optional<format::FileStat> ClusterNode::lookup(const std::string& path) {
+  if (auto local = store_.lookup(path)) return local;
+  if (!sharded()) return std::nullopt;
+  const auto remote = resolve(path);
+  if (!remote) return std::nullopt;
+  return remote->stat;
+}
 
 std::vector<int> ClusterNode::meta_owners(const std::string& path) {
   sync::MutexLock lock(mu_);
-  return ring_.owners(path, options_.nshards);
+  return ring_.owners(path, kShards);
 }
 
 std::optional<VersionedStat> ClusterNode::local_answer(
     const std::string& path) const {
-  if (auto found = store_->lookup_versioned(path)) return found;
+  if (auto found = store_.lookup_versioned(path)) return found;
   // Directories are synthesized, not stored: any rank indexing children
   // of `path` can answer with an unversioned directory stat.
-  if (const auto any = store_->lookup_any(path)) return VersionedStat{*any, 0, 0};
+  if (const auto any = store_.lookup(path)) return VersionedStat{*any, 0, 0};
   return std::nullopt;
 }
 
@@ -500,7 +499,7 @@ std::optional<VersionedStat> ClusterNode::resolve(const std::string& path) {
     m_.lookup_cache_hits.inc();
     return hit;
   }
-  const std::uint32_t shard = shard_of(path, options_.nshards);
+  const std::uint32_t shard = shard_of(path, kShards);
   std::vector<int> candidates;
   MembershipView view;
   {
@@ -539,7 +538,7 @@ std::optional<VersionedStat> ClusterNode::resolve(const std::string& path) {
 }
 
 std::vector<posixfs::Dirent> ClusterNode::list_union(const std::string& dir) {
-  std::vector<posixfs::Dirent> out = store_->list_local(dir);
+  std::vector<posixfs::Dirent> out = store_.list(dir);
   if (!sharded()) return out;
   std::vector<int> peers;
   {
@@ -579,7 +578,7 @@ std::vector<posixfs::Dirent> ClusterNode::list_union(const std::string& dir) {
 }
 
 bool ClusterNode::dir_exists_union(const std::string& dir) {
-  if (store_->dir_exists_local(dir)) return true;
+  if (store_.dir_exists(dir)) return true;
   if (!sharded()) return false;
   std::vector<int> peers;
   {
@@ -643,9 +642,9 @@ void ClusterNode::handle_shard_digest(const mpi::Message& msg) {
   if (msg.payload.size() < 4) return;
   const std::uint32_t reply_tag = load_le<std::uint32_t>(msg.payload.data());
   Bytes body;
-  append_le<std::uint32_t>(body, options_.nshards);
-  for (std::uint32_t s = 0; s < options_.nshards; ++s) {
-    append_le<std::uint64_t>(body, store_->shard_digest(s, options_.nshards));
+  append_le<std::uint32_t>(body, kShards);
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    append_le<std::uint64_t>(body, store_.shard_digest(s, kShards));
   }
   comm_.send(msg.source, static_cast<int>(reply_tag), seal(std::move(body)));
 }
@@ -662,8 +661,8 @@ void ClusterNode::handle_shard_pull(const mpi::Message& msg) {
   append_le<std::uint32_t>(body, 0);  // patched below
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t s = load_le<std::uint32_t>(msg.payload.data() + 8 + 4 * i);
-    if (s >= options_.nshards) continue;
-    const Bytes blob = store_->serialize_shard(s, options_.nshards);
+    if (s >= kShards) continue;
+    const Bytes blob = store_.serialize_shard(s, kShards);
     append_le<std::uint32_t>(body, s);
     append_le<std::uint32_t>(body, static_cast<std::uint32_t>(blob.size()));
     body.insert(body.end(), blob.begin(), blob.end());
@@ -684,9 +683,9 @@ void ClusterNode::handle_list_paths(const mpi::Message& msg) {
   Bytes body;
   std::uint32_t count = 0;
   append_le<std::uint32_t>(body, 0);  // patched below
-  for (std::uint32_t s = 0; s < options_.nshards; ++s) {
+  for (std::uint32_t s = 0; s < kShards; ++s) {
     if (ring.primary(s) != comm_.rank()) continue;
-    for (const std::string& p : store_->shard_paths(s, options_.nshards)) {
+    for (const std::string& p : store_.shard_paths(s, kShards)) {
       append_le<std::uint16_t>(body, static_cast<std::uint16_t>(p.size()));
       body.insert(body.end(), p.begin(), p.end());
       ++count;
@@ -702,8 +701,8 @@ void ClusterNode::handle_list_dir(const mpi::Message& msg) {
   const std::string dir(reinterpret_cast<const char*>(msg.payload.data() + 4),
                         msg.payload.size() - 4);
   Bytes body;
-  body.push_back(store_->dir_exists_local(dir) ? 1 : 0);
-  const auto entries = store_->list_local(dir);
+  body.push_back(store_.dir_exists(dir) ? 1 : 0);
+  const auto entries = store_.list(dir);
   append_le<std::uint32_t>(body, static_cast<std::uint32_t>(entries.size()));
   for (const posixfs::Dirent& d : entries) {
     append_le<std::uint16_t>(body, static_cast<std::uint16_t>(d.name.size()));
@@ -731,15 +730,15 @@ std::optional<Bytes> ClusterNode::rpc(int dest, int tag, const Bytes& body,
   std::optional<mpi::Message> reply;
   if (options_.pump) {
     // Deterministic wait: each pump() lets the simulation advance its
-    // virtual clock and poll every live node once; the budget is the
-    // manual-mode timeout.
-    for (int i = 0; i < options_.pump_budget && !reply; ++i) {
+    // clock and poll every live node once; the budget is the manual-mode
+    // timeout.
+    for (int i = 0; i < kPumpBudget && !reply; ++i) {
       reply = comm_.try_recv(dest, reply_tag);
       if (!reply) options_.pump();
     }
     if (!reply) reply = comm_.try_recv(dest, reply_tag);
   } else {
-    reply = comm_.recv_timeout(dest, reply_tag, options_.rpc_timeout_ms);
+    reply = comm_.recv_timeout(dest, reply_tag, kRpcTimeoutMs);
   }
   if (!reply) return std::nullopt;
   return unseal(reply->payload);

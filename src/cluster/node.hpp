@@ -1,11 +1,13 @@
 // ClusterNode: one rank's membership + sharded-metadata service (DESIGN.md
-// §13), the only metadata path:
+// §13), the only metadata path. It owns the rank's MetadataStore, and
+// core::FanStoreFs asks it (lookup, listings, write-meta owners) and
+// nothing else:
 //
 //   membership  — a MembershipView merged via incarnation-versioned gossip
 //                 (push on change; push-pull on join), so every rank
 //                 converges to the same member set without coordination
-//   placement   — a HashRing over the Joined members; metadata shards have
-//                 `replication_factor` owners each
+//   placement   — a HashRing over the Joined members; each of the kShards
+//                 metadata shards has `replication_factor` owners
 //   lookups     — a local miss resolves against the shard's owners over
 //                 new tagged request/reply messages on the same mpi::Comm
 //                 the fetch protocol uses (tags 110..117, replies >= 2e6);
@@ -22,9 +24,9 @@
 //              tags), like core::Daemon; client ops wait via recv_timeout.
 //   manual   — no thread; a single-threaded simulation drives every node
 //              deterministically by calling poll(), and client ops drain
-//              the world through NodeOptions::pump instead of blocking
-//              (the membership-churn test suite runs this way on a
-//              ManualTimeSource world).
+//              the world through NodeOptions::pump (at most kPumpBudget
+//              times) instead of blocking (the membership-churn test suite
+//              runs this way on a ManualTimeSource world).
 //
 // Full replication (the paper's design) is the same service with every
 // rank an owner: when this rank owns every shard of the current and the
@@ -42,7 +44,7 @@
 #include "cluster/hash_ring.hpp"
 #include "cluster/lookup_cache.hpp"
 #include "cluster/membership.hpp"
-#include "cluster/resolver.hpp"
+#include "cluster/metadata_store.hpp"
 #include "cluster/shard_store.hpp"
 #include "mpi/comm.hpp"
 #include "obs/metrics.hpp"
@@ -66,6 +68,14 @@ constexpr int kTagClusterStop = 116;  // self-addressed by stop()
 constexpr int kTagMetaPush = 117;     // one-way shard merge (exchange/drop)
 constexpr int kClusterReplyTagBase = 2000000;
 
+// Fixed cluster settings (every rank must agree on the first two; the
+// ring's points per member are kVnodes in hash_ring.hpp).
+constexpr std::uint32_t kShards = 64;  // metadata shards (shard_of)
+constexpr int kRpcTimeoutMs = 2000;    // threaded-mode reply deadline
+/// Manual mode: how many pump() iterations an RPC waits before giving up —
+/// the deterministic stand-in for the timeout.
+constexpr int kPumpBudget = 4096;
+
 // Metadata-lookup reply status codes.
 constexpr std::uint8_t kMetaOk = 0;
 constexpr std::uint8_t kMetaNotFound = 1;
@@ -76,20 +86,13 @@ struct NodeOptions {
   /// (>= members is full replication). Below 1 is rejected at construction
   /// (std::invalid_argument).
   int replication_factor = 1;
-  int vnodes = 32;
-  std::uint32_t nshards = 64;
-  /// Reply deadline for cluster RPCs in threaded mode (must be > 0).
-  int rpc_timeout_ms = 2000;
-  /// Manual mode: how many pump() iterations an RPC waits before giving
-  /// up — the deterministic stand-in for the timeout.
-  int pump_budget = 4096;
   /// Registry for the "cluster.*" metrics; nullptr = private registry.
   obs::MetricsRegistry* metrics = nullptr;
   /// Liveness script: when the injector says this rank's daemon is dead,
   /// the metadata service drops requests too (process-crash semantics).
   fault::FaultInjector* fault = nullptr;
   /// Manual mode: invoked repeatedly while an RPC waits for its reply;
-  /// the simulation advances the virtual clock and polls every live node.
+  /// the simulation advances its clock and polls every live node.
   /// Unset = threaded mode (blocking waits).
   std::function<void()> pump;
 };
@@ -110,10 +113,10 @@ struct RebalanceStats {
   std::uint64_t shards_dropped = 0;
 };
 
-class ClusterNode final : public MetaResolver {
+class ClusterNode {
  public:
-  ClusterNode(mpi::Comm comm, ShardStore* store, NodeOptions options);
-  ~ClusterNode() override;
+  ClusterNode(mpi::Comm comm, NodeOptions options);
+  ~ClusterNode();
 
   ClusterNode(const ClusterNode&) = delete;
   ClusterNode& operator=(const ClusterNode&) = delete;
@@ -147,7 +150,7 @@ class ClusterNode final : public MetaResolver {
   std::uint64_t view_digest() const EXCLUDES(mu_);
 
   // --- ring -------------------------------------------------------------
-  std::uint32_t nshards() const { return options_.nshards; }
+  std::uint32_t nshards() const { return kShards; }
   std::vector<int> shard_owners(std::uint32_t shard) const EXCLUDES(mu_);
   bool owns_shard(std::uint32_t shard) const EXCLUDES(mu_);
 
@@ -169,15 +172,36 @@ class ClusterNode final : public MetaResolver {
   std::vector<std::string> enumerate_paths();
 
   /// False while this rank owns every shard of both the current and the
-  /// previous ring (full replication): the MetaResolver calls below then
-  /// answer from the local store and send no RPC.
+  /// previous ring (full replication): the lookups below then answer from
+  /// the local store and send no RPC.
   bool sharded() const { return !full_.load(); }
 
-  // --- MetaResolver (consumed by core::FanStoreFs) ----------------------
-  std::optional<VersionedStat> resolve(const std::string& path) override;
-  std::vector<int> meta_owners(const std::string& path) override;
-  std::vector<posixfs::Dirent> list_union(const std::string& dir) override;
-  bool dir_exists_union(const std::string& dir) override;
+  /// This rank's shard-local metadata (the whole namespace under full
+  /// replication). Internally synchronized.
+  MetadataStore& store() { return store_; }
+
+  // --- lookups (what core::FanStoreFs asks) -----------------------------
+  /// A path's stat: the local store first, then — only when sharded() —
+  /// resolve(). Remote answers never enter the local store (shard digests
+  /// stay a pure function of ownership, so anti-entropy never re-transfers
+  /// convenience copies); resolve() keeps dataset answers in its lookup
+  /// cache instead.
+  std::optional<format::FileStat> lookup(const std::string& path);
+
+  /// Metadata lookup after a local miss: current shard owners first,
+  /// previous-ring owners mid-rebalance, then any serving rank (directory
+  /// synthesis). Repeats of dataset files are answered from the
+  /// LookupCache, and every lookup from the local store when this rank
+  /// owns every shard.
+  std::optional<VersionedStat> resolve(const std::string& path);
+
+  /// The ranks that must hold `path`'s metadata (write replication set).
+  std::vector<int> meta_owners(const std::string& path);
+
+  /// Union of the local store's list(dir) across serving ranks
+  /// (deduplicated, sorted).
+  std::vector<posixfs::Dirent> list_union(const std::string& dir);
+  bool dir_exists_union(const std::string& dir);
 
  private:
   struct Metrics {
@@ -230,7 +254,7 @@ class ClusterNode final : public MetaResolver {
   std::size_t merge_push_body(ByteView body);
 
   mpi::Comm comm_;
-  ShardStore* store_;  // internally synchronized
+  MetadataStore store_;  // internally synchronized
   NodeOptions options_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // when not injected
   Metrics m_;

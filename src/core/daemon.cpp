@@ -55,9 +55,9 @@ Bytes encode_write_meta(std::string_view path, const cluster::VersionedStat& ent
   return out;
 }
 
-Daemon::Daemon(mpi::Comm comm, MetadataStore* meta, CompressedBackend* backend,
-               obs::MetricsRegistry* metrics, fault::FaultInjector* injector,
-               simnet::VirtualClock* clock)
+Daemon::Daemon(mpi::Comm comm, cluster::MetadataStore* meta,
+               CompressedBackend* backend, obs::MetricsRegistry* metrics,
+               fault::FaultInjector* injector, simnet::VirtualClock* clock)
     : comm_(comm), meta_(meta), backend_(backend), injector_(injector),
       clock_(clock) {
   if (metrics == nullptr) {

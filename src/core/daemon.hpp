@@ -23,7 +23,7 @@
 #include <thread>
 
 #include "core/backend.hpp"
-#include "core/metadata_store.hpp"
+#include "cluster/metadata_store.hpp"
 #include "mpi/comm.hpp"
 #include "obs/metrics.hpp"
 #include "simnet/virtual_clock.hpp"
@@ -75,8 +75,8 @@ class Daemon {
   /// a "dead" daemon silently drops fetch requests, exactly what a crashed
   /// process looks like from the wire. `clock` feeds virtual-clock crash
   /// windows (nullptr disables them; count-based triggers still work).
-  Daemon(mpi::Comm comm, MetadataStore* meta, CompressedBackend* backend,
-         obs::MetricsRegistry* metrics = nullptr,
+  Daemon(mpi::Comm comm, cluster::MetadataStore* meta,
+         CompressedBackend* backend, obs::MetricsRegistry* metrics = nullptr,
          fault::FaultInjector* injector = nullptr,
          simnet::VirtualClock* clock = nullptr);
   ~Daemon();
@@ -95,7 +95,7 @@ class Daemon {
   void handle_write_meta(const mpi::Message& msg);
 
   mpi::Comm comm_;
-  MetadataStore* meta_;  // internally synchronized
+  cluster::MetadataStore* meta_;  // internally synchronized
   CompressedBackend* backend_;  // internally synchronized
   fault::FaultInjector* injector_;  // internally synchronized; may be null
   simnet::VirtualClock* clock_;     // may be null

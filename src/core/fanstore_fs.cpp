@@ -62,12 +62,13 @@ TieredCache::Options tier_options(const FanStoreFs::Options& o,
 
 }  // namespace
 
-FanStoreFs::FanStoreFs(mpi::Comm comm, MetadataStore* meta,
+FanStoreFs::FanStoreFs(mpi::Comm comm, cluster::ClusterNode* cluster,
                        CompressedBackend* backend, Options options)
     : comm_(comm),
-      meta_(meta),
+      cluster_(cluster),
       backend_(backend),
       options_(options),
+      write_codec_(compress::Registry::instance().by_id(options.write_compressor)),
       owned_metrics_(options.metrics != nullptr
                          ? nullptr
                          : std::make_unique<obs::MetricsRegistry>()),
@@ -83,8 +84,9 @@ FanStoreFs::FanStoreFs(mpi::Comm comm, MetadataStore* meta,
     throw std::invalid_argument("FanStoreFs: failover_hops must be >= 0");
   }
   options_.retry.validate();
-  if (options_.meta_resolver == nullptr) {
-    throw std::invalid_argument("FanStoreFs: meta_resolver is required");
+  if (write_codec_ == nullptr) {
+    throw std::invalid_argument("FanStoreFs: unknown write_compressor id " +
+                                std::to_string(options_.write_compressor));
   }
 }
 
@@ -302,13 +304,6 @@ void FanStoreFs::materialize_entry(const std::string& path, CachedFile& file,
   file.mark_verified();
 }
 
-std::optional<format::FileStat> FanStoreFs::stat_of(const std::string& path) {
-  if (const auto local = meta_->lookup(path)) return local;
-  const auto remote = options_.meta_resolver->resolve(path);
-  if (!remote) return std::nullopt;
-  return remote->stat;
-}
-
 bool FanStoreFs::warm_file(std::string_view path) {
   const int fd = open(path, posixfs::OpenMode::kRead);
   if (fd < 0) return false;
@@ -343,7 +338,7 @@ int FanStoreFs::materialize(int fd) {
 bool FanStoreFs::prefetch_compressed(std::string_view path_in) {
   const std::string path = posixfs::normalize_path(path_in);
   if (path.empty()) return false;
-  const auto stat = stat_of(path);
+  const auto stat = cluster_->lookup(path);
   if (!stat || stat->type != format::FileType::kRegular) return false;
   if (cache_.contains_any(path)) return true;  // resident in some local tier
   if (backend_->contains(path)) return true;  // compressed blob already local
@@ -369,9 +364,11 @@ int FanStoreFs::open(std::string_view path_in, posixfs::OpenMode mode) {
   charge_metadata();
 
   if (mode == posixfs::OpenMode::kWrite) {
+    // The metadata wire forms carry path lengths as u16.
+    if (path.size() > cluster::kMaxPathBytes) return -ENAMETOOLONG;
     // Multi-read/single-write model: write-once, one writer at a time
     // (the existence check spans the shard owners).
-    const auto existing = stat_of(path);
+    const auto existing = cluster_->lookup(path);
     if (existing && existing->type == format::FileType::kRegular) {
       return -EEXIST;
     }
@@ -388,7 +385,7 @@ int FanStoreFs::open(std::string_view path_in, posixfs::OpenMode mode) {
     return fd;
   }
 
-  const auto stat = stat_of(path);
+  const auto stat = cluster_->lookup(path);
   if (!stat) return -ENOENT;
   if (stat->type == format::FileType::kDirectory) return -EISDIR;
   charge(options_.cost.read_path.per_op_s);
@@ -446,16 +443,13 @@ int FanStoreFs::close(int fd) {
     return 0;
   }
   // Write close: dump to the local backend and forward metadata (§V-D).
-  const compress::Compressor* codec =
-      compress::Registry::instance().by_id(options_.write_compressor);
-  if (codec == nullptr) return -EIO;
   Bytes plain;
   {
     sync::MutexLock flk(of->mu);
     plain = std::move(of->buffer);
   }
   format::FileRecord rec = format::make_record(
-      of->path, *codec, options_.write_compressor, as_view(plain));
+      of->path, *write_codec_, options_.write_compressor, as_view(plain));
   format::FileStat stat = rec.stat;
   stat.type = format::FileType::kRegular;
   stat.owner_rank = static_cast<std::uint32_t>(comm_.rank());
@@ -467,8 +461,8 @@ int FanStoreFs::close(int fd) {
   // path resolve by deterministic last-writer-wins at each replica (§13).
   const cluster::VersionedStat entry{stat, 1,
                                      static_cast<std::uint32_t>(comm_.rank())};
-  meta_->insert_versioned(of->path, entry);
-  for (const int owner : options_.meta_resolver->meta_owners(of->path)) {
+  cluster_->store().insert_versioned(of->path, entry);
+  for (const int owner : cluster_->meta_owners(of->path)) {
     if (owner == comm_.rank()) continue;
     comm_.send(owner, kTagWriteMeta, encode_write_meta(of->path, entry));
     charge(options_.cost.network.transfer_time(
@@ -615,7 +609,7 @@ std::int64_t FanStoreFs::lseek(int fd, std::int64_t offset, posixfs::Whence when
 int FanStoreFs::stat(std::string_view path_in, format::FileStat* out) {
   const std::string path = posixfs::normalize_path(path_in);
   charge_metadata();
-  const auto st = stat_of(path);
+  const auto st = cluster_->lookup(path);
   if (!st) return -ENOENT;
   *out = *st;
   return 0;
@@ -626,8 +620,8 @@ int FanStoreFs::opendir(std::string_view path_in) {
   charge_metadata();
   // A sharded store only indexes directories whose children hash here, so
   // existence and listing union across ranks (local under full replication).
-  if (!options_.meta_resolver->dir_exists_union(path)) return -ENOENT;
-  std::vector<posixfs::Dirent> entries = options_.meta_resolver->list_union(path);
+  if (!cluster_->dir_exists_union(path)) return -ENOENT;
+  std::vector<posixfs::Dirent> entries = cluster_->list_union(path);
   sync::MutexLock lk(dir_mu_);
   const int h = next_dir_++;
   open_dirs_[h] = OpenDir{std::move(entries), 0};

@@ -1,5 +1,10 @@
 // FanStoreFs: the POSIX-compliant face of FanStore (§IV).
 //
+// Every metadata question goes to one object, the rank's
+// cluster::ClusterNode (DESIGN.md §13), which owns the rank's
+// MetadataStore: lookups, directory listings, and the owners a written
+// file's metadata is sent to.
+//
 // open()  — Fig. 2: metadata lookup in RAM; compressed blob from the local
 //           backend or fetched from the owner rank's daemon over the
 //           interconnect; decompressed into the shared cache region.
@@ -30,12 +35,12 @@
 #include <memory>
 #include <set>
 
-#include "cluster/resolver.hpp"
+#include "cluster/node.hpp"
+#include "compress/compressor.hpp"
 #include "core/backend.hpp"
 #include "core/cache.hpp"
 #include "core/daemon.hpp"
 #include "core/tiered_cache.hpp"
-#include "core/metadata_store.hpp"
 #include "mpi/comm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -74,7 +79,8 @@ class FanStoreFs final : public posixfs::Vfs {
     /// Lock stripes for the decompressed cache; 0 = auto (see PlainCache).
     std::size_t cache_shards = 0;
     /// Codec for output files; default "store" — checkpoints/logs are
-    /// written once and rarely re-read (§II-B3).
+    /// written once and rarely re-read (§II-B3). An id the registry does
+    /// not know is rejected at construction (std::invalid_argument).
     compress::CompressorId write_compressor = 0;
     CostConfig cost;
     simnet::VirtualClock* clock = nullptr;  // required if cost.enabled
@@ -123,15 +129,12 @@ class FanStoreFs final : public posixfs::Vfs {
     /// Cold frames >= this size are admitted to the compressed tier only
     /// (plain copy dropped at last close). 0 = always admit to plain RAM.
     std::size_t plain_admit_max_bytes = 0;
-    /// Metadata resolver (cluster::ClusterNode; DESIGN.md §13), required:
-    /// the constructor throws std::invalid_argument on nullptr. A local
-    /// metadata miss and every directory listing go through it, and write
-    /// metadata replicates to every owner of the path's shard.
-    cluster::MetaResolver* meta_resolver = nullptr;
   };
 
-  FanStoreFs(mpi::Comm comm, MetadataStore* meta, CompressedBackend* backend,
-             Options options);
+  /// `cluster` answers every metadata lookup and listing, and its store
+  /// takes this rank's written files; it must outlive the fs.
+  FanStoreFs(mpi::Comm comm, cluster::ClusterNode* cluster,
+             CompressedBackend* backend, Options options);
 
   // --- posixfs::Vfs ---
   int open(std::string_view path, posixfs::OpenMode mode) override;
@@ -269,13 +272,6 @@ class FanStoreFs final : public posixfs::Vfs {
 
   std::size_t decode_threads() const;
 
-  /// Metadata lookup: local shard store first, then the resolver. Remote
-  /// entries never enter the local store (shard digests stay a pure
-  /// function of ownership, so anti-entropy never re-transfers convenience
-  /// copies); the resolver keeps dataset answers in its own lookup cache
-  /// (DESIGN.md §13).
-  std::optional<format::FileStat> stat_of(const std::string& path);
-
   /// Outcome of one fetch attempt. kMiss is definitive for that rank (it
   /// answered "not found"); kTimeout and kBadReply (CRC-rejected or
   /// malformed reply) are retryable.
@@ -293,9 +289,10 @@ class FanStoreFs final : public posixfs::Vfs {
                          const format::FileStat& stat, Blob* out);
 
   mpi::Comm comm_;
-  MetadataStore* meta_;
+  cluster::ClusterNode* cluster_;
   CompressedBackend* backend_;
   Options options_;
+  const compress::Compressor* write_codec_;  // options_.write_compressor
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // when not injected
   obs::MetricsRegistry* metrics_;
   TieredCache cache_;
@@ -303,7 +300,7 @@ class FanStoreFs final : public posixfs::Vfs {
 
   // Lock order (see DESIGN.md "Concurrency invariants"): fd_mu_, dir_mu_,
   // and writer_mu_ are independent leaves — never nested with each other,
-  // with a per-file mu, or held across cache_/backend_/meta_/comm_ calls.
+  // with a per-file mu, or held across cache_/backend_/cluster_/comm_ calls.
   // A per-file mu is only taken with no table lock held (lookup copies the
   // shared_ptr out first).
   mutable sync::Mutex fd_mu_{"fanstore_fs.fd_mu"};

@@ -44,16 +44,13 @@ Instance::Instance(mpi::Comm comm, Options options)
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     options_.fs.metrics = owned_metrics_.get();
   }
-  // The cluster node must exist before the fs: the fs resolves metadata
-  // through it.
+  // The cluster node owns the metadata store, so it must exist before the
+  // fs (which asks it every metadata question) and the daemon.
   cluster::NodeOptions co;
   co.replication_factor = options_.cluster.replication_factor;
-  co.vnodes = options_.cluster.vnodes;
-  co.nshards = options_.cluster.nshards;
-  co.rpc_timeout_ms = options_.cluster.rpc_timeout_ms;
   co.metrics = options_.fs.metrics;
   co.fault = options_.fault;
-  cluster_ = std::make_unique<cluster::ClusterNode>(comm_, &meta_, co);
+  cluster_ = std::make_unique<cluster::ClusterNode>(comm_, co);
   if (options_.cluster.member) {
     std::vector<int> members = options_.cluster.initial_members;
     if (members.empty()) {
@@ -61,9 +58,9 @@ Instance::Instance(mpi::Comm comm, Options options)
     }
     cluster_->bootstrap(members);
   }
-  options_.fs.meta_resolver = cluster_.get();
-  fs_ = std::make_unique<FanStoreFs>(comm_, &meta_, backend_.get(), options_.fs);
-  daemon_ = std::make_unique<Daemon>(comm_, &meta_, backend_.get(),
+  fs_ = std::make_unique<FanStoreFs>(comm_, cluster_.get(), backend_.get(),
+                                     options_.fs);
+  daemon_ = std::make_unique<Daemon>(comm_, &cluster_->store(), backend_.get(),
                                      options_.fs.metrics, options_.fault,
                                      options_.fs.clock);
 }
@@ -84,7 +81,7 @@ void Instance::load_partition_blob(ByteView blob, std::uint32_t partition_id,
     format::FileStat stat = rec.stat;
     stat.owner_rank = owner;
     stat.partition_id = partition_id;
-    meta_.insert(std::string(rec.path), stat);
+    cluster_->store().insert(std::string(rec.path), stat);
   }
 }
 

@@ -60,9 +60,6 @@ class Instance {
       /// replication, the paper's design. Below 1 is rejected
       /// (std::invalid_argument).
       int replication_factor = std::numeric_limits<int>::max();
-      int vnodes = 32;
-      std::uint32_t nshards = 64;
-      int rpc_timeout_ms = 2000;
       /// Ranks bootstrapped as Joined members; empty = every world rank.
       /// A rank outside this list (member == false or just not listed) is
       /// a *spare*: its instance runs but owns nothing until join().
@@ -131,7 +128,8 @@ class Instance {
   void install_plan(const EvictionPolicy* plan) { fs_->install_plan(plan); }
 
   FanStoreFs& fs() { return *fs_; }
-  MetadataStore& metadata() { return meta_; }
+  /// This rank's metadata store, owned by the cluster node.
+  cluster::MetadataStore& metadata() { return cluster_->store(); }
   CompressedBackend& backend() { return *backend_; }
   Daemon& daemon() { return *daemon_; }
   /// The metadata cluster node (never null).
@@ -147,7 +145,6 @@ class Instance {
   mpi::Comm comm_;
   Options options_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // when not injected
-  MetadataStore meta_;
   std::unique_ptr<CompressedBackend> backend_;
   std::unique_ptr<cluster::ClusterNode> cluster_;  // before fs_: fs points at it
   std::unique_ptr<FanStoreFs> fs_;

@@ -1,8 +1,8 @@
 // Deterministic single-threaded membership-churn simulator for the sharded
 // metadata cluster (cluster/node.hpp, DESIGN.md §13).
 //
-// One ClusterSim owns a ManualTimeSource world of N ranks, each with its
-// own MetadataStore and a manual-mode ClusterNode (no service threads). The
+// One ClusterSim owns a ManualTimeSource world of N ranks, each with a
+// manual-mode ClusterNode (no service threads) and the store it owns. The
 // sim is the scheduler: every pump() tick advances the virtual clock 1 ms
 // and polls every live node once, so delayed deliveries from a churn
 // FaultPlan mature and get served in a fully reproducible order. Client
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "cluster/node.hpp"
-#include "core/metadata_store.hpp"
 #include "fault/injector.hpp"
 #include "format/file_stat.hpp"
 #include "mpi/comm.hpp"
@@ -36,11 +35,6 @@ class ClusterSim {
   struct Options {
     int nranks = 3;
     int replication_factor = 2;
-    std::uint32_t nshards = 64;
-    int vnodes = 32;
-    /// Manual-mode RPC patience in pump() ticks. Generous by default: a
-    /// wasted budget only costs virtual time.
-    int pump_budget = 4096;
     /// Shared injector for the whole world (churn plans, kill/revive);
     /// nullptr runs fault-free.
     fault::FaultInjector* injector = nullptr;
@@ -54,15 +48,11 @@ class ClusterSim {
       Rank& rank = *ranks_.back();
       cluster::NodeOptions no;
       no.replication_factor = opt_.replication_factor;
-      no.vnodes = opt_.vnodes;
-      no.nshards = opt_.nshards;
-      no.pump_budget = opt_.pump_budget;
       no.fault = opt_.injector;
       no.pump = [this] { pump(); };
       no.metrics = &rank.metrics;
       rank.comm = std::make_unique<mpi::Comm>(world_.comm(r));
-      rank.node = std::make_unique<cluster::ClusterNode>(*rank.comm,
-                                                         &rank.store, no);
+      rank.node = std::make_unique<cluster::ClusterNode>(*rank.comm, no);
     }
   }
 
@@ -70,7 +60,7 @@ class ClusterSim {
   ClusterSim& operator=(const ClusterSim&) = delete;
 
   cluster::ClusterNode& node(int r) { return *ranks_.at(idx(r))->node; }
-  core::MetadataStore& store(int r) { return ranks_.at(idx(r))->store; }
+  cluster::MetadataStore& store(int r) { return node(r).store(); }
   /// Rank r's "cluster.*" metrics.
   obs::MetricsRegistry& metrics(int r) { return ranks_.at(idx(r))->metrics; }
   mpi::Comm& comm(int r) { return *ranks_.at(idx(r))->comm; }
@@ -116,7 +106,7 @@ class ClusterSim {
   }
 
   /// Inserts a dataset entry on `r` the way a partition load does
-  /// (version 0, the only kind the resolver's lookup cache keeps).
+  /// (version 0, the only kind resolve()'s lookup cache keeps).
   void put_dataset_file(int r, const std::string& path, std::uint64_t size) {
     format::FileStat stat;
     stat.size = size;
@@ -185,7 +175,6 @@ class ClusterSim {
  private:
   struct Rank {
     std::unique_ptr<mpi::Comm> comm;
-    core::MetadataStore store;
     obs::MetricsRegistry metrics;
     std::unique_ptr<cluster::ClusterNode> node;
     bool alive = true;

@@ -1,7 +1,7 @@
 // Unit + property tests for the sharded-metadata building blocks
 // (DESIGN.md §13): the consistent-hash ring, the CRDT membership view,
-// core::MetadataStore's ShardStore surface, and the resolver's lookup
-// cache (alone, and behind ClusterNode::resolve on a manual-pump world).
+// cluster::MetadataStore and its shard surface, and the lookup cache
+// (alone, and behind ClusterNode::resolve / lookup on a manual-pump world).
 // The live multi-node churn scenarios are in membership_churn_test.cpp;
 // this file proves the deterministic algebra those scenarios lean on.
 #include <gtest/gtest.h>
@@ -17,8 +17,8 @@
 #include "cluster/hash_ring.hpp"
 #include "cluster/lookup_cache.hpp"
 #include "cluster/membership.hpp"
+#include "cluster/metadata_store.hpp"
 #include "cluster/shard_store.hpp"
-#include "core/metadata_store.hpp"
 #include "tests/cluster_sim.hpp"
 #include "util/rng.hpp"
 
@@ -30,6 +30,7 @@ using cluster::LookupCache;
 using cluster::MemberInfo;
 using cluster::MembershipView;
 using cluster::MemberState;
+using cluster::MetadataStore;
 using cluster::VersionedStat;
 
 constexpr std::uint32_t kShards = 64;
@@ -287,17 +288,42 @@ TEST(ClusterPropertyTest, FullRingOwnershipExtendsEveryPartialRing) {
 
 TEST(ClusterNodeTest, ReplicationFactorBelowOneIsRejected) {
   mpi::World world(1);
-  core::MetadataStore store;
   for (const int rf : {0, -1}) {
     cluster::NodeOptions o;
     o.replication_factor = rf;
-    EXPECT_THROW(cluster::ClusterNode(world.comm(0), &store, o),
+    EXPECT_THROW(cluster::ClusterNode(world.comm(0), o),
                  std::invalid_argument)
         << rf;
   }
 }
 
-// ----------------------------------------------- MetadataStore as ShardStore
+// ----------------------------------------------------------- MetadataStore
+
+TEST(MetadataStoreTest, InsertLookupListStructure) {
+  MetadataStore meta;
+  meta.insert("imagenet/cat/1.jpg", stat_of_size(10));
+  meta.insert("imagenet/cat/2.jpg", stat_of_size(20));
+  meta.insert("imagenet/dog/3.jpg", stat_of_size(30));
+
+  EXPECT_EQ(meta.file_count(), 3u);
+  EXPECT_EQ(meta.lookup("imagenet/cat/2.jpg")->size, 20u);
+  EXPECT_FALSE(meta.lookup("imagenet/cat/9.jpg").has_value());
+  EXPECT_TRUE(meta.dir_exists("imagenet"));
+  EXPECT_TRUE(meta.dir_exists("imagenet/dog"));
+  EXPECT_FALSE(meta.dir_exists("imagenet/bird"));
+  // Directory stats are synthesized.
+  EXPECT_EQ(meta.lookup("imagenet/cat")->type, format::FileType::kDirectory);
+
+  const auto root = meta.list("");
+  ASSERT_EQ(root.size(), 1u);
+  EXPECT_EQ(root[0].name, "imagenet");
+  const auto cats = meta.list("imagenet/cat");
+  ASSERT_EQ(cats.size(), 2u);
+  EXPECT_EQ(cats[0].name, "1.jpg");
+  const auto top = meta.list("imagenet");
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].type, format::FileType::kDirectory);
+}
 
 TEST(ShardStoreTest, ShardOfIsStableAndInRange) {
   for (int i = 0; i < 200; ++i) {
@@ -310,8 +336,8 @@ TEST(ShardStoreTest, ShardOfIsStableAndInRange) {
 }
 
 TEST(ShardStoreTest, EmptyShardDigestsZeroAndInsertionOrderDoesNotMatter) {
-  core::MetadataStore a;
-  core::MetadataStore b;
+  MetadataStore a;
+  MetadataStore b;
   for (std::uint32_t s = 0; s < kShards; ++s) {
     EXPECT_EQ(a.shard_digest(s, kShards), 0u);
   }
@@ -330,7 +356,7 @@ TEST(ShardStoreTest, EmptyShardDigestsZeroAndInsertionOrderDoesNotMatter) {
 }
 
 TEST(ShardStoreTest, DigestReflectsVersionAndContent) {
-  core::MetadataStore a;
+  MetadataStore a;
   a.insert_versioned("x", {stat_of_size(10), 1, 0});
   const std::uint32_t s = cluster::shard_of("x", kShards);
   const auto d1 = a.shard_digest(s, kShards);
@@ -344,7 +370,7 @@ TEST(ShardStoreTest, DigestReflectsVersionAndContent) {
 }
 
 TEST(ShardStoreTest, SerializeMergeRoundtripCountsOnlyWinners) {
-  core::MetadataStore src;
+  MetadataStore src;
   const std::uint32_t target = 5;
   std::vector<std::string> in_shard;
   for (int i = 0; in_shard.size() < 6; ++i) {
@@ -356,7 +382,7 @@ TEST(ShardStoreTest, SerializeMergeRoundtripCountsOnlyWinners) {
   }
   const Bytes blob = src.serialize_shard(target, kShards);
 
-  core::MetadataStore dst;
+  MetadataStore dst;
   // Pre-seed one path with a *newer* version: it must survive the merge.
   dst.insert_versioned(in_shard[0], {stat_of_size(999), 7, 2});
   EXPECT_EQ(dst.merge_shard(as_view(blob)), in_shard.size() - 1);
@@ -372,47 +398,54 @@ TEST(ShardStoreTest, SerializeMergeRoundtripCountsOnlyWinners) {
   EXPECT_THROW((void)dst.merge_shard(cut), std::invalid_argument);
 }
 
-TEST(ShardStoreTest, DropShardKeepsLocalOwnerCopies) {
-  core::MetadataStore store;
+TEST(ShardStoreTest, DropShardRemovesEveryEntry) {
+  MetadataStore store;
   std::string mine;
   std::string theirs;
+  std::string other_shard;
   const std::uint32_t target = 9;
-  for (int i = 0; mine.empty() || theirs.empty(); ++i) {
+  for (int i = 0; mine.empty() || theirs.empty() || other_shard.empty(); ++i) {
     const std::string p = "d/f" + std::to_string(i);
-    if (cluster::shard_of(p, kShards) != target) continue;
-    if (mine.empty()) {
+    if (cluster::shard_of(p, kShards) != target) {
+      if (other_shard.empty()) {
+        store.insert_versioned(p, {stat_of_size(3), 1, 0});
+        other_shard = p;
+      }
+    } else if (mine.empty()) {
+      // An entry whose data lives on this rank goes too: no convenience
+      // copy outlives its shard.
       store.insert_versioned(p, {stat_of_size(1, /*owner=*/3), 1, 3});
       mine = p;
-    } else {
+    } else if (theirs.empty()) {
       store.insert_versioned(p, {stat_of_size(2, /*owner=*/0), 1, 0});
       theirs = p;
     }
   }
-  store.drop_shard(target, kShards, /*keep_owner_rank=*/3);
-  EXPECT_TRUE(store.lookup_versioned(mine).has_value());
-  EXPECT_FALSE(store.lookup_versioned(theirs).has_value());
-  store.drop_shard(target, kShards, /*keep_owner_rank=*/-1);
+  store.drop_shard(target, kShards);
   EXPECT_FALSE(store.lookup_versioned(mine).has_value());
+  EXPECT_FALSE(store.lookup_versioned(theirs).has_value());
   EXPECT_EQ(store.shard_digest(target, kShards), 0u);
+  EXPECT_TRUE(store.lookup_versioned(other_shard).has_value());
+  EXPECT_TRUE(store.dir_exists("d"));  // re-indexed from what is left
 }
 
 TEST(ShardStoreTest, ClassicInsertIsVersionZeroAndDirsAreSynthesized) {
-  core::MetadataStore store;
+  MetadataStore store;
   store.insert("a/b/c", stat_of_size(42));
   const auto v = store.lookup_versioned("a/b/c");
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->version, 0u);
-  // Synthesized directories answer lookup_any but carry no version.
+  // Synthesized directories answer lookup but carry no version.
   EXPECT_FALSE(store.lookup_versioned("a/b").has_value());
-  const auto dir = store.lookup_any("a/b");
+  const auto dir = store.lookup("a/b");
   ASSERT_TRUE(dir.has_value());
   EXPECT_EQ(dir->type, format::FileType::kDirectory);
-  EXPECT_TRUE(store.dir_exists_local("a"));
-  EXPECT_EQ(store.list_local("a").size(), 1u);
+  EXPECT_TRUE(store.dir_exists("a"));
+  EXPECT_EQ(store.list("a").size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
-// The resolver's lookup cache (DESIGN.md §13 "Lookup cache").
+// resolve()'s lookup cache (DESIGN.md §13 "Lookup cache").
 
 VersionedStat dataset_entry(std::uint64_t size) {
   return VersionedStat{stat_of_size(size), 0, 0};
@@ -468,8 +501,8 @@ TEST(LookupCacheTest, InvalidateDropsEntriesAndAnswersFromTheOldEpoch) {
   EXPECT_TRUE(cache.find("b", &after).has_value());
 }
 
-/// Resolve-level checks on a 3-rank rf = 1 world: every path has one owner,
-/// so a lookup from a non-owner is one RPC to it.
+/// Resolve- and lookup-level checks on a 3-rank rf = 1 world: every path
+/// has one owner, so a lookup from a non-owner is one RPC to it.
 class ResolveCacheTest : public ::testing::Test {
  protected:
   ResolveCacheTest() : sim_(sim_options()) {
@@ -577,6 +610,44 @@ TEST_F(ResolveCacheTest, DirectoriesAreNotCached) {
     EXPECT_EQ(rpcs(), static_cast<std::uint64_t>(i));
   }
   EXPECT_EQ(hits(), 0u);
+}
+
+TEST_F(ResolveCacheTest, LookupAnswersALocalCopyWithoutAnRpc) {
+  // A convenience copy of a path whose shard rank 0 does not own (what a
+  // write close leaves on the writer) is answered locally.
+  ASSERT_TRUE(sim_.node(0).sharded());
+  const std::string p = remote_path("out/mine");
+  sim_.put_file(0, p, 321);
+  const auto got = sim_.node(0).lookup(p);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->size, 321u);
+  EXPECT_EQ(rpcs(), 0u);
+  EXPECT_EQ(counter(owner(p), "cluster.meta_served"), 0u);
+}
+
+TEST_F(ResolveCacheTest, LookupMissCostsOneRpcAndReturnsTheOwnersStat) {
+  const std::string p = remote_path("ds/remote");
+  const int o = owner(p);
+  sim_.put_dataset_file(o, p, 2048);
+  const auto got = sim_.node(0).lookup(p);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(stat_bytes(*got), stat_bytes(*sim_.store(o).lookup(p)));
+  EXPECT_EQ(rpcs(), 1u);
+  EXPECT_EQ(counter(o, "cluster.meta_served"), 1u);
+  EXPECT_FALSE(sim_.store(0).lookup(p).has_value());  // not copied locally
+}
+
+TEST_F(ResolveCacheTest, FullReplicationLookupMissSendsNoRpc) {
+  testsupport::ClusterSim::Options o = sim_options();
+  o.replication_factor = o.nranks;
+  testsupport::ClusterSim full(o);
+  for (int r = 0; r < o.nranks; ++r) full.node(r).bootstrap({0, 1, 2});
+  ASSERT_FALSE(full.node(0).sharded());
+  EXPECT_FALSE(full.node(0).lookup("out/absent").has_value());
+  for (int r = 0; r < o.nranks; ++r) {
+    EXPECT_EQ(full.metrics(r).counter("cluster.lookups_remote").value(), 0u) << r;
+    EXPECT_EQ(full.metrics(r).counter("cluster.meta_served").value(), 0u) << r;
+  }
 }
 
 }  // namespace

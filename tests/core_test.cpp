@@ -1,5 +1,6 @@
-// Core FanStore tests: metadata store, backends, daemon protocol, and the
-// full multi-rank open/read/close + write paths through FanStoreFs.
+// Core FanStore tests: backends, daemon protocol, and the full multi-rank
+// open/read/close + write paths through FanStoreFs. The metadata store's
+// own tests are in cluster_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,32 +27,6 @@ format::FileStat regular_stat(std::size_t size, int owner = 0) {
   s.type = format::FileType::kRegular;
   s.owner_rank = static_cast<std::uint32_t>(owner);
   return s;
-}
-
-TEST(MetadataStoreTest, InsertLookupListStructure) {
-  MetadataStore meta;
-  meta.insert("imagenet/cat/1.jpg", regular_stat(10));
-  meta.insert("imagenet/cat/2.jpg", regular_stat(20));
-  meta.insert("imagenet/dog/3.jpg", regular_stat(30));
-
-  EXPECT_EQ(meta.file_count(), 3u);
-  EXPECT_EQ(meta.lookup("imagenet/cat/2.jpg")->size, 20u);
-  EXPECT_FALSE(meta.lookup("imagenet/cat/9.jpg").has_value());
-  EXPECT_TRUE(meta.dir_exists("imagenet"));
-  EXPECT_TRUE(meta.dir_exists("imagenet/dog"));
-  EXPECT_FALSE(meta.dir_exists("imagenet/bird"));
-  // Directory stats are synthesized.
-  EXPECT_EQ(meta.lookup("imagenet/cat")->type, format::FileType::kDirectory);
-
-  const auto root = meta.list("");
-  ASSERT_EQ(root.size(), 1u);
-  EXPECT_EQ(root[0].name, "imagenet");
-  const auto cats = meta.list("imagenet/cat");
-  ASSERT_EQ(cats.size(), 2u);
-  EXPECT_EQ(cats[0].name, "1.jpg");
-  const auto top = meta.list("imagenet");
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].type, format::FileType::kDirectory);
 }
 
 TEST(BackendTest, RamBackendPutGet) {
@@ -400,6 +375,47 @@ TEST(FanStoreIntegrationTest, WriteOnceModel) {
       EXPECT_EQ(rc, 0);
       EXPECT_EQ(st.size, 4096u);
       EXPECT_EQ(st.owner_rank, 0u);
+    }
+    comm.barrier();
+    inst.stop();
+  });
+}
+
+TEST(FanStoreIntegrationTest, WritePathLongerThanTheMetadataLimitIsRefused) {
+  // Written-file metadata crosses the wire with a u16 path length, so a
+  // longer path would reach every peer truncated. open() refuses it; a
+  // path exactly at the limit replicates intact.
+  const std::string too_long = "out/" + std::string(70000, 'a');
+  const std::string at_limit = "out/" + std::string(cluster::kMaxPathBytes - 4, 'b');
+  mpi::run_world(2, [&](mpi::Comm& comm) {
+    Instance inst(comm, {});
+    inst.exchange_metadata();
+    inst.start_daemon();
+    comm.barrier();
+    auto& fs = inst.fs();
+    if (comm.rank() == 0) {
+      const int fd = fs.open(too_long, OpenMode::kWrite);
+      EXPECT_EQ(fd, -ENAMETOOLONG);
+      if (fd >= 0) fs.close(fd);
+    }
+    comm.barrier();
+    if (comm.rank() == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      EXPECT_EQ(inst.metadata().file_count(), 0u);
+    }
+    comm.barrier();
+    if (comm.rank() == 0) {
+      ASSERT_EQ(posixfs::write_file(fs, at_limit, as_view(Bytes(7, 1))), 0);
+    } else {
+      format::FileStat st;
+      int rc = -ENOENT;
+      for (int tries = 0; tries < 200 && rc != 0; ++tries) {
+        rc = fs.stat(at_limit, &st);
+        if (rc != 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      EXPECT_EQ(rc, 0);
+      EXPECT_EQ(st.size, 7u);
+      EXPECT_EQ(inst.metadata().all_paths(), std::vector<std::string>{at_limit});
     }
     comm.barrier();
     inst.stop();
@@ -764,6 +780,13 @@ TEST(FanStoreOptionsTest, NegativeTimeoutAndBadRetryAreRejected) {
     {
       Instance::Options opt;
       opt.fs.retry.max_attempts = 0;
+      EXPECT_THROW(Instance inst(comm, opt), std::invalid_argument);
+    }
+    {
+      // Rejected at construction: a write close with no codec would fail
+      // and leave the path busy for every later writer.
+      Instance::Options opt;
+      opt.fs.write_compressor = 0xFFFF;
       EXPECT_THROW(Instance inst(comm, opt), std::invalid_argument);
     }
   });

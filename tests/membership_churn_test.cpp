@@ -12,7 +12,7 @@
 //   * anti-entropy transfers only the delta, byte-accounted
 //   * random churn schedules (seed-swept; replay any failure with
 //     FANSTORE_CHURN_SEED) always converge to agreeing views
-//   * a join or leave that rebuilds the ring empties the resolver's
+//   * a join or leave that rebuilds the ring empties resolve()'s
 //     lookup cache
 //
 // The threaded finale runs real core::Instances: a daemon is killed, a
@@ -82,10 +82,9 @@ std::vector<std::string> seed_namespace(ClusterSim& sim,
   return paths;
 }
 
-// The stat_of path FanStoreFs takes: local store first, then the resolver.
+// What FanStoreFs asks: the local store first, then (sharded) a resolve.
 bool can_stat(ClusterSim& sim, int r, const std::string& p) {
-  if (sim.store(r).lookup_versioned(p).has_value()) return true;
-  return sim.node(r).resolve(p).has_value();
+  return sim.node(r).lookup(p).has_value();
 }
 
 // The converged placement invariant: from `anchor`'s (agreed) view, every
@@ -470,12 +469,11 @@ TEST(MembershipChurnTest, FetchServesDataWhoseMetadataShardRebalancedAway) {
     }
     for (int i = 0; i < kFiles; ++i) {
       const auto& path = dataset[static_cast<std::size_t>(i)].first;
-      auto vs = inst.metadata().lookup_versioned(path);
-      if (!vs) vs = inst.cluster_node()->resolve(path);
-      ASSERT_TRUE(vs.has_value()) << "rank " << rank << " " << path;
-      EXPECT_EQ(vs->stat.owner_rank, static_cast<std::uint32_t>(i % 3))
+      const auto st = inst.cluster_node()->lookup(path);
+      ASSERT_TRUE(st.has_value()) << "rank " << rank << " " << path;
+      EXPECT_EQ(st->owner_rank, static_cast<std::uint32_t>(i % 3))
           << "rank " << rank << " " << path;
-      EXPECT_EQ(vs->stat.size, dataset[static_cast<std::size_t>(i)].second.size())
+      EXPECT_EQ(st->size, dataset[static_cast<std::size_t>(i)].second.size())
           << "rank " << rank << " " << path;
     }
     comm.barrier();

@@ -497,11 +497,11 @@ TEST(RaceStressTest, ChaosDaemonKillRestartDuringConcurrentReads) {
 TEST(RaceStressTest, ClusterLookupsAndInsertsDuringRebalance) {
   // Sharded-metadata cluster (rf=2 over 3 ranks) under concurrent load:
   // on every rank, reader threads resolve the whole namespace through the
-  // cluster resolver (ring lookups + remote meta RPCs) and a writer thread
+  // cluster node (ring lookups + remote meta RPCs) and a writer thread
   // keeps inserting fresh versioned entries, while the main thread drives
   // lockstep rebalance rounds that serialize, push, and drop whole shards,
   // and a rebuilder thread re-bootstraps the same member list so the ring
-  // is rebuilt (and the resolver's lookup cache emptied) under the
+  // is rebuilt (and resolve()'s lookup cache emptied) under the
   // readers' cached resolves. TSan sees cluster.node.mu (view/ring reads
   // racing rebuilds), cluster.lookup_cache.mu (cache hits and inserts
   // racing invalidation), the shard store mutex (insert vs
