@@ -87,7 +87,9 @@ int main() {
     for (std::size_t a = 0; a < kAccesses; ++a) {
       const std::size_t id = rng.next_below(kFiles);
       const std::string path = "f" + std::to_string(id);
-      fanstore_cache.acquire(path, [&] { return Bytes(kFileBytes, 1); });
+      fanstore_cache.acquire_file(path, [&] {
+        return std::make_shared<core::CachedFile>(Bytes(kFileBytes, 1));
+      });
       open_now[id]++;
       window.push_back(id);
       lru.access(id);

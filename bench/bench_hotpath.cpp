@@ -78,12 +78,13 @@ void open_read_close(core::PlainCache& cache, const Dataset& ds,
                      std::size_t file, Bytes& read_buf,
                      std::atomic<std::uint64_t>& loads) {
   const std::string& path = ds.paths[file];
-  auto data = cache.acquire(path, [&] {
+  auto data = cache.acquire_file(path, [&] {
     loads.fetch_add(1, std::memory_order_relaxed);
-    return ds.codec->decompress(as_view(ds.compressed[file]), kFileBytes);
+    return std::make_shared<core::CachedFile>(
+        ds.codec->decompress(as_view(ds.compressed[file]), kFileBytes));
   });
   read_buf.resize(data->size());
-  std::memcpy(read_buf.data(), data->data(), data->size());
+  std::memcpy(read_buf.data(), data->plain().data(), data->size());
   cache.release(path);
 }
 

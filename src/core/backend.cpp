@@ -34,22 +34,6 @@ std::size_t RamBackend::object_count() const {
   return blobs_.size();
 }
 
-void PeerDirectory::add(int rank, const CompressedBackend* backend) {
-  sync::MutexLock lk(mu_);
-  peers_[rank] = backend;
-}
-
-void PeerDirectory::remove(int rank) {
-  sync::MutexLock lk(mu_);
-  peers_.erase(rank);
-}
-
-const CompressedBackend* PeerDirectory::find(int rank) const {
-  sync::MutexLock lk(mu_);
-  const auto it = peers_.find(rank);
-  return it == peers_.end() ? nullptr : it->second;
-}
-
 VfsBackend::VfsBackend(posixfs::Vfs* local_fs, std::string root)
     : fs_(local_fs), root_(std::move(root)) {}
 

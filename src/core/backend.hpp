@@ -50,27 +50,6 @@ class RamBackend final : public CompressedBackend {
   std::size_t bytes_ GUARDED_BY(mu_) = 0;
 };
 
-/// Rank → backend map for peers reachable without the daemon round-trip
-/// (in this in-process simulation, every rank of a World). When a
-/// FanStoreFs is given a PeerDirectory, fetch_from() reads the peer's
-/// backend directly — same network cost charged, but no request encode,
-/// reply copy, mailbox hop, or daemon-thread dispatch on the hot path.
-///
-/// Lifetime contract: a rank must remove() itself before its backend is
-/// destroyed, and callers must quiesce opens against a rank before tearing
-/// it down (Instance::stop does both).
-class PeerDirectory {
- public:
-  void add(int rank, const CompressedBackend* backend) EXCLUDES(mu_);
-  void remove(int rank) EXCLUDES(mu_);
-  /// nullptr when `rank` is not registered (fall back to the daemon).
-  const CompressedBackend* find(int rank) const EXCLUDES(mu_);
-
- private:
-  mutable sync::Mutex mu_{"peer_directory.mu"};
-  std::unordered_map<int, const CompressedBackend*> peers_ GUARDED_BY(mu_);
-};
-
 /// Local-disk store: each object is a file `<root>/<path>` whose contents
 /// are a 2-byte compressor id followed by the compressed payload.
 class VfsBackend final : public CompressedBackend {

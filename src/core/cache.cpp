@@ -162,21 +162,6 @@ std::shared_ptr<CachedFile> PlainCache::acquire_file(
   return result;
 }
 
-std::shared_ptr<const Bytes> PlainCache::acquire(
-    const std::string& path, const std::function<Bytes()>& loader,
-    bool* loaded) {
-  std::shared_ptr<CachedFile> file = acquire_file(
-      path,
-      [&loader] { return std::make_shared<CachedFile>(loader()); }, loaded);
-  // A hit may land on a lazy chunked entry (mixed acquire/acquire_file use):
-  // legacy callers expect fully plain bytes.
-  if (!file->fully_materialized()) {
-    file->materialize_all(1, nullptr);
-    recharge(path);
-  }
-  return {file, &file->plain()};
-}
-
 void PlainCache::recharge(const std::string& path) {
   Shard& s = shard_for(path);
   std::vector<Demoted> demoted;
@@ -196,10 +181,6 @@ void PlainCache::recharge(const std::string& path) {
   fire_demotions(demoted);
 }
 
-void PlainCache::release(const std::string& path) { unpin(path, false); }
-
-void PlainCache::drop(const std::string& path) { unpin(path, true); }
-
 void PlainCache::invalidate(const std::string& path) {
   Shard& s = shard_for(path);
   sync::MutexLock lk(s.mu);
@@ -208,11 +189,11 @@ void PlainCache::invalidate(const std::string& path) {
   if (it->second.open_count > 0) {
     it->second.invalidated = true;  // erased at its last unpin
   } else {
-    erase_locked(s, it, nullptr);
+    erase_locked(s, it);
   }
 }
 
-void PlainCache::unpin(const std::string& path, bool erase_at_zero) {
+void PlainCache::release(const std::string& path) {
   Shard& s = shard_for(path);
   std::vector<Demoted> demoted;
   {
@@ -222,11 +203,9 @@ void PlainCache::unpin(const std::string& path, bool erase_at_zero) {
     Entry& e = it->second;
     if (e.open_count > 0) e.open_count--;
     if (e.open_count == 0 && e.invalidated) {
-      erase_locked(s, it, nullptr);
-    } else if (e.open_count == 0 && erase_at_zero) {
-      erase_locked(s, it, &demoted);
+      erase_locked(s, it);
     } else {
-      // Other readers still hold pins, or a plain release: capacity
+      // Other readers still hold pins, or the entry stays cached: capacity
       // pressure decides.
       evict_if_needed_locked(s, &demoted);
     }
@@ -235,13 +214,9 @@ void PlainCache::unpin(const std::string& path, bool erase_at_zero) {
 }
 
 void PlainCache::erase_locked(
-    Shard& s, std::unordered_map<std::string, Entry>::iterator it,
-    std::vector<Demoted>* demoted) {
+    Shard& s, std::unordered_map<std::string, Entry>::iterator it) {
   s.bytes_used -= it->second.charged;
   bytes_gauge_->add(-static_cast<std::int64_t>(it->second.charged));
-  if (demote_ && demoted != nullptr) {
-    demoted->push_back({it->first, std::move(it->second.data)});
-  }
   if (it->second.in_fifo) s.fifo.erase(it->second.fifo_pos);
   s.entries.erase(it);
 }

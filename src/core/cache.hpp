@@ -75,27 +75,15 @@ class PlainCache {
       const std::function<std::shared_ptr<CachedFile>()>& loader,
       bool* loaded = nullptr);
 
-  /// Legacy fully-materialized view: wraps `loader`'s bytes in a CachedFile
-  /// and returns an aliased pointer to its plain contents. Pre-chunking
-  /// callers compile and behave unchanged.
-  std::shared_ptr<const Bytes> acquire(const std::string& path,
-                                       const std::function<Bytes()>& loader,
-                                       bool* loaded = nullptr);
-
   /// Re-syncs `path`'s budget accounting with CachedFile::charge_bytes()
   /// after lazy chunks materialized, applying eviction pressure for the
   /// growth. No-op if the entry is gone.
   void recharge(const std::string& path);
 
   /// Drops one pin (close()); the entry stays cached FIFO-style until
-  /// capacity pressure evicts it.
+  /// capacity pressure evicts it. An invalidated entry is erased, undemoted,
+  /// at its last unpin.
   void release(const std::string& path);
-
-  /// Drops one pin like release(), then erases the entry outright once its
-  /// pin count reaches zero (firing the demotion hook). TieredCache uses
-  /// this for admit-to-compressed-only objects that must not linger in
-  /// plain RAM after their last close.
-  void drop(const std::string& path);
 
   /// Removes `path` from the cache without demoting it — its bytes failed a
   /// check and must be loaded again, not kept in any tier. An unpinned
@@ -104,7 +92,7 @@ class PlainCache {
   void invalidate(const std::string& path);
 
   /// Demotion hook (DESIGN.md §12): receives every entry removed by
-  /// capacity pressure or drop() — never a pinned entry — so evicted bytes
+  /// capacity pressure — never a pinned entry — so evicted bytes
   /// can flow to the next cache tier instead of vanishing. Victims are
   /// collected under the shard lock but the hook runs strictly after it is
   /// released, so the hook may take its own locks and even re-enter this
@@ -195,14 +183,10 @@ class PlainCache {
       std::vector<Demoted>* demoted) REQUIRES(s.mu);
   void evict_if_needed_locked(Shard& s, std::vector<Demoted>* demoted)
       REQUIRES(s.mu);
-  /// release() (`erase_at_zero` false) or drop() (true); an invalidated
-  /// entry is erased undemoted at zero pins either way.
-  void unpin(const std::string& path, bool erase_at_zero);
-  /// Unlinks one entry from its shard; queues it for demotion when
-  /// `demoted` is non-null and a hook is installed.
+  /// Unlinks one invalidated entry from its shard without demoting it.
   void erase_locked(Shard& s,
-                    std::unordered_map<std::string, Entry>::iterator it,
-                    std::vector<Demoted>* demoted) REQUIRES(s.mu);
+                    std::unordered_map<std::string, Entry>::iterator it)
+      REQUIRES(s.mu);
   /// Runs the demotion hook over collected victims (no lock held).
   void fire_demotions(std::vector<Demoted>& demoted);
 

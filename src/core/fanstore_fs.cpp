@@ -19,7 +19,6 @@ FanStoreFs::IoMetrics::IoMetrics(obs::MetricsRegistry& m)
       cache_hits(m.counter("cache.hits")),
       local_misses(m.counter("fs.local_misses")),
       remote_fetches(m.counter("fs.remote_fetches")),
-      direct_fetches(m.counter("fs.direct_fetches")),
       bytes_read(m.counter("fs.bytes_read")),
       bytes_written(m.counter("fs.bytes_written")),
       remote_bytes(m.counter("fs.remote_bytes")),
@@ -52,7 +51,6 @@ TieredCache::Options tier_options(const FanStoreFs::Options& o,
   t.spill_fs = o.spill_fs;
   t.spill_root = o.spill_root;
   t.promote_after_hits = o.promote_after_hits;
-  t.plain_admit_max_bytes = o.plain_admit_max_bytes;
   t.metrics = metrics;
   t.clock = o.clock;
   t.charge_costs = o.cost.enabled;
@@ -94,28 +92,6 @@ FanStoreFs::FetchStatus FanStoreFs::fetch_from(int rank, const std::string& path
                                                const format::FileStat& stat,
                                                Blob* out) {
   obs::TraceSpan span("fs.fetch", options_.clock);
-  // Node-local fast path: a peer registered in the PeerDirectory is read
-  // directly — no request encode, reply buffer, or daemon-thread hop. The
-  // network cost model is still charged: ranks model nodes, the directory
-  // only removes the simulation's copy overhead.
-  if (options_.peers != nullptr) {
-    if (const CompressedBackend* peer = options_.peers->find(rank)) {
-      std::optional<Blob> direct = peer->get(path);
-      if (!direct) return FetchStatus::kMiss;
-      charge(options_.cost.network.transfer_time(direct->data.size(),
-                                                 options_.cost.nodes));
-      if (options_.cost.charge_remote_service) {
-        // Owner-side service time (request handling + backend lookup): the
-        // measured local/remote gap beyond wire time (paper Tables III/VI).
-        charge(options_.cost.remote_service.file_read_time(direct->data.size()));
-      }
-      io_.remote_fetches.inc();
-      io_.direct_fetches.inc();
-      io_.remote_bytes.inc(direct->data.size());
-      *out = std::move(*direct);
-      return FetchStatus::kOk;
-    }
-  }
   const std::uint32_t reply_tag =
       static_cast<std::uint32_t>(kReplyTagBase) +
       (reply_seq_.fetch_add(1, std::memory_order_relaxed) % 1000000u);
@@ -590,20 +566,10 @@ std::int64_t FanStoreFs::lseek(int fd, std::int64_t offset, posixfs::Whence when
     of = it->second;
   }
   sync::MutexLock flk(of->mu);
-  std::int64_t base = 0;
-  switch (whence) {
-    case posixfs::Whence::kSet: base = 0; break;
-    case posixfs::Whence::kCur: base = of->offset; break;
-    case posixfs::Whence::kEnd:
-      base = of->mode == posixfs::OpenMode::kRead
-                 ? static_cast<std::int64_t>(of->pinned->size())
-                 : static_cast<std::int64_t>(of->buffer.size());
-      break;
-  }
-  const std::int64_t pos = base + offset;
-  if (pos < 0) return -EINVAL;
-  of->offset = pos;
-  return pos;
+  const std::size_t size = of->mode == posixfs::OpenMode::kRead
+                               ? of->pinned->size()
+                               : of->buffer.size();
+  return posixfs::seek_cursor(&of->offset, offset, whence, size);
 }
 
 int FanStoreFs::stat(std::string_view path_in, format::FileStat* out) {

@@ -97,10 +97,6 @@ class FanStoreFs final : public posixfs::Vfs {
     /// Backoff between retryable per-candidate fetch failures (timeout or
     /// CRC-rejected reply). Validated at construction.
     RetryPolicy retry;
-    /// Optional direct-access table: peers registered here are read
-    /// without the daemon round-trip (same cost charged). nullptr keeps
-    /// the pure message-passing path.
-    const PeerDirectory* peers = nullptr;
     /// Registry receiving the "fs.*" and "cache.*" metrics. nullptr gives
     /// the fs a private registry (one per FanStoreFs; Instance injects a
     /// per-rank registry shared with its daemon).
@@ -126,9 +122,6 @@ class FanStoreFs final : public posixfs::Vfs {
     std::string spill_root = ".fanstore-spill";
     /// Lower-tier hits before an entry's bytes move up a tier (min 1).
     std::size_t promote_after_hits = 2;
-    /// Cold frames >= this size are admitted to the compressed tier only
-    /// (plain copy dropped at last close). 0 = always admit to plain RAM.
-    std::size_t plain_admit_max_bytes = 0;
   };
 
   /// `cluster` answers every metadata lookup and listing, and its store
@@ -210,8 +203,7 @@ class FanStoreFs final : public posixfs::Vfs {
     obs::Counter& opens;
     obs::Counter& cache_hits;  // alias of "cache.hits"
     obs::Counter& local_misses;    // decompressed from the local backend
-    obs::Counter& remote_fetches;  // fetched from a peer (daemon or direct)
-    obs::Counter& direct_fetches;  // subset of remote_fetches: PeerDirectory
+    obs::Counter& remote_fetches;  // fetched from a peer's daemon
     obs::Counter& bytes_read;
     obs::Counter& bytes_written;
     obs::Counter& remote_bytes;  // compressed bytes over the wire
@@ -283,8 +275,8 @@ class FanStoreFs final : public posixfs::Vfs {
   std::optional<Blob> fetch_remote(const std::string& path,
                                    const format::FileStat& stat);
 
-  /// One fetch attempt against `rank`: direct PeerDirectory read when
-  /// registered, daemon round-trip otherwise. Fills `*out` on kOk.
+  /// One fetch attempt: a round trip to `rank`'s daemon. Fills `*out` on
+  /// kOk.
   FetchStatus fetch_from(int rank, const std::string& path,
                          const format::FileStat& stat, Blob* out);
 

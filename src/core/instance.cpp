@@ -19,7 +19,7 @@ Instance::Instance(mpi::Comm comm, Options options)
   }
   if (options_.fault != nullptr) {
     // Flaky-storage faults apply to every read of this rank's backend —
-    // local opens, daemon-served fetches, and peers' direct reads alike.
+    // local opens and daemon-served fetches alike.
     backend_ = std::make_unique<FaultInjectedBackend>(
         std::move(backend_), comm_.rank(), options_.fault);
     // Straggler scripts slow this rank's *view* of the hardware; the
@@ -34,10 +34,6 @@ Instance::Instance(mpi::Comm comm, Options options)
         options_.fault->storage_multiplier(comm_.rank()));
   }
   options_.fs.cost.nodes = comm_.size();
-  if (options_.peers != nullptr) {
-    options_.peers->add(comm_.rank(), backend_.get());
-    options_.fs.peers = options_.peers;
-  }
   // One registry per rank, shared by the fs (and its cache) and the
   // daemon, so a single snapshot tells the rank's whole I/O story.
   if (options_.fs.metrics == nullptr) {
@@ -192,13 +188,12 @@ std::string Instance::stats_report() const {
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "rank %d: opens=%llu hits=%llu local=%llu remote=%llu (direct=%llu) "
-      "failover=%llu | "
+      "rank %d: opens=%llu hits=%llu local=%llu remote=%llu failover=%llu | "
       "read=%.1fMB wire=%.1fMB written=%.1fMB | cache %.1f/%.1fMB evict=%llu | "
       "backend %zu objs %.1fMB | daemon served=%llu meta_fwd=%llu",
       comm_.rank(), n(m.counter("fs.opens")), n(m.counter("cache.hits")),
       n(m.counter("fs.local_misses")), n(m.counter("fs.remote_fetches")),
-      n(m.counter("fs.direct_fetches")), n(m.counter("fs.failovers")),
+      n(m.counter("fs.failovers")),
       static_cast<double>(m.counter("fs.bytes_read")) / 1e6,
       static_cast<double>(m.counter("fs.remote_bytes")) / 1e6,
       static_cast<double>(m.counter("fs.bytes_written")) / 1e6,
@@ -248,9 +243,6 @@ void Instance::start_daemon() {
 }
 
 void Instance::stop() {
-  // Deregister from the peer table before tearing anything down so no
-  // other rank's direct fetch can race our backend's destruction.
-  if (options_.peers != nullptr) options_.peers->remove(comm_.rank());
   // The socket front door serves through fs_, so it must drain before the
   // MPI daemon (and everything below it) goes away.
   if (server_) {

@@ -34,11 +34,6 @@ class Instance {
     /// If set, use a disk backend rooted here on `local_fs`; RAM otherwise.
     posixfs::Vfs* local_fs = nullptr;
     std::string backend_root = ".fanstore";
-    /// Optional shared rank→backend table: when every Instance of a world
-    /// registers here, remote fetches between them skip the daemon
-    /// round-trip (FanStoreFs direct fast path). The directory must
-    /// outlive every Instance registered in it.
-    PeerDirectory* peers = nullptr;
     /// Optional fault injector (one per world, shared by every rank's
     /// Instance and by the mpi::World). Wires: daemon crash/hang scripts,
     /// backend read faults (the local backend is wrapped in a

@@ -75,7 +75,6 @@ TieredCache::TieredCache(Options options)
   auto& m = plain_.metrics();
   plain_hits_ = &m.counter("tier.plain.hits");
   comp_hits_ = &m.counter("tier.compressed.hits");
-  comp_admits_ = &m.counter("tier.compressed.admits");
   comp_demotes_ = &m.counter("tier.compressed.demotes");
   comp_promotes_ = &m.counter("tier.compressed.promotes");
   comp_evictions_ = &m.counter("tier.compressed.evictions");
@@ -110,11 +109,6 @@ std::string TieredCache::spill_path(const std::string& path) const {
   return opt_.spill_root + "/" + buf;
 }
 
-bool TieredCache::wants_cold_compressed(std::size_t size) const {
-  if (!tier1_on_) return false;
-  return opt_.plain_admit_max_bytes > 0 && size >= opt_.plain_admit_max_bytes;
-}
-
 std::shared_ptr<CachedFile> TieredCache::acquire_file(const std::string& path,
                                                       const ColdLoader& cold) {
   if (!tiers_enabled()) {
@@ -142,18 +136,6 @@ std::shared_ptr<CachedFile> TieredCache::load_below(const std::string& path,
   } else {
     cold_loads_->inc();
   }
-  // Write-through admission for admit-to-compressed-only objects: their
-  // steady-state home is the compressed tier, so park the frame now — the
-  // plain copy is dropped at last release (see release()). Stored blobs
-  // have no compressed form and are admitted plain.
-  if (r.file->is_chunked() && wants_cold_compressed(r.file->size())) {
-    CompressedEntry e;
-    e.compressor = r.file->container_id();
-    e.payload = r.file->compressed_bytes();
-    e.original_size = r.file->size();
-    e.pinned_home = true;
-    if (insert_compressed(path, std::move(e))) comp_admits_->inc();
-  }
   return std::move(r.file);
 }
 
@@ -174,8 +156,8 @@ std::shared_ptr<CachedFile> TieredCache::lookup_compressed(
     original_size = e.original_size;
     // Promote on the Nth hit (default second): the bytes *move* up — the
     // tier-1 copy is erased so plain RAM and compressed RAM never hold the
-    // same object twice. Admit-to-compressed-only homes never promote.
-    promote = !e.pinned_home && e.hits >= opt_.promote_after_hits;
+    // same object twice.
+    promote = e.hits >= opt_.promote_after_hits;
     if (promote) {
       payload = std::move(e.payload);
       comp_bytes_ -= payload.size();
@@ -403,28 +385,6 @@ bool TieredCache::insert_spill(const std::string& path,
   }
   spill_evictions_->inc(static_cast<std::uint64_t>(evicted));
   return true;
-}
-
-void TieredCache::release(const std::string& path) {
-  if (!tiers_enabled()) {
-    plain_.release(path);
-    return;
-  }
-  bool compressed_home = false;
-  {
-    sync::MutexLock lk(comp_mu_);
-    const auto it = comp_.find(path);
-    compressed_home = it != comp_.end() && it->second.pinned_home;
-  }
-  if (compressed_home) {
-    // Admit-to-compressed-only: the plain copy must not linger once the
-    // last reader closes — its home is the tier-1 frame. drop() erases at
-    // refcount zero; the demotion hook then dedupes against the resident
-    // tier-1 entry, so no duplicate is created.
-    plain_.drop(path);
-  } else {
-    plain_.release(path);
-  }
 }
 
 void TieredCache::recharge(const std::string& path) { plain_.recharge(path); }

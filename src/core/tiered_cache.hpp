@@ -8,7 +8,7 @@
 //   tier 2  SSD spill        crc-framed spill records on a local Vfs,
 //                            charged against an ssd StorageModel
 //   tier 3  peer RAM         the owner rank's backend via the cold loader
-//                            (PeerDirectory direct read or daemon fetch)
+//                            (a fetch from the owner's daemon)
 //   cold    local backend    the rank's own compressed partition
 //
 // Every compressed object is a chunked frame (format::make_record); only
@@ -19,10 +19,7 @@
 // Promotion is hit-driven — a lower-tier hit always materializes into plain
 // RAM (the read path needs decompressed bytes) but the lower-tier copy is
 // retained until `promote_after_hits` cumulative hits, so one-shot scans do
-// not purge the capacity tiers. Large cold frames can be admitted to the
-// compressed tier only (`plain_admit_max_bytes`): they stream through plain
-// RAM while pinned and their steady-state home is the frame, decoded
-// per-range on every hit.
+// not purge the capacity tiers. Every cold load is admitted to plain RAM.
 //
 // The clairvoyant EvictionPolicy (DESIGN.md §10) applies per tier: when a
 // plan is installed, tier-1 and tier-2 victim scans also pick the entry
@@ -62,8 +59,8 @@ namespace fanstore::core {
 enum class ColdSource { kLocalBackend, kPeer };
 
 /// What the cold loader hands the tiered cache: the usable entry (a frame
-/// entry carries its compressed frame for demotion or write-through
-/// admission) and where its bytes came from.
+/// entry carries its compressed frame for demotion) and where its bytes
+/// came from.
 struct ColdResult {
   std::shared_ptr<CachedFile> file;
   ColdSource source = ColdSource::kLocalBackend;
@@ -108,10 +105,6 @@ class TieredCache {
     /// Cumulative lower-tier hits after which the lower copy is released
     /// upward (the bytes move instead of duplicating). Minimum 1.
     std::size_t promote_after_hits = 2;
-    /// Cold frames at least this large are admitted to the compressed
-    /// tier only: their plain-RAM copy is dropped at last release instead
-    /// of lingering. 0 = always admit to plain RAM.
-    std::size_t plain_admit_max_bytes = 0;
     /// Registry for the "cache.*" and (when a tier is enabled) "tier.*"
     /// metrics; nullptr gives the stack a private registry.
     obs::MetricsRegistry* metrics = nullptr;
@@ -133,9 +126,9 @@ class TieredCache {
   std::shared_ptr<CachedFile> acquire_file(const std::string& path,
                                            const ColdLoader& cold);
 
-  /// Unpins; admit-to-compressed-only entries leave plain RAM immediately
-  /// on their last release (their home is the compressed tier).
-  void release(const std::string& path);
+  /// Forwards PlainCache::release: drops one pin; capacity pressure then
+  /// decides when the entry demotes.
+  void release(const std::string& path) { plain_.release(path); }
 
   /// Forwards PlainCache::invalidate: the plain copy failed a check and
   /// leaves without being demoted.
@@ -171,10 +164,6 @@ class TieredCache {
     Bytes payload;
     std::uint64_t original_size = 0;
     std::size_t hits = 0;
-    /// Write-through admissions that must keep their tier-1 residency
-    /// (admit-to-compressed-only): never promoted out, and their plain
-    /// copy is dropped at last release.
-    bool pinned_home = false;
     std::list<std::string>::iterator fifo_pos;
   };
 
@@ -209,10 +198,6 @@ class TieredCache {
                     std::uint64_t original_size, std::uint32_t plain_crc,
                     ByteView payload);
 
-  /// True when a cold frame of `size` bytes is admitted to the compressed
-  /// tier only (`plain_admit_max_bytes`).
-  bool wants_cold_compressed(std::size_t size) const;
-
   std::string spill_path(const std::string& path) const;
   void reclaim_spill_locked(const std::string& path, const SpillEntry& e)
       REQUIRES(spill_mu_);
@@ -242,7 +227,6 @@ class TieredCache {
   // no-tier configuration leaves registries untouched.
   obs::Counter* plain_hits_ = nullptr;
   obs::Counter* comp_hits_ = nullptr;
-  obs::Counter* comp_admits_ = nullptr;
   obs::Counter* comp_demotes_ = nullptr;
   obs::Counter* comp_promotes_ = nullptr;
   obs::Counter* comp_evictions_ = nullptr;

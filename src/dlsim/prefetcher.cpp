@@ -4,129 +4,48 @@
 
 namespace fanstore::dlsim {
 
-void Prefetcher::bind_metrics(obs::MetricsRegistry& m) {
-  warmed_ = &m.counter("prefetch.warmed");
-  failures_ = &m.counter("prefetch.failures");
-  fetch_staged_ = &m.counter("prefetch.fetch_staged");
-  dropped_ = &m.counter("prefetch.dropped");
-  queue_depth_ = &m.gauge("prefetch.queue_depth");
-}
-
-Prefetcher::Prefetcher(posixfs::Vfs& fs, std::size_t threads)
-    : fs_(fs), pool_(threads) {
-  bind_metrics(obs::MetricsRegistry::global());
-}
-
 Prefetcher::Prefetcher(core::FanStoreFs& fs, std::size_t threads,
                        std::size_t fetch_threads)
     : fs_(fs),
-      fanstore_(&fs),
       pool_(threads),
-      fetch_pool_(std::make_unique<ThreadPool>(
-          fetch_threads == 0 ? 1 : fetch_threads)) {
-  bind_metrics(fs.metrics());
-}
-
-void Prefetcher::set_queue_limit(std::size_t high_water,
-                                 OverflowPolicy policy) {
-  sync::MutexLock lk(q_mu_);
-  high_water_ = high_water;
-  overflow_ = policy;
-  q_slot_.notify_all();  // a raised limit may unblock waiting producers
-}
+      fetch_pool_(fetch_threads == 0 ? 1 : fetch_threads),
+      warmed_(fs.metrics().counter("prefetch.warmed")),
+      failures_(fs.metrics().counter("prefetch.failures")),
+      fetch_staged_(fs.metrics().counter("prefetch.fetch_staged")),
+      queue_depth_(fs.metrics().gauge("prefetch.queue_depth")) {}
 
 void Prefetcher::warm(const std::string& path) {
   obs::TraceSpan span("prefetch.warm");
-  if (fanstore_ != nullptr) {
-    // warm_file() additionally materializes every chunk of a lazily-decoded
-    // chunked entry — warming must leave nothing for the training thread,
-    // even when the fs opens chunked files lazily.
-    if (fanstore_->warm_file(path)) {
-      warmed_->inc();
-    } else {
-      failures_->inc();
-    }
-    return;
+  // warm_file() also materializes every chunk of a lazily-decoded chunked
+  // entry — warming must leave nothing for the training thread, even when
+  // the fs opens chunked files lazily.
+  if (fs_.warm_file(path)) {
+    warmed_.inc();
+  } else {
+    failures_.inc();
   }
-  // Generic Vfs: open() pulls the file through fetch + decompress into the
-  // cache; close() drops the pin but leaves the plain data cached.
-  const int fd = fs_.open(path, posixfs::OpenMode::kRead);
-  if (fd < 0) {
-    failures_->inc();
-    return;
-  }
-  fs_.close(fd);
-  warmed_->inc();
-}
-
-std::shared_ptr<Prefetcher::Job> Prefetcher::push_job(const std::string& path) {
-  auto job = std::make_shared<Job>(path);
-  sync::MutexLock lk(q_mu_);
-  while (high_water_ != 0 && overflow_ == OverflowPolicy::kBlock &&
-         queued_ >= high_water_) {
-    q_slot_.wait(q_mu_);  // backpressure: wait for a worker to claim a job
-  }
-  if (high_water_ != 0 && queued_ >= high_water_) {
-    // kDropOldest: the freshest schedule wins; cancel the stalest entry
-    // that no worker has picked up yet.
-    for (auto& stale : backlog_) {
-      if (!stale->started && !stale->cancelled) {
-        stale->cancelled = true;
-        --queued_;
-        dropped_->inc();
-        queue_depth_->add(-1);
-        break;
-      }
-    }
-  }
-  // Lazily trim settled (claimed or cancelled) entries off the front so the
-  // deque tracks the live backlog instead of the full submission history.
-  while (!backlog_.empty() &&
-         (backlog_.front()->started || backlog_.front()->cancelled)) {
-    backlog_.pop_front();
-  }
-  backlog_.push_back(job);
-  ++queued_;
-  queue_depth_->add(1);
-  return job;
-}
-
-bool Prefetcher::claim(Job& job) {
-  sync::MutexLock lk(q_mu_);
-  if (job.cancelled) return false;
-  job.started = true;
-  --queued_;
-  queue_depth_->add(-1);
-  q_slot_.notify_all();
-  return true;
 }
 
 void Prefetcher::prefetch(const std::vector<std::string>& paths) {
   for (const auto& path : paths) {
-    std::shared_ptr<Job> job = push_job(path);
-    if (fanstore_ != nullptr) {
-      // Stage 1 (fetch pool): land the compressed bytes locally. Stage 2
-      // (decompress pool) starts per file the moment its fetch finishes,
-      // so later fetches overlap earlier decompressions.
-      fetch_pool_->submit([this, job] {
-        if (!claim(*job)) return;  // dropped before any worker got to it
-        {
-          obs::TraceSpan span("prefetch.fetch");
-          if (fanstore_->prefetch_compressed(job->path)) fetch_staged_->inc();
-        }
-        pool_.submit([this, job] { warm(job->path); });
-      });
-    } else {
-      pool_.submit([this, job] {
-        if (claim(*job)) warm(job->path);
-      });
-    }
+    queue_depth_.add(1);
+    // Stage 1 (fetch pool): land the compressed bytes locally. Stage 2
+    // (decompress pool) starts per file the moment its fetch finishes, so
+    // later fetches overlap earlier decompressions.
+    fetch_pool_.submit([this, path] {
+      queue_depth_.add(-1);
+      {
+        obs::TraceSpan span("prefetch.fetch");
+        if (fs_.prefetch_compressed(path)) fetch_staged_.inc();
+      }
+      pool_.submit([this, path] { warm(path); });
+    });
   }
 }
 
 void Prefetcher::wait() {
   // Fetch stage first: once it idles, every decompress task is enqueued.
-  if (fetch_pool_) fetch_pool_->wait_idle();
+  fetch_pool_.wait_idle();
   pool_.wait_idle();
 }
 

@@ -116,16 +116,7 @@ std::int64_t UdsClientVfs::lseek(int fd, std::int64_t offset, posixfs::Whence wh
   const auto it = open_files_.find(fd);
   if (it == open_files_.end()) return -EBADF;
   OpenFile& of = it->second;
-  std::int64_t base = 0;
-  switch (whence) {
-    case posixfs::Whence::kSet: base = 0; break;
-    case posixfs::Whence::kCur: base = of.offset; break;
-    case posixfs::Whence::kEnd: base = static_cast<std::int64_t>(of.data->size()); break;
-  }
-  const std::int64_t pos = base + offset;
-  if (pos < 0) return -EINVAL;
-  of.offset = pos;
-  return pos;
+  return posixfs::seek_cursor(&of.offset, offset, whence, of.data->size());
 }
 
 int UdsClientVfs::stat(std::string_view path_in, format::FileStat* out) {

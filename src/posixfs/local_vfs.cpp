@@ -74,12 +74,19 @@ std::int64_t LocalVfs::lseek(int fd, std::int64_t offset, Whence whence) {
   std::ios_base::seekdir dir = std::ios::beg;
   if (whence == Whence::kCur) dir = std::ios::cur;
   if (whence == Whence::kEnd) dir = std::ios::end;
+  std::streamoff pos = -1;
   if (it->second.mode == OpenMode::kRead) {
     s.seekg(offset, dir);
-    return s.good() ? static_cast<std::int64_t>(s.tellg()) : -EINVAL;
+    if (s.good()) pos = s.tellg();
+  } else {
+    s.seekp(offset, dir);
+    if (s.good()) pos = s.tellp();
   }
-  s.seekp(offset, dir);
-  return s.good() ? static_cast<std::int64_t>(s.tellp()) : -EINVAL;
+  if (pos < 0) {
+    s.clear();  // the cursor did not move; the next seek must not fail too
+    return -EINVAL;
+  }
+  return static_cast<std::int64_t>(pos);
 }
 
 int LocalVfs::stat(std::string_view path, format::FileStat* out) {

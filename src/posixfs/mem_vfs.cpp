@@ -81,16 +81,7 @@ std::int64_t MemVfs::lseek(int fd, std::int64_t offset, Whence whence) {
   const auto it = open_files_.find(fd);
   if (it == open_files_.end()) return -EBADF;
   OpenFile& of = it->second;
-  std::int64_t base = 0;
-  switch (whence) {
-    case Whence::kSet: base = 0; break;
-    case Whence::kCur: base = of.offset; break;
-    case Whence::kEnd: base = static_cast<std::int64_t>(of.data->size()); break;
-  }
-  const std::int64_t pos = base + offset;
-  if (pos < 0) return -EINVAL;
-  of.offset = pos;
-  return pos;
+  return seek_cursor(&of.offset, offset, whence, of.data->size());
 }
 
 int MemVfs::stat(std::string_view path_in, format::FileStat* out) {

@@ -26,6 +26,20 @@ std::string normalize_path(std::string_view path) {
   return out;
 }
 
+std::int64_t seek_cursor(std::int64_t* cursor, std::int64_t offset,
+                         Whence whence, std::size_t size) {
+  std::int64_t base = 0;
+  switch (whence) {
+    case Whence::kSet: base = 0; break;
+    case Whence::kCur: base = *cursor; break;
+    case Whence::kEnd: base = static_cast<std::int64_t>(size); break;
+  }
+  std::int64_t pos = 0;
+  if (__builtin_add_overflow(base, offset, &pos) || pos < 0) return -EINVAL;
+  *cursor = pos;
+  return pos;
+}
+
 std::int64_t Vfs::pread(int fd, MutByteView buf, std::uint64_t offset) {
   const std::int64_t saved = lseek(fd, 0, Whence::kCur);
   if (saved < 0) return saved;

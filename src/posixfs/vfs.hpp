@@ -79,6 +79,13 @@ class Vfs {
   virtual int closedir(int dir_handle) = 0;
 };
 
+/// lseek() for a Vfs that keeps the cursor itself: moves `*cursor` to
+/// `offset` past the start (kSet), `*cursor` (kCur) or `size` (kEnd) and
+/// returns the new position. A target that is negative or does not fit in
+/// int64 returns -EINVAL and leaves `*cursor` unchanged.
+std::int64_t seek_cursor(std::int64_t* cursor, std::int64_t offset,
+                         Whence whence, std::size_t size);
+
 /// Normalizes "a//b/./c" to "a/b/c"; strips leading and trailing slashes.
 /// Rejects ".." (returns empty string) — FanStore paths are dataset-rooted.
 std::string normalize_path(std::string_view path);

@@ -20,17 +20,22 @@ namespace {
 
 Bytes blob(std::size_t n, std::uint8_t fill) { return Bytes(n, fill); }
 
+/// A plain cache entry of `n` bytes of `fill`, as a loader returns it.
+std::shared_ptr<CachedFile> entry(std::size_t n, std::uint8_t fill) {
+  return std::make_shared<CachedFile>(blob(n, fill));
+}
+
 TEST(PlainCacheTest, HitAfterMiss) {
   PlainCache cache(1024);
   int loads = 0;
   auto loader = [&] {
     ++loads;
-    return blob(100, 1);
+    return entry(100, 1);
   };
   bool loaded = false;
-  auto a = cache.acquire("f", loader, &loaded);
+  auto a = cache.acquire_file("f", loader, &loaded);
   EXPECT_TRUE(loaded);
-  auto b = cache.acquire("f", loader, &loaded);
+  auto b = cache.acquire_file("f", loader, &loaded);
   EXPECT_FALSE(loaded);
   EXPECT_EQ(loads, 1);
   EXPECT_EQ(a.get(), b.get());
@@ -42,12 +47,12 @@ TEST(PlainCacheTest, HitAfterMiss) {
 
 TEST(PlainCacheTest, FifoEvictionOrder) {
   PlainCache cache(250);
-  cache.acquire("a", [] { return blob(100, 1); });
+  cache.acquire_file("a", [] { return entry(100, 1); });
   cache.release("a");
-  cache.acquire("b", [] { return blob(100, 2); });
+  cache.acquire_file("b", [] { return entry(100, 2); });
   cache.release("b");
   // Inserting c (100 B) exceeds 250: the oldest unpinned entry (a) goes.
-  cache.acquire("c", [] { return blob(100, 3); });
+  cache.acquire_file("c", [] { return entry(100, 3); });
   cache.release("c");
   EXPECT_FALSE(cache.contains("a"));
   EXPECT_TRUE(cache.contains("b"));
@@ -58,17 +63,19 @@ TEST(PlainCacheTest, FifoEvictionOrder) {
 TEST(PlainCacheTest, PinnedEntriesSurviveEviction) {
   // The paper's FIFO variant: entries opened by an I/O thread are skipped.
   PlainCache cache(250);
-  auto pin_a = cache.acquire("a", [] { return blob(100, 1); });  // stays pinned
-  cache.acquire("b", [] { return blob(100, 2); });
+  // "a" stays pinned.
+  auto pin_a = cache.acquire_file("a", [] { return entry(100, 1); });
+  cache.acquire_file("b", [] { return entry(100, 2); });
   cache.release("b");
-  cache.acquire("c", [] { return blob(100, 3); });  // pressure: must skip "a"
+  // Pressure: must skip "a".
+  cache.acquire_file("c", [] { return entry(100, 3); });
   cache.release("c");
   EXPECT_TRUE(cache.contains("a"));   // pinned: skipped
   EXPECT_FALSE(cache.contains("b"));  // oldest unpinned: evicted
   EXPECT_TRUE(cache.contains("c"));
   // Releasing "a" under continued pressure allows its eviction.
   cache.release("a");
-  cache.acquire("d", [] { return blob(100, 4); });
+  cache.acquire_file("d", [] { return entry(100, 4); });
   cache.release("d");
   EXPECT_FALSE(cache.contains("a"));
 }
@@ -77,21 +84,21 @@ TEST(PlainCacheTest, MultiReaderCounting) {
   // Fig. 4: the counter tracks concurrent opens; the entry is evictable
   // only when every opener has closed.
   PlainCache cache(150);
-  cache.acquire("f", [] { return blob(100, 1); });
-  cache.acquire("f", [] { return blob(100, 1); });  // second reader
-  cache.release("f");                               // one closes
-  cache.acquire("g", [] { return blob(100, 2); });  // pressure
+  cache.acquire_file("f", [] { return entry(100, 1); });
+  cache.acquire_file("f", [] { return entry(100, 1); });  // second reader
+  cache.release("f");                                     // one closes
+  cache.acquire_file("g", [] { return entry(100, 2); });  // pressure
   cache.release("g");
   EXPECT_TRUE(cache.contains("f"));  // still pinned by reader #2
   cache.release("f");
-  cache.acquire("h", [] { return blob(100, 3); });
+  cache.acquire_file("h", [] { return entry(100, 3); });
   cache.release("h");
   EXPECT_FALSE(cache.contains("f"));
 }
 
 TEST(PlainCacheTest, OversizedEntryAdmittedWhilePinned) {
   PlainCache cache(50);
-  auto pin = cache.acquire("big", [] { return blob(500, 9); });
+  auto pin = cache.acquire_file("big", [] { return entry(500, 9); });
   EXPECT_EQ(pin->size(), 500u);
   EXPECT_TRUE(cache.contains("big"));
   cache.release("big");
@@ -101,11 +108,14 @@ TEST(PlainCacheTest, OversizedEntryAdmittedWhilePinned) {
 
 TEST(PlainCacheTest, LoaderFailureIsNotCached) {
   PlainCache cache(1000);
-  EXPECT_THROW(cache.acquire("f", []() -> Bytes { throw std::runtime_error("io"); }),
+  EXPECT_THROW(cache.acquire_file("f",
+                                  []() -> std::shared_ptr<CachedFile> {
+                                    throw std::runtime_error("io");
+                                  }),
                std::runtime_error);
   EXPECT_FALSE(cache.contains("f"));
   // A later successful load works.
-  auto ok = cache.acquire("f", [] { return blob(10, 1); });
+  auto ok = cache.acquire_file("f", [] { return entry(10, 1); });
   EXPECT_EQ(ok->size(), 10u);
   cache.release("f");
 }
@@ -118,8 +128,8 @@ TEST(PlainCacheTest, ReleaseUnknownPathIsNoop) {
 
 TEST(PlainCacheTest, BytesUsedTracksContents) {
   PlainCache cache(1000);
-  cache.acquire("a", [] { return blob(300, 1); });
-  cache.acquire("b", [] { return blob(200, 2); });
+  cache.acquire_file("a", [] { return entry(300, 1); });
+  cache.acquire_file("b", [] { return entry(200, 2); });
   EXPECT_EQ(cache.bytes_used(), 500u);
   cache.release("a");
   cache.release("b");
@@ -134,7 +144,7 @@ TEST(PlainCacheTest, ConcurrentAcquireReleaseIsSafe) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 500; ++i) {
         const std::string path = "f" + std::to_string((t + i) % 20);
-        auto data = cache.acquire(path, [&] { return blob(512, 7); });
+        auto data = cache.acquire_file(path, [&] { return entry(512, 7); });
         if (data->size() != 512) failures++;
         cache.release(path);
       }
@@ -176,10 +186,10 @@ TEST(ShardedCacheTest, CapacityEnforcedPerShardAndGlobally) {
   const auto in0 = paths_in_shard(cache, 0, 3);
   // ...while an entry in another shard feels no pressure at all.
   const auto other = paths_in_shard(cache, 1, 1);
-  cache.acquire(other[0], [] { return blob(400, 9); });
+  cache.acquire_file(other[0], [] { return entry(400, 9); });
   cache.release(other[0]);
   for (const auto& p : in0) {
-    cache.acquire(p, [] { return blob(400, 1); });
+    cache.acquire_file(p, [] { return entry(400, 1); });
     cache.release(p);
   }
   EXPECT_FALSE(cache.contains(in0[0]));  // oldest in shard 0: evicted
@@ -193,9 +203,10 @@ TEST(ShardedCacheTest, CapacityEnforcedPerShardAndGlobally) {
 TEST(ShardedCacheTest, PinnedEntriesSkipEvictionAcrossShards) {
   PlainCache cache(4096, 4);
   const auto in0 = paths_in_shard(cache, 0, 3);
-  auto pin = cache.acquire(in0[0], [] { return blob(400, 1); });  // stays pinned
+  // in0[0] stays pinned.
+  auto pin = cache.acquire_file(in0[0], [] { return entry(400, 1); });
   for (std::size_t i = 1; i < in0.size(); ++i) {
-    cache.acquire(in0[i], [] { return blob(400, 2); });
+    cache.acquire_file(in0[i], [] { return entry(400, 2); });
     cache.release(in0[i]);
   }
   EXPECT_TRUE(cache.contains(in0[0]));   // pinned: skipped under pressure
@@ -207,7 +218,7 @@ TEST(ShardedCacheTest, PinnedEntriesSkipEvictionAcrossShards) {
 TEST(ShardedCacheTest, OversizedPinnedEntryEvictedOnRelease) {
   PlainCache cache(4096, 4);  // 1024 B budget per shard
   const auto p = paths_in_shard(cache, 2, 1);
-  auto pin = cache.acquire(p[0], [] { return blob(3000, 7); });
+  auto pin = cache.acquire_file(p[0], [] { return entry(3000, 7); });
   EXPECT_TRUE(cache.contains(p[0]));  // over budget but pinned: admitted
   cache.release(p[0]);
   EXPECT_FALSE(cache.contains(p[0]));  // evicted the moment the pin drops
@@ -217,8 +228,8 @@ TEST(ShardedCacheTest, OversizedPinnedEntryEvictedOnRelease) {
 TEST(ShardedCacheTest, OpenCountTracksPins) {
   PlainCache cache(4096);
   EXPECT_EQ(cache.open_count("f"), 0);
-  cache.acquire("f", [] { return blob(10, 1); });
-  cache.acquire("f", [] { return blob(10, 1); });
+  cache.acquire_file("f", [] { return entry(10, 1); });
+  cache.acquire_file("f", [] { return entry(10, 1); });
   EXPECT_EQ(cache.open_count("f"), 2);
   cache.release("f");
   EXPECT_EQ(cache.open_count("f"), 1);
@@ -238,13 +249,13 @@ TEST(SingleFlightTest, LoaderRunsOnceUnderConcurrentAcquires) {
   std::atomic<int> loader_runs{0};
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
-  std::vector<std::shared_ptr<const Bytes>> results(kThreads);
+  std::vector<std::shared_ptr<CachedFile>> results(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      results[static_cast<std::size_t>(t)] = cache.acquire("hot", [&] {
+      results[static_cast<std::size_t>(t)] = cache.acquire_file("hot", [&] {
         loader_runs.fetch_add(1);
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return blob(4096, 5);
+        return entry(4096, 5);
       });
     });
   }
@@ -271,7 +282,7 @@ TEST(SingleFlightTest, LoaderFailurePropagatesToAllWaiters) {
   for (int t = 0; t < 6; ++t) {
     threads.emplace_back([&] {
       try {
-        cache.acquire("bad", [&]() -> Bytes {
+        cache.acquire_file("bad", [&]() -> std::shared_ptr<CachedFile> {
           loader_runs.fetch_add(1);
           std::this_thread::sleep_for(std::chrono::milliseconds(10));
           throw std::runtime_error("io");
@@ -289,7 +300,7 @@ TEST(SingleFlightTest, LoaderFailurePropagatesToAllWaiters) {
   EXPECT_GE(loader_runs.load(), 1);
   EXPECT_FALSE(cache.contains("bad"));
   // A later successful load still works.
-  auto ok = cache.acquire("bad", [] { return blob(10, 1); });
+  auto ok = cache.acquire_file("bad", [] { return entry(10, 1); });
   EXPECT_EQ(ok->size(), 10u);
   cache.release("bad");
 }
@@ -306,21 +317,15 @@ TEST(DemotionHookTest, EvictedVictimsFlowToHookAfterUnlock) {
         EXPECT_FALSE(cache.contains(path));
         demoted.push_back(path);
       });
-  cache.acquire("a", [] { return blob(100, 1); });
+  cache.acquire_file("a", [] { return entry(100, 1); });
   cache.release("a");
-  cache.acquire("b", [] { return blob(100, 2); });
+  cache.acquire_file("b", [] { return entry(100, 2); });
   cache.release("b");
-  cache.acquire("c", [] { return blob(100, 3); });  // pressure: evicts "a"
+  // Pressure: evicts "a".
+  cache.acquire_file("c", [] { return entry(100, 3); });
   cache.release("c");
   ASSERT_EQ(demoted.size(), 1u);
   EXPECT_EQ(demoted[0], "a");
-  // drop() fires the hook too once the pin count reaches zero.
-  cache.drop("b");
-  ASSERT_EQ(demoted.size(), 2u);
-  EXPECT_EQ(demoted[1], "b");
-  EXPECT_FALSE(cache.contains("b"));
-  // The hook received usable bytes, not a husk.
-  // drop() is not an eviction.
   EXPECT_EQ(cache.metrics().counter("cache.evictions").value(), 1u);
 }
 
@@ -330,24 +335,23 @@ TEST(DemotionHookTest, InvalidatedEntriesLeaveWithoutDemotion) {
   cache.set_demotion_hook(
       [&](const std::string&, const std::shared_ptr<CachedFile>&) { ++demoted; });
   // Unpinned: gone at once.
-  cache.acquire("a", [] { return blob(100, 1); });
+  cache.acquire_file("a", [] { return entry(100, 1); });
   cache.release("a");
   cache.invalidate("a");
   EXPECT_FALSE(cache.contains("a"));
-  // Pinned twice: stays until the last unpin, whether release() or drop().
-  cache.acquire("b", [] { return blob(100, 2); });
-  cache.acquire("b", [] { return blob(100, 2); });
+  // Pinned twice: stays until the last unpin.
+  cache.acquire_file("b", [] { return entry(100, 2); });
+  cache.acquire_file("b", [] { return entry(100, 2); });
   cache.invalidate("b");
   cache.release("b");
   EXPECT_TRUE(cache.contains("b"));
-  cache.drop("b");
+  cache.release("b");
   EXPECT_FALSE(cache.contains("b"));
   EXPECT_EQ(demoted, 0);
   EXPECT_EQ(cache.bytes_used(), 0u);
   // The next acquire loads again.
   bool loaded = false;
-  cache.acquire_file("b", [] { return std::make_shared<CachedFile>(blob(100, 3)); },
-                     &loaded);
+  cache.acquire_file("b", [] { return entry(100, 3); }, &loaded);
   EXPECT_TRUE(loaded);
   cache.release("b");
   EXPECT_EQ(cache.metrics().counter("cache.evictions").value(), 0u);
@@ -516,35 +520,6 @@ TEST(TieredCacheTest, CompressedOverflowSpillsOldestFrame) {
   auto fa = acquire_hot(tc, "a", cold_of(a));
   EXPECT_EQ(fa->plain(), a.plain);
   tc.release("a");
-}
-
-TEST(TieredCacheTest, AdmitToCompressedOnlyDropsPlainCopyAtLastClose) {
-  const auto a = make_chunked(7);
-  TieredCache::Options opt;
-  opt.plain_bytes = 1 << 20;
-  opt.compressed_bytes = 1 << 20;
-  opt.plain_admit_max_bytes = 1;  // everything is "large": compressed-only
-  opt.promote_after_hits = 2;
-  TieredCache tc(opt);
-  int cold_calls = 0;
-  auto f = tc.acquire_file("a", cold_of(a, &cold_calls));
-  // Write-through admission happened at load time.
-  EXPECT_TRUE(tc.compressed_contains("a"));
-  EXPECT_TRUE(tc.plain().contains("a"));  // pinned for this open
-  tc.release("a");
-  // Last close: the plain copy is dropped — the compressed frame is home.
-  EXPECT_FALSE(tc.plain().contains("a"));
-  EXPECT_TRUE(tc.compressed_contains("a"));
-  // Repeated hits re-decode from tier 1 and never promote it away.
-  for (int i = 0; i < 3; ++i) {
-    auto g = acquire_hot(tc, "a", cold_of(a, &cold_calls));
-    EXPECT_EQ(g->plain(), a.plain);
-    tc.release("a");
-    EXPECT_TRUE(tc.compressed_contains("a"));
-    EXPECT_FALSE(tc.plain().contains("a"));
-  }
-  EXPECT_EQ(cold_calls, 1);
-  EXPECT_EQ(tc.metrics().counter("tier.compressed.admits").value(), 1u);
 }
 
 class MapPolicy : public EvictionPolicy {

@@ -471,38 +471,6 @@ TEST(FanStoreIntegrationTest, NeighbourReadRequiresRemoteFetch) {
   });
 }
 
-TEST(FanStoreIntegrationTest, PeerDirectoryServesFetchesWithoutDaemon) {
-  // With a shared PeerDirectory, a remote fetch reads the owner's backend
-  // directly — no request encode, reply copy, or daemon round-trip. The
-  // daemons are never even started: every byte still arrives.
-  PeerDirectory peers;
-  mpi::run_world(2, [&](mpi::Comm& comm) {
-    Instance::Options opt;
-    opt.peers = &peers;
-    Instance inst(comm, opt);
-    const Bytes data = testdata::text_like(4000, static_cast<std::uint64_t>(comm.rank()));
-    inst.load_partition_blob(
-        as_view(make_partition({{"p/r" + std::to_string(comm.rank()), data}}, "lz4")),
-        static_cast<std::uint32_t>(comm.rank()));
-    inst.exchange_metadata();
-    comm.barrier();
-
-    const int neighbour = (comm.rank() + 1) % 2;
-    const auto got = posixfs::read_file(inst.fs(), "p/r" + std::to_string(neighbour));
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->size(), 4000u);
-    const auto stats = inst.metrics().snapshot();
-    EXPECT_EQ(stats.counter("fs.remote_fetches"), 1u);
-    EXPECT_EQ(stats.counter("fs.direct_fetches"), 1u);  // off the peer table
-    EXPECT_GT(stats.counter("fs.remote_bytes"), 0u);  // wire cost accounted
-    EXPECT_EQ(inst.metrics().counter("daemon.fetches_served").value(), 0u);
-
-    comm.barrier();  // both reads done before either backend goes away
-    inst.stop();
-    comm.barrier();
-  });
-}
-
 TEST(FanStoreIntegrationTest, FullSharedFsFlowWithRingReplication) {
   // End-to-end: prep packs a dataset into a shared MemVfs; 4 ranks load
   // their partitions, replicate one ring hop, exchange metadata, and read

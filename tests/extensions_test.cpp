@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
 
 #include "compress/lossy.hpp"
 #include "compress/registry.hpp"
@@ -16,7 +15,6 @@
 #include "posixfs/mem_vfs.hpp"
 #include "tests/test_data.hpp"
 #include "util/rng.hpp"
-#include "util/sync.hpp"
 
 namespace fanstore {
 namespace {
@@ -204,122 +202,29 @@ TEST(PrefetcherTest, PipelinedRemoteWarmupStagesThenDecompresses) {
 }
 
 TEST(PrefetcherTest, MissingFilesCountAsFailures) {
-  posixfs::MemVfs fs;
-  posixfs::write_file(fs, "real", as_view(Bytes{1}));
-  dlsim::Prefetcher prefetcher(fs, 2);
-  prefetcher.prefetch({"real", "ghost1", "ghost2"});
-  prefetcher.wait();
-  // Generic mode counts into the process-global registry.
-  auto& m = obs::MetricsRegistry::global();
-  EXPECT_EQ(m.counter("prefetch.warmed").value(), 1u);
-  EXPECT_EQ(m.counter("prefetch.failures").value(), 2u);
-}
+  // A path with no metadata cannot be warmed: it counts as a failure in
+  // the rank's registry, and the real file next to it is still warmed.
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    core::Instance inst(comm, {});
+    const auto& reg = compress::Registry::instance();
+    const auto* codec = reg.by_name("lz4");
+    format::PartitionWriter w;
+    w.add(format::make_record("real", *codec, reg.id_of(*codec),
+                              as_view(testdata::text_like(3000, 1))));
+    const Bytes blob = w.serialize();
+    inst.load_partition_blob(as_view(blob), 0);
+    inst.exchange_metadata();
 
-// A Vfs whose open() blocks until release() — holds the prefetcher's
-// workers busy so a test can flood the bounded queue deterministically.
-class GatedVfs final : public posixfs::Vfs {
- public:
-  posixfs::MemVfs& mem() { return inner_; }
-
-  void release() {
-    {
-      sync::MutexLock lk(mu_);
-      open_ = true;
-    }
-    gate_.notify_all();
-  }
-
-  int open(std::string_view path, posixfs::OpenMode mode) override {
-    sync::MutexLock lk(mu_);
-    while (!open_) gate_.wait(mu_);
-    return inner_.open(path, mode);
-  }
-  int close(int fd) override { return inner_.close(fd); }
-  std::int64_t read(int fd, MutByteView buf) override {
-    return inner_.read(fd, buf);
-  }
-  std::int64_t write(int fd, ByteView buf) override {
-    return inner_.write(fd, buf);
-  }
-  std::int64_t lseek(int fd, std::int64_t offset,
-                     posixfs::Whence whence) override {
-    return inner_.lseek(fd, offset, whence);
-  }
-  int stat(std::string_view path, format::FileStat* out) override {
-    return inner_.stat(path, out);
-  }
-  int opendir(std::string_view path) override { return inner_.opendir(path); }
-  std::optional<posixfs::Dirent> readdir(int dir_handle) override {
-    return inner_.readdir(dir_handle);
-  }
-  int closedir(int dir_handle) override { return inner_.closedir(dir_handle); }
-
- private:
-  posixfs::MemVfs inner_;
-  sync::Mutex mu_{"test.gated_vfs.mu"};
-  sync::AnnotatedCondVar gate_;
-  bool open_ GUARDED_BY(mu_) = false;
-};
-
-// The generic-mode prefetcher shares the process-global registry, so flood
-// tests assert deltas against the counters' values at prefetcher creation.
-TEST(PrefetcherTest, BoundedQueueDropsOldestUnderFlood) {
-  GatedVfs fs;
-  std::vector<std::string> paths;
-  for (int i = 0; i < 64; ++i) {
-    const std::string p = "flood/f" + std::to_string(i);
-    posixfs::write_file(fs.mem(), p, as_view(Bytes{1}));
-    paths.push_back(p);
-  }
-  dlsim::Prefetcher prefetcher(fs, 2);
-  auto& m = obs::MetricsRegistry::global();
-  const obs::Gauge& depth = m.gauge("prefetch.queue_depth");
-  const auto warmed0 = m.counter("prefetch.warmed").value();
-  const auto dropped0 = m.counter("prefetch.dropped").value();
-  prefetcher.set_queue_limit(4, dlsim::Prefetcher::OverflowPolicy::kDropOldest);
-
-  // Workers are gated, so the producer floods straight through: every push
-  // past the high-water mark cancels the oldest unclaimed entry.
-  prefetcher.prefetch(paths);
-  EXPECT_LE(depth.value(), 4);
-  fs.release();
-  prefetcher.wait();
-
-  const auto warmed = m.counter("prefetch.warmed").value() - warmed0;
-  const auto dropped = m.counter("prefetch.dropped").value() - dropped0;
-  EXPECT_EQ(warmed + dropped, 64u);
-  // At most high_water survivors plus whatever the 2 gated workers had
-  // already claimed.
-  EXPECT_GE(dropped, 64u - 4u - 2u);
-  EXPECT_EQ(depth.value(), 0);
-}
-
-TEST(PrefetcherTest, BoundedQueueBlocksProducerUntilSlotsFree) {
-  GatedVfs fs;
-  std::vector<std::string> paths;
-  for (int i = 0; i < 12; ++i) {
-    const std::string p = "flood/b" + std::to_string(i);
-    posixfs::write_file(fs.mem(), p, as_view(Bytes{1}));
-    paths.push_back(p);
-  }
-  dlsim::Prefetcher prefetcher(fs, 2);
-  auto& m = obs::MetricsRegistry::global();
-  const obs::Gauge& depth = m.gauge("prefetch.queue_depth");
-  const auto warmed0 = m.counter("prefetch.warmed").value();
-  const auto dropped0 = m.counter("prefetch.dropped").value();
-  prefetcher.set_queue_limit(4, dlsim::Prefetcher::OverflowPolicy::kBlock);
-
-  std::thread producer([&] { prefetcher.prefetch(paths); });
-  // Invariant (not a timing assertion): the unclaimed backlog never
-  // exceeds the high-water mark under kBlock, and nothing is dropped.
-  EXPECT_LE(depth.value(), 4);
-  fs.release();  // workers drain; the blocked producer gets its slots
-  producer.join();
-  prefetcher.wait();
-
-  EXPECT_EQ(m.counter("prefetch.warmed").value() - warmed0, 12u);
-  EXPECT_EQ(m.counter("prefetch.dropped").value() - dropped0, 0u);
-  EXPECT_EQ(depth.value(), 0);
+    dlsim::Prefetcher prefetcher(inst.fs(), 2);
+    prefetcher.prefetch({"real", "ghost1", "ghost2"});
+    prefetcher.wait();
+    auto& m = inst.metrics();
+    EXPECT_EQ(m.counter("prefetch.warmed").value(), 1u);
+    EXPECT_EQ(m.counter("prefetch.failures").value(), 2u);
+    EXPECT_EQ(m.counter("prefetch.fetch_staged").value(), 1u);  // local blob
+    EXPECT_EQ(m.gauge("prefetch.queue_depth").value(), 0);
+    EXPECT_TRUE(inst.fs().tiers().plain().contains("real"));
+  });
 }
 
 // --- CheckpointManager ----------------------------------------------------

@@ -179,6 +179,11 @@ TEST(AccessPlanTest, HottestRanksByAccessCount) {
 // ---------------------------------------------------------------------------
 // Belady eviction in PlainCache
 
+/// A 100-byte plain cache entry filled with `fill`.
+std::shared_ptr<core::CachedFile> entry(std::uint8_t fill) {
+  return std::make_shared<core::CachedFile>(Bytes(100, fill));
+}
+
 /// Runs `seq` through a fresh 100-byte-entry cache of `capacity_files`
 /// entries, optionally under a plan built from the same sequence, and
 /// returns the hit count.
@@ -189,7 +194,7 @@ std::uint64_t trace_hits(const std::vector<std::string>& seq,
   plan::AccessPlan ap(seq, &metrics);
   if (belady) cache.set_eviction_policy(&ap);
   for (const auto& p : seq) {
-    cache.acquire(p, [] { return Bytes(100, 1); });
+    cache.acquire_file(p, [] { return entry(1); });
     cache.release(p);
     ap.record_access(p);
   }
@@ -242,7 +247,7 @@ TEST(BeladyEvictionTest, PlanEvictionCounterTracksPolicyEvictions) {
   plan::AccessPlan ap(std::vector<std::string>{"a", "b", "c"}, &metrics);
   cache.set_eviction_policy(&ap);
   for (const auto* p : {"a", "b", "c"}) {
-    cache.acquire(p, [] { return Bytes(100, 1); });
+    cache.acquire_file(p, [] { return entry(1); });
     cache.release(p);
     ap.record_access(p);
   }
@@ -259,11 +264,11 @@ TEST(BeladyEvictionTest, NoPolicyKeepsClassicFifo) {
   plan::AccessPlan ap(std::vector<std::string>{"z"});
   cache.set_eviction_policy(&ap);
   cache.set_eviction_policy(nullptr);
-  cache.acquire("a", [] { return Bytes(100, 1); });
+  cache.acquire_file("a", [] { return entry(1); });
   cache.release("a");
-  cache.acquire("b", [] { return Bytes(100, 2); });
+  cache.acquire_file("b", [] { return entry(2); });
   cache.release("b");
-  cache.acquire("c", [] { return Bytes(100, 3); });
+  cache.acquire_file("c", [] { return entry(3); });
   cache.release("c");
   EXPECT_FALSE(cache.contains("a"));  // FIFO evicts the oldest, not "z" logic
   EXPECT_TRUE(cache.contains("b"));
@@ -277,10 +282,10 @@ TEST(BeladyEvictionTest, PinnedEntriesSurvivePolicyEviction) {
   // pinned, so pressure must pick "b" (the farthest *unpinned*) instead.
   plan::AccessPlan ap(std::vector<std::string>{"c", "b", "c"}, &metrics);
   cache.set_eviction_policy(&ap);
-  auto pin_a = cache.acquire("a", [] { return Bytes(100, 1); });
-  cache.acquire("b", [] { return Bytes(100, 2); });
+  auto pin_a = cache.acquire_file("a", [] { return entry(1); });
+  cache.acquire_file("b", [] { return entry(2); });
   cache.release("b");
-  cache.acquire("c", [] { return Bytes(100, 3); });
+  cache.acquire_file("c", [] { return entry(3); });
   cache.release("c");
   EXPECT_TRUE(cache.contains("a"));
   EXPECT_FALSE(cache.contains("b"));
@@ -314,7 +319,7 @@ TEST(BeladyEvictionTest, ConcurrentOpensWhilePlanAdvances) {
       Rng rng(1000 + static_cast<std::uint64_t>(t));
       while (!stop.load(std::memory_order_relaxed)) {
         const std::string p = "s" + std::to_string(rng.next_below(kPaths));
-        cache.acquire(p, [] { return Bytes(100, 7); });
+        cache.acquire_file(p, [] { return entry(7); });
         cache.release(p);
       }
     });

@@ -45,12 +45,13 @@ TEST(RaceStressTest, CacheInsertEvictLookup) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         const std::string path = "f" + std::to_string((t * 7 + i) % 32);
-        const auto data = cache.acquire(path, [&] {
+        const auto data = cache.acquire_file(path, [&] {
           loader_runs.fetch_add(1);
-          return Bytes(4096, static_cast<std::uint8_t>(path.back()));
+          return std::make_shared<core::CachedFile>(
+              Bytes(4096, static_cast<std::uint8_t>(path.back())));
         });
         ASSERT_EQ(data->size(), 4096u);
-        ASSERT_EQ((*data)[0], static_cast<std::uint8_t>(path.back()));
+        ASSERT_EQ(data->plain()[0], static_cast<std::uint8_t>(path.back()));
         if (i % 3 == 0) cache.contains(path);
         if (i % 5 == 0) cache.bytes_used();
         cache.release(path);
@@ -85,13 +86,14 @@ TEST(RaceStressTest, ShardedSingleFlightStress) {
         // Low path cardinality: most iterations collide with another
         // thread's in-flight load or pinned entry.
         const std::string path = "hot" + std::to_string((t + i) % 12);
-        const auto data = cache.acquire(path, [&] {
+        const auto data = cache.acquire_file(path, [&] {
           loader_runs.fetch_add(1);
           std::this_thread::sleep_for(std::chrono::microseconds(50));
-          return Bytes(4096, static_cast<std::uint8_t>(path.back()));
+          return std::make_shared<core::CachedFile>(
+              Bytes(4096, static_cast<std::uint8_t>(path.back())));
         });
         ASSERT_EQ(data->size(), 4096u);
-        ASSERT_EQ((*data)[0], static_cast<std::uint8_t>(path.back()));
+        ASSERT_EQ(data->plain()[0], static_cast<std::uint8_t>(path.back()));
         if (i % 3 == 0) cache.contains(path);
         if (i % 5 == 0) cache.bytes_used();
         if (i % 7 == 0) cache.open_count(path);

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <functional>
 #include <thread>
@@ -244,6 +245,12 @@ TEST_P(VfsConformanceTest, LseekAllWhences) {
   fs().read(fd, MutByteView{one.data(), 1});
   EXPECT_EQ(one[0], expected.back());
   EXPECT_LT(fs().lseek(fd, -10000, Whence::kSet), 0);
+  // A refused seek leaves the fd usable, and a target past INT64_MAX is
+  // refused rather than wrapped.
+  EXPECT_EQ(fs().lseek(fd, 1, Whence::kSet), 1);
+  EXPECT_LT(fs().lseek(fd, INT64_MAX, Whence::kCur), 0);
+  fs().read(fd, MutByteView{one.data(), 1});
+  EXPECT_EQ(one[0], expected[1]);  // the cursor stayed at 1
   fs().close(fd);
 }
 
