@@ -62,10 +62,8 @@ void VfsBackend::put(const std::string& path, Blob blob) {
 std::optional<Blob> VfsBackend::get(const std::string& path) const {
   const auto payload = posixfs::read_file(*fs_, object_path(path));
   if (!payload || payload->size() < 2) return std::nullopt;
-  Blob b;
-  b.compressor = load_le<std::uint16_t>(payload->data());
-  b.data.assign(payload->begin() + 2, payload->end());
-  return b;
+  return Blob{load_le<std::uint16_t>(payload->data()),
+              Bytes(payload->begin() + 2, payload->end())};
 }
 
 bool VfsBackend::contains(const std::string& path) const {
@@ -102,7 +100,10 @@ std::optional<Blob> FaultInjectedBackend::get(const std::string& path) const {
       return std::nullopt;  // read error: the object is unreachable
     case fault::BackendAction::kCorrupt: {
       std::optional<Blob> blob = inner_->get(path);
-      if (blob) injector_->corrupt(blob->data);
+      if (!blob) return blob;
+      Bytes torn(blob->data.begin(), blob->data.end());
+      injector_->corrupt(torn);
+      blob->data = std::move(torn);
       return blob;  // torn object: crc layers above must catch it
     }
     case fault::BackendAction::kNone:

@@ -22,13 +22,15 @@ namespace fanstore::core {
 
 struct Blob {
   compress::CompressorId compressor = 0;
-  Bytes data;  // compressed payload
+  SharedBytes data;  // compressed payload (plain bytes for id 0); immutable
 };
 
 class CompressedBackend {
  public:
   virtual ~CompressedBackend() = default;
   virtual void put(const std::string& path, Blob blob) = 0;
+  /// The stored blob. Its bytes may be shared with the backend (RamBackend
+  /// hands out a reference, not a copy), so they are never written to.
   virtual std::optional<Blob> get(const std::string& path) const = 0;
   virtual bool contains(const std::string& path) const = 0;
   virtual std::size_t bytes_used() const = 0;
@@ -36,6 +38,7 @@ class CompressedBackend {
 };
 
 /// RAM-backed store: compressed byte arrays in a hash table keyed by path.
+/// get() shares the stored buffer instead of copying it.
 class RamBackend final : public CompressedBackend {
  public:
   void put(const std::string& path, Blob blob) override;
@@ -77,7 +80,8 @@ class VfsBackend final : public CompressedBackend {
 /// Decorator that injects scripted read faults into an inner backend (a
 /// flaky SSD / torn object, fault::BackendRule): get() may fail (nullopt)
 /// or return a corrupted copy — the format/crc layers above must detect
-/// the latter. Writes and membership checks pass through untouched.
+/// the latter. The corruption lands in a fresh copy, never in the inner
+/// backend's shared buffer. Writes and membership checks pass through untouched.
 class FaultInjectedBackend final : public CompressedBackend {
  public:
   /// `rank` scopes the injector's per-rank rules; `injector` must outlive

@@ -162,6 +162,20 @@ std::shared_ptr<CachedFile> PlainCache::acquire_file(
   return result;
 }
 
+std::shared_ptr<CachedFile> PlainCache::try_acquire(const std::string& path) {
+  Shard& s = shard_for(path);
+  sync::MutexLock lk(s.mu);
+  const auto it = s.entries.find(path);
+  if (it == s.entries.end()) return nullptr;
+  Entry& e = it->second;
+  if (e.invalidated || !e.data->verified() || !e.data->fully_materialized()) {
+    return nullptr;
+  }
+  e.open_count++;
+  hits_->inc();
+  return e.data;
+}
+
 void PlainCache::recharge(const std::string& path) {
   Shard& s = shard_for(path);
   std::vector<Demoted> demoted;

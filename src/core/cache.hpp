@@ -75,6 +75,13 @@ class PlainCache {
       const std::function<std::shared_ptr<CachedFile>()>& loader,
       bool* loaded = nullptr);
 
+  /// Non-blocking hit: pins and returns `path`'s entry only when it is
+  /// resident, not invalidated, verified and fully materialized, counting
+  /// a hit exactly like acquire_file(); otherwise returns nullptr and
+  /// changes nothing. Never loads and never waits on an in-flight load,
+  /// so an event-loop thread may call it.
+  std::shared_ptr<CachedFile> try_acquire(const std::string& path);
+
   /// Re-syncs `path`'s budget accounting with CachedFile::charge_bytes()
   /// after lazy chunks materialized, applying eviction pressure for the
   /// growth. No-op if the entry is gone.

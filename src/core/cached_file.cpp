@@ -7,11 +7,12 @@
 
 namespace fanstore::core {
 
-CachedFile::CachedFile(Bytes plain) : plain_(std::move(plain)) {}
+CachedFile::CachedFile(SharedBytes plain)
+    : stored_(std::move(plain)), plain_(&stored_.bytes()) {}
 
-CachedFile::CachedFile(Bytes compressed, compress::CompressorId chunked_id,
+CachedFile::CachedFile(SharedBytes compressed, compress::CompressorId chunked_id,
                        std::size_t original_size)
-    : compressed_(std::move(compressed)) {
+    : plain_(&decoded_), compressed_(std::move(compressed)) {
   frame_ = compress::ChunkedFrame::parse(as_view(compressed_), original_size);
   if (frame_.inner_id() != compress::chunked_inner_id(chunked_id) ||
       frame_.chunk_size() != compress::chunked_chunk_size(chunked_id)) {
@@ -20,7 +21,7 @@ CachedFile::CachedFile(Bytes compressed, compress::CompressorId chunked_id,
   }
   chunk_count_ = frame_.chunk_count();
   verified_.store(chunk_count_ == 0, std::memory_order_relaxed);
-  plain_.resize(original_size);
+  decoded_.resize(original_size);
   states_ = std::make_unique<std::atomic<std::uint8_t>[]>(chunk_count_);
   for (std::size_t i = 0; i < chunk_count_; ++i) {
     states_[i].store(kEmpty, std::memory_order_relaxed);
@@ -46,10 +47,10 @@ bool CachedFile::ensure_chunk(std::size_t i) {
       });
     }
   }
-  // Decode with no lock held; distinct chunks write disjoint plain_ ranges.
+  // Decode with no lock held; distinct chunks write disjoint decoded_ ranges.
   try {
     frame_.decode_chunk_into(
-        i, MutByteView(plain_.data() + frame_.chunk_begin(i),
+        i, MutByteView(decoded_.data() + frame_.chunk_begin(i),
                        frame_.chunk_plain_size(i)));
   } catch (...) {
     sync::MutexLock lk(mu_);
@@ -80,7 +81,7 @@ void CachedFile::read_range(std::size_t offset, MutByteView out,
       }
     }
   }
-  std::memcpy(out.data(), plain_.data() + offset, out.size());
+  std::memcpy(out.data(), plain_->data() + offset, out.size());
 }
 
 void CachedFile::materialize_all(std::size_t threads, DecodeStats* stats) {
@@ -108,14 +109,14 @@ void CachedFile::materialize_all(std::size_t threads, DecodeStats* stats) {
 }
 
 std::size_t CachedFile::charge_bytes() const {
-  if (chunk_count_ == 0) return plain_.size();
+  if (chunk_count_ == 0) return plain_->size();
   const std::size_t ready = ready_chunks_.load(std::memory_order_acquire);
   // Materialized plain bytes: full chunks plus a possibly-short tail. Using
   // ready * chunk_size clamped to size() over-counts only when the tail
   // chunk is ready but an interior one is not — a transient, conservative
   // bound.
   const std::size_t plain_bytes =
-      std::min(plain_.size(), ready * frame_.chunk_size());
+      std::min(decoded_.size(), ready * frame_.chunk_size());
   return compressed_.size() + plain_bytes;
 }
 

@@ -2,8 +2,11 @@
 //
 // A compressed file has one form, the chunked frame (compress/chunked.hpp);
 // the plain constructor holds stored (id 0) blobs and frames FanStoreFs
-// decoded before admission. A frame entry keeps the *compressed* frame and
-// decodes chunks on demand:
+// decoded before admission. Both constructors take a SharedBytes, so a
+// stored blob's entry aliases the backend's buffer and a frame entry keeps
+// the backend's frame: reading a file back adds no second copy of its
+// bytes (the cache charge is unchanged). A frame entry keeps the
+// *compressed* frame and decodes chunks on demand:
 //
 //   - read_range() decodes only the chunks overlapping the request — the
 //     pread() latency win: a 64 KiB read of a 100 MB object touches at most
@@ -53,17 +56,19 @@ class CachedFile {
   };
 
   /// Fully-materialized entry: stored blobs, or a frame decoded up front.
-  explicit CachedFile(Bytes plain);
+  /// Shares `plain` (never copies it).
+  explicit CachedFile(SharedBytes plain);
 
-  /// Lazy chunked entry: parses and validates the frame, allocates the
-  /// plain buffer, decodes nothing. Throws CorruptDataError on a bad frame.
-  CachedFile(Bytes compressed, compress::CompressorId chunked_id,
+  /// Lazy chunked entry: parses and validates the frame (shared, never
+  /// copied), allocates the plain buffer, decodes nothing. Throws
+  /// CorruptDataError on a bad frame.
+  CachedFile(SharedBytes compressed, compress::CompressorId chunked_id,
              std::size_t original_size);
 
   CachedFile(const CachedFile&) = delete;
   CachedFile& operator=(const CachedFile&) = delete;
 
-  std::size_t size() const { return plain_.size(); }
+  std::size_t size() const { return plain_->size(); }
   bool is_chunked() const { return chunk_count_ > 0; }
   std::size_t chunk_count() const { return chunk_count_; }
   std::size_t chunk_size() const { return frame_.chunk_size(); }
@@ -97,16 +102,18 @@ class CachedFile {
   void materialize_all(std::size_t threads, DecodeStats* stats);
 
   /// The full plain contents; only valid once fully_materialized().
-  const Bytes& plain() const { return plain_; }
+  const Bytes& plain() const { return *plain_; }
 
-  /// Moves the plain contents out of an entry nobody else references
-  /// (FanStoreFs keeps them and drops the frame before admission).
-  Bytes take_plain() && { return std::move(plain_); }
+  /// Moves the decoded contents out of a frame entry nobody else
+  /// references (FanStoreFs keeps them and drops the frame before
+  /// admission).
+  Bytes take_plain() && { return std::move(decoded_); }
 
   /// The retained compressed frame of a chunked entry (empty for
   /// non-chunked entries). Immutable after construction — the tiered cache
-  /// demotes this form into the compressed-RAM tier without re-encoding.
-  const Bytes& compressed_bytes() const { return compressed_; }
+  /// demotes this form into the compressed-RAM tier without re-encoding or
+  /// copying.
+  const SharedBytes& compressed_bytes() const { return compressed_; }
 
   /// Structural chunked-container id of this entry (0 for non-chunked):
   /// the id that reconstructs an equivalent lazy entry from
@@ -129,8 +136,10 @@ class CachedFile {
   /// Returns true iff *this call* performed the decode.
   bool ensure_chunk(std::size_t i);
 
-  Bytes plain_;
-  Bytes compressed_;               // empty for non-chunked entries
+  SharedBytes stored_;             // plain entries: the shared bytes
+  Bytes decoded_;                  // frame entries: the decode target
+  const Bytes* plain_;             // &stored_.bytes() or &decoded_
+  SharedBytes compressed_;         // empty for non-chunked entries
   compress::ChunkedFrame frame_;   // views into compressed_
   std::size_t chunk_count_ = 0;    // 0 for non-chunked entries
   std::atomic<std::size_t> ready_chunks_{0};

@@ -41,6 +41,21 @@ FanStoreFs::IoMetrics::IoMetrics(obs::MetricsRegistry& m)
 
 namespace {
 
+/// A loop-served read's pin on its plain-tier entry: the bytes stay
+/// alive (and the entry unevictable) until the last copy of the answer
+/// drops, which then closes the read like close() would.
+struct ServePin {
+  ServePin(TieredCache* c, std::string p, std::shared_ptr<CachedFile> f)
+      : cache(c), path(std::move(p)), file(std::move(f)) {}
+  ServePin(const ServePin&) = delete;
+  ServePin& operator=(const ServePin&) = delete;
+  ~ServePin() { cache->release(path); }
+
+  TieredCache* cache;
+  std::string path;
+  std::shared_ptr<CachedFile> file;
+};
+
 TieredCache::Options tier_options(const FanStoreFs::Options& o,
                                   obs::MetricsRegistry* metrics) {
   TieredCache::Options t;
@@ -126,8 +141,8 @@ FanStoreFs::FetchStatus FanStoreFs::fetch_from(int rank, const std::string& path
   Blob fetched;
   fetched.compressor = load_le<std::uint16_t>(reply->payload.data() + 1);
   const std::uint64_t raw_size = load_le<std::uint64_t>(reply->payload.data() + 3);
-  fetched.data.assign(reply->payload.begin() + kFetchReplyHeaderBytes,
-                      reply->payload.end());
+  fetched.data = Bytes(reply->payload.begin() + kFetchReplyHeaderBytes,
+                       reply->payload.end());
   // raw_size == 0 means the serving daemon has no metadata for this path.
   // That is normal under sharded metadata (§13): data placement and
   // metadata placement are decoupled, so the rank holding the blob may not
@@ -214,6 +229,8 @@ ColdResult FanStoreFs::load_cached(const std::string& path,
   }
   if (blob->compressor == 0) {
     // Stored blob: the plain bytes themselves, checked before admission.
+    // The entry aliases the backend's buffer, so a stored file read back
+    // costs no second copy.
     if (blob->data.size() != stat.size ||
         (stat.crc != 0 && crc32(as_view(blob->data)) != stat.crc)) {
       throw std::runtime_error("fanstore: CRC mismatch for " + path);
@@ -549,12 +566,7 @@ std::int64_t FanStoreFs::write(int fd, ByteView buf) {
   }
   if (of->mode != posixfs::OpenMode::kWrite) return -EBADF;
   sync::MutexLock flk(of->mu);
-  const auto end = static_cast<std::size_t>(of->offset) + buf.size();
-  if (end > of->buffer.size()) of->buffer.resize(end);
-  std::copy(buf.begin(), buf.end(),
-            of->buffer.begin() + static_cast<std::ptrdiff_t>(of->offset));
-  of->offset += static_cast<std::int64_t>(buf.size());
-  return static_cast<std::int64_t>(buf.size());
+  return posixfs::write_at_cursor(&of->buffer, &of->offset, buf);
 }
 
 std::int64_t FanStoreFs::lseek(int fd, std::int64_t offset, posixfs::Whence whence) {
@@ -579,6 +591,68 @@ int FanStoreFs::stat(std::string_view path_in, format::FileStat* out) {
   if (!st) return -ENOENT;
   *out = *st;
   return 0;
+}
+
+bool FanStoreFs::try_serve(posixfs::ServeOp op, std::string_view path_in,
+                           posixfs::ServeAnswer* out) {
+  WallTimer timer;
+  const std::string path = posixfs::normalize_path(path_in);
+  cluster::MetadataStore& store = cluster_->store();
+  switch (op) {
+    case posixfs::ServeOp::kStat: {
+      // stat(): cluster_->lookup() reads this store first and sends an
+      // RPC only after a miss in a sharded store.
+      const auto st = store.lookup(path);
+      if (!st && cluster_->sharded()) return false;
+      charge_metadata();
+      out->rc = st ? 0 : -ENOENT;
+      if (st) out->stat = *st;
+      return true;
+    }
+    case posixfs::ServeOp::kList: {
+      // A sharded store holds only its shards' children: the listing is a
+      // union over ranks.
+      if (cluster_->sharded()) return false;
+      charge_metadata();  // opendir()
+      if (!store.dir_exists(path)) {
+        out->rc = -ENOENT;
+        return true;
+      }
+      out->entries = store.list(path);
+      // One readdir() per entry plus the one that reports the end.
+      for (std::size_t i = 0; i <= out->entries.size(); ++i) charge_metadata();
+      out->rc = 0;
+      return true;
+    }
+    case posixfs::ServeOp::kReadAll: {
+      if (path.empty()) {
+        out->rc = -EINVAL;
+        return true;
+      }
+      const auto st = store.lookup(path);
+      if (!st && cluster_->sharded()) return false;
+      if (!st || st->type == format::FileType::kDirectory) {
+        charge_metadata();
+        out->rc = st ? -EISDIR : -ENOENT;
+        return true;
+      }
+      std::shared_ptr<CachedFile> file = cache_.try_acquire(path);
+      if (file == nullptr) return false;  // open() would load or decode
+      // What open() + read() to the end + close() charge and count.
+      charge_metadata();
+      charge(options_.cost.read_path.per_op_s);
+      charge(static_cast<double>(file->size()) /
+             options_.cost.read_path.bandwidth_bps);
+      io_.opens.inc();
+      io_.bytes_read.inc(file->size());
+      io_.open_us.record(static_cast<std::uint64_t>(timer.elapsed_us()));
+      out->rc = 0;
+      out->data = as_view(file->plain());
+      out->pin = std::make_shared<const ServePin>(&cache_, path, std::move(file));
+      return true;
+    }
+  }
+  return false;
 }
 
 int FanStoreFs::opendir(std::string_view path_in) {

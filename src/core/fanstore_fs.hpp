@@ -140,6 +140,13 @@ class FanStoreFs final : public posixfs::Vfs {
   int opendir(std::string_view path) override;
   std::optional<posixfs::Dirent> readdir(int dir_handle) override;
   int closedir(int dir_handle) override;
+  /// The loop-thread answer (DESIGN.md §11): stat and listings from the
+  /// local store, a whole-file read from a resident, verified, fully
+  /// decoded plain-tier entry, pinned until the answer's last copy drops.
+  /// Would block on anything that needs an RPC (a local miss or a listing
+  /// while sharded()) or a load.
+  bool try_serve(posixfs::ServeOp op, std::string_view path,
+                 posixfs::ServeAnswer* out) override;
 
   /// Stages `path`'s *compressed* blob into the local backend without
   /// decompressing — the fetch half of the prefetch pipeline. Returns true

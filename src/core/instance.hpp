@@ -70,6 +70,8 @@ class Instance {
   // (see metrics() / metrics_dump()).
 
   Instance(mpi::Comm comm, Options options);
+  /// Stops and frees every structure; an Instance that stored written
+  /// files also returns the freed heap pages to the OS.
   ~Instance();
 
   Instance(const Instance&) = delete;
@@ -108,7 +110,9 @@ class Instance {
   void stop();
 
   /// One-line-per-metric observability report (opens, hit rate, remote
-  /// traffic, cache occupancy, backend size, daemon counters).
+  /// traffic, cache occupancy, backend size, daemon counters, and with a
+  /// socket front door its requests and the share answered on the loop
+  /// thread).
   std::string stats_report() const;
 
   /// This rank's metric registry (fs + cache + daemon counters and

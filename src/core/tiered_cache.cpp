@@ -124,6 +124,12 @@ std::shared_ptr<CachedFile> TieredCache::acquire_file(const std::string& path,
   return file;
 }
 
+std::shared_ptr<CachedFile> TieredCache::try_acquire(const std::string& path) {
+  auto file = plain_.try_acquire(path);
+  if (file != nullptr && tiers_enabled()) plain_hits_->inc();
+  return file;
+}
+
 std::shared_ptr<CachedFile> TieredCache::load_below(const std::string& path,
                                                     const ColdLoader& cold) {
   // Runs inside the plain tier's single-flight slot: per-path serialized,
@@ -143,7 +149,7 @@ std::shared_ptr<CachedFile> TieredCache::lookup_compressed(
     const std::string& path) {
   if (!tier1_on_) return nullptr;
   compress::CompressorId compressor = 0;
-  Bytes payload;
+  SharedBytes payload;
   std::uint64_t original_size = 0;
   bool promote = false;
   {
@@ -165,7 +171,7 @@ std::shared_ptr<CachedFile> TieredCache::lookup_compressed(
       comp_fifo_.erase(e.fifo_pos);
       comp_.erase(it);
     } else {
-      payload = e.payload;  // copy: the tier keeps its residency
+      payload = e.payload;  // shared: the tier keeps its residency
     }
   }
   comp_hits_->inc();
@@ -249,7 +255,7 @@ void TieredCache::demote(const std::string& path,
     return;
   }
   const ByteView payload =
-      as_view(framed ? file->compressed_bytes() : file->plain());
+      framed ? as_view(file->compressed_bytes()) : as_view(file->plain());
   if (insert_spill(path, file->container_id(), file->size(),
                    framed ? 0 : crc32(payload), payload)) {
     spill_demotes_->inc();

@@ -126,6 +126,10 @@ class TieredCache {
   std::shared_ptr<CachedFile> acquire_file(const std::string& path,
                                            const ColdLoader& cold);
 
+  /// Plain-tier hit without blocking (PlainCache::try_acquire), counted
+  /// like an acquire_file() hit; nullptr when that would need a load.
+  std::shared_ptr<CachedFile> try_acquire(const std::string& path);
+
   /// Forwards PlainCache::release: drops one pin; capacity pressure then
   /// decides when the entry demotes.
   void release(const std::string& path) { plain_.release(path); }
@@ -161,7 +165,7 @@ class TieredCache {
   /// a lazy CachedFile and to decide promotion.
   struct CompressedEntry {
     compress::CompressorId compressor = 0;  // the frame's chunked id
-    Bytes payload;
+    SharedBytes payload;  // shared with the plain entry it was demoted from
     std::uint64_t original_size = 0;
     std::size_t hits = 0;
     std::list<std::string>::iterator fifo_pos;

@@ -4,6 +4,7 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -25,13 +26,22 @@ std::uint64_t now_us() {
           .count());
 }
 
-// Prepends the [u32 len] frame header to a reply payload.
+// Prepends the [u32 len] frame header to a (small) reply payload.
 Bytes frame_reply(const Bytes& payload) {
   Bytes out;
   out.reserve(4 + payload.size());
   append_le<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
+}
+
+posixfs::ServeOp serve_op(Op op) {
+  switch (op) {
+    case Op::kGet: return posixfs::ServeOp::kReadAll;
+    case Op::kStat: return posixfs::ServeOp::kStat;
+    case Op::kList: return posixfs::ServeOp::kList;
+  }
+  return posixfs::ServeOp::kStat;  // unreachable: decode_request checks op
 }
 
 // Waits for a closure deferred onto `loop` to finish (start/stop plumbing;
@@ -55,6 +65,19 @@ void run_on_loop_sync(EventLoop& loop, std::function<void()> fn) {
 
 }  // namespace
 
+// One queued reply: `head` (the frame header, or all of a small frame),
+// then `body`, a view of bytes that `pin` keeps alive. A hit's body is the
+// pinned cache entry itself, so the file is never copied into the reply;
+// the pin drops when the frame leaves the queue (sent, or the connection
+// closed).
+struct Server::OutFrame {
+  Bytes head;
+  ByteView body;
+  std::shared_ptr<const void> pin;
+
+  std::size_t size() const { return head.size() + body.size(); }
+};
+
 // Per-connection state. Owned by its shard's loop thread: every field is
 // read and written only from that thread (blocker jobs carry copies and
 // hand results back through EventLoop::defer), so no lock is needed.
@@ -66,7 +89,7 @@ struct Server::Conn {
   std::deque<Bytes> requests;   // complete frames awaiting service
   bool inflight = false;        // one request in the blocker pool
 
-  std::deque<Bytes> outq;       // framed replies awaiting write
+  std::deque<OutFrame> outq;    // framed replies awaiting write
   std::size_t out_off = 0;      // progress into outq.front()
   std::size_t out_bytes = 0;    // total queued reply bytes
 
@@ -106,6 +129,7 @@ Server::Server(std::vector<Endpoint> listen_on, posixfs::Vfs& fs,
   idle_timeouts_ = &m.counter("ipc.idle_timeouts");
   backpressure_pauses_ = &m.counter("ipc.backpressure_pauses");
   conns_open_ = &m.gauge("ipc.conns_open");
+  loop_served_ = &m.counter("ipc.loop_served");
   serve_us_ = &m.histogram("ipc.serve_us");
 }
 
@@ -295,9 +319,9 @@ void Server::parse_frames(const std::shared_ptr<Conn>& conn) {
       // Oversized declared length: a clean error reply, then close — and
       // never allocate the claimed size.
       protocol_errors_->inc();
-      const Bytes err = frame_reply(encode_get_reply(Status::kError, {}));
-      conn->outq.push_back(err);
+      OutFrame err{frame_reply(encode_get_reply(Status::kError, {})), {}, {}};
       conn->out_bytes += err.size();
+      conn->outq.push_back(std::move(err));
       conn->closing = true;
       break;
     }
@@ -319,63 +343,74 @@ void Server::parse_frames(const std::shared_ptr<Conn>& conn) {
 }
 
 void Server::pump_requests(const std::shared_ptr<Conn>& conn) {
-  if (conn->dead || conn->inflight || conn->requests.empty()) return;
-  Bytes payload = std::move(conn->requests.front());
-  conn->requests.pop_front();
-  conn->inflight = true;
-  const std::uint64_t t0 = now_us();
-  blocker_->submit([this, conn, payload = std::move(payload), t0]() mutable {
-    // Blocker-pool side: only `payload`, the Vfs, and the (atomic)
-    // counters are touched — never the connection state.
-    Bytes frame = frame_reply(serve_frame(as_view(payload)));
-    conn->shard->loop.defer([this, conn, frame = std::move(frame), t0]() mutable {
-      on_reply(conn, std::move(frame), t0);
+  while (!conn->dead && !conn->inflight && !conn->requests.empty()) {
+    Bytes payload = std::move(conn->requests.front());
+    conn->requests.pop_front();
+    const std::uint64_t t0 = now_us();
+    OutFrame reply;
+    if (serve_frame(as_view(payload), /*on_loop=*/true, &reply)) {
+      serve_us_->record(now_us() - t0);
+      queue_reply(conn, std::move(reply));
+      continue;
+    }
+    // Would block: one request goes to the blocker pool, the rest wait.
+    conn->inflight = true;
+    blocker_->submit([this, conn, payload = std::move(payload), t0]() mutable {
+      // Blocker-pool side: only `payload`, the Vfs, and the (atomic)
+      // counters are touched — never the connection state.
+      OutFrame frame;
+      serve_frame(as_view(payload), /*on_loop=*/false, &frame);
+      conn->shard->loop.defer(
+          [this, conn, frame = std::move(frame), t0]() mutable {
+            on_reply(conn, std::move(frame), t0);
+          });
     });
-  });
+    return;
+  }
 }
 
-Bytes Server::serve_frame(ByteView payload) {
+bool Server::serve_frame(ByteView payload, bool on_loop, OutFrame* reply) {
   const auto request = decode_request(payload);
   if (!request) {
     protocol_errors_->inc();
-    return encode_get_reply(Status::kError, {});
+    reply->head = frame_reply(encode_get_reply(Status::kError, {}));
+    return true;
   }
-  Bytes reply;
+  const posixfs::ServeOp op = serve_op(request->op);
+  posixfs::ServeAnswer answer;
+  if (!on_loop) {
+    answer = posixfs::serve(fs_, op, request->path);
+  } else if (!fs_.try_serve(op, request->path, &answer)) {
+    return false;
+  }
+  const Status status = answer.rc == 0 ? Status::kOk : Status::kNotFound;
   switch (request->op) {
-    case Op::kGet: {
-      const auto data = posixfs::read_file(fs_, request->path);
-      reply = data ? encode_get_reply(Status::kOk, as_view(*data))
-                   : encode_get_reply(Status::kNotFound, {});
-      break;
-    }
-    case Op::kStat: {
-      format::FileStat st;
-      const int rc = fs_.stat(request->path, &st);
-      reply = encode_stat_reply(rc == 0 ? Status::kOk : Status::kNotFound, st);
-      break;
-    }
-    case Op::kList: {
-      const int h = fs_.opendir(request->path);
-      if (h < 0) {
-        reply = encode_list_reply(Status::kNotFound, {});
-        break;
+    case Op::kGet:
+      if (answer.rc == 0) {
+        // [u32 len][status] then the file straight from the answer's pin.
+        reply->head.resize(5);
+        store_le<std::uint32_t>(reply->head.data(),
+                                static_cast<std::uint32_t>(1 + answer.data.size()));
+        reply->head[4] = static_cast<std::uint8_t>(Status::kOk);
+        reply->body = answer.data;
+        reply->pin = std::move(answer.pin);
+      } else {
+        reply->head = frame_reply(encode_get_reply(Status::kNotFound, {}));
       }
-      std::vector<posixfs::Dirent> entries;
-      while (auto e = fs_.readdir(h)) entries.push_back(std::move(*e));
-      fs_.closedir(h);
-      reply = encode_list_reply(Status::kOk, entries);
       break;
-    }
+    case Op::kStat:
+      reply->head = frame_reply(encode_stat_reply(status, answer.stat));
+      break;
+    case Op::kList:
+      reply->head = frame_reply(encode_list_reply(status, answer.entries));
+      break;
   }
   requests_->inc();
-  return reply;
+  if (on_loop) loop_served_->inc();
+  return true;
 }
 
-void Server::on_reply(const std::shared_ptr<Conn>& conn, Bytes frame,
-                      std::uint64_t t0_us) {
-  if (conn->dead) return;
-  conn->inflight = false;
-  serve_us_->record(now_us() - t0_us);
+void Server::queue_reply(const std::shared_ptr<Conn>& conn, OutFrame frame) {
   conn->out_bytes += frame.size();
   conn->outq.push_back(std::move(frame));
   flush_writes(conn);
@@ -384,6 +419,15 @@ void Server::on_reply(const std::shared_ptr<Conn>& conn, Bytes frame,
     conn->paused = true;
     backpressure_pauses_->inc();
   }
+}
+
+void Server::on_reply(const std::shared_ptr<Conn>& conn, OutFrame frame,
+                      std::uint64_t t0_us) {
+  if (conn->dead) return;
+  conn->inflight = false;
+  serve_us_->record(now_us() - t0_us);
+  queue_reply(conn, std::move(frame));
+  if (conn->dead) return;
   pump_requests(conn);
   update_interest(conn);
   if (conn->peer_eof && conn->outq.empty() && !conn->inflight &&
@@ -394,10 +438,27 @@ void Server::on_reply(const std::shared_ptr<Conn>& conn, Bytes frame,
 
 void Server::flush_writes(const std::shared_ptr<Conn>& conn) {
   while (!conn->outq.empty()) {
-    const Bytes& front = conn->outq.front();
+    const OutFrame& front = conn->outq.front();
     while (conn->out_off < front.size()) {
-      const ssize_t w = ::send(conn->fd, front.data() + conn->out_off,
-                               front.size() - conn->out_off, MSG_NOSIGNAL);
+      // Gather write of what is left of the head and the body; sendmsg,
+      // not writev, for MSG_NOSIGNAL.
+      iovec iov[2];
+      int n = 0;
+      std::size_t body_off = 0;
+      if (conn->out_off < front.head.size()) {
+        iov[n++] = {const_cast<std::uint8_t*>(front.head.data()) + conn->out_off,
+                    front.head.size() - conn->out_off};
+      } else {
+        body_off = conn->out_off - front.head.size();
+      }
+      if (body_off < front.body.size()) {
+        iov[n++] = {const_cast<std::uint8_t*>(front.body.data()) + body_off,
+                    front.body.size() - body_off};
+      }
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = static_cast<std::size_t>(n);
+      const ssize_t w = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
       if (w > 0) {
         conn->out_off += static_cast<std::size_t>(w);
         conn->out_bytes -= static_cast<std::size_t>(w);
@@ -443,6 +504,7 @@ void Server::update_interest(const std::shared_ptr<Conn>& conn) {
 void Server::close_conn(const std::shared_ptr<Conn>& conn) {
   if (conn->dead) return;
   conn->dead = true;
+  conn->outq.clear();  // drops the queued replies' pins now
   conn->shard->loop.del_fd(conn->fd);
   conn->shard->conns.erase(conn->fd);
   ::close(conn->fd);

@@ -6,10 +6,18 @@
 //
 // Per-connection state machine (owned by the connection's shard thread):
 //
-//   reading ──complete frame──▶ queued ──▶ in-flight (blocker pool)
-//      ▲                                        │ reply via defer()
-//      │ resume below low-water                 ▼
+//   reading ──complete frame──▶ queued ──Vfs::try_serve──▶ writing
+//      ▲                          │ would block               ▲
+//      │                          ▼                           │
+//      │                  in-flight (blocker pool) ──defer()──┘
+//      │ resume below low-water
 //   paused ◀──write queue over high-water── writing ──▶ reading
+//
+// The loop thread first asks the Vfs for a non-blocking answer
+// (Vfs::try_serve; FanStoreFs answers stats, listings and cache hits);
+// only a "would block" goes to the blocker pool. A whole-file reply is
+// sent with one gather write straight from the bytes its answer pins, and
+// the pin drops with the last byte sent.
 //
 // Replies complete on the shard loop via its eventfd wakeup and drain
 // through a non-blocking write queue; a connection whose queued replies
@@ -83,19 +91,24 @@ class Server {
  private:
   struct Conn;
   struct Shard;
+  struct OutFrame;
 
   void accept_ready(std::size_t listener_idx);
   void register_conn(Shard* shard, int fd);
   void conn_ready(const std::shared_ptr<Conn>& conn, std::uint32_t events);
   void parse_frames(const std::shared_ptr<Conn>& conn);
   void pump_requests(const std::shared_ptr<Conn>& conn);
-  void on_reply(const std::shared_ptr<Conn>& conn, Bytes frame,
+  void queue_reply(const std::shared_ptr<Conn>& conn, OutFrame frame);
+  void on_reply(const std::shared_ptr<Conn>& conn, OutFrame frame,
                 std::uint64_t t0_us);
   void flush_writes(const std::shared_ptr<Conn>& conn);
   void update_interest(const std::shared_ptr<Conn>& conn);
   void close_conn(const std::shared_ptr<Conn>& conn);
   void sweep_idle(Shard* shard);
-  Bytes serve_frame(ByteView payload);  // blocker-pool side: Vfs work
+  /// Answers one request frame into `*reply`. On a blocker the Vfs's
+  /// blocking calls run and the answer is final; on the loop thread
+  /// (`on_loop`) only Vfs::try_serve runs, and false means "would block".
+  bool serve_frame(ByteView payload, bool on_loop, OutFrame* reply);
 
   posixfs::Vfs& fs_;
   ServerOptions options_;
@@ -119,6 +132,7 @@ class Server {
   obs::Counter* bytes_out_;
   obs::Counter* idle_timeouts_;
   obs::Counter* backpressure_pauses_;
+  obs::Counter* loop_served_;  // requests answered on the loop thread
   obs::Gauge* conns_open_;
   obs::Histogram* serve_us_;
 };

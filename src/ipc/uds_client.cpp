@@ -78,15 +78,15 @@ std::optional<Bytes> UdsClientVfs::call(ByteView request) {
 int UdsClientVfs::open(std::string_view path_in, posixfs::OpenMode mode) {
   if (mode != posixfs::OpenMode::kRead) return -EROFS;  // read-only transport
   const std::string path = posixfs::normalize_path(path_in);
-  const auto reply = call(as_view(encode_request(Op::kGet, path)));
-  if (!reply) return -EIO;
-  auto get = decode_get_reply(as_view(*reply));
-  if (!get) return -EIO;
-  if (get->status != Status::kOk) return -ENOENT;
+  auto reply = call(as_view(encode_request(Op::kGet, path)));
+  if (!reply || reply->empty()) return -EIO;  // a get reply is [status][data]
+  if (static_cast<Status>((*reply)[0]) != Status::kOk) return -ENOENT;
+  // Keep the reply and read the file out of it, rather than copy it out.
+  auto whole = std::make_shared<const Bytes>(std::move(*reply));
+  const ByteView data(whole->data() + 1, whole->size() - 1);
   sync::MutexLock lk(mu_);
   const int fd = next_fd_++;
-  open_files_[fd] =
-      OpenFile{std::make_shared<const Bytes>(std::move(get->data)), 0};
+  open_files_[fd] = OpenFile{std::move(whole), data, 0};
   return fd;
 }
 
@@ -100,7 +100,7 @@ std::int64_t UdsClientVfs::read(int fd, MutByteView buf) {
   const auto it = open_files_.find(fd);
   if (it == open_files_.end()) return -EBADF;
   OpenFile& of = it->second;
-  const Bytes& data = *of.data;
+  const ByteView data = of.data;
   if (of.offset >= static_cast<std::int64_t>(data.size())) return 0;
   const std::size_t n =
       std::min(buf.size(), data.size() - static_cast<std::size_t>(of.offset));
@@ -116,7 +116,7 @@ std::int64_t UdsClientVfs::lseek(int fd, std::int64_t offset, posixfs::Whence wh
   const auto it = open_files_.find(fd);
   if (it == open_files_.end()) return -EBADF;
   OpenFile& of = it->second;
-  return posixfs::seek_cursor(&of.offset, offset, whence, of.data->size());
+  return posixfs::seek_cursor(&of.offset, offset, whence, of.data.size());
 }
 
 int UdsClientVfs::stat(std::string_view path_in, format::FileStat* out) {

@@ -57,7 +57,8 @@ class UdsClientVfs final : public posixfs::Vfs {
 
  private:
   struct OpenFile {
-    std::shared_ptr<const Bytes> data;
+    std::shared_ptr<const Bytes> reply;  // the get reply, kept whole
+    ByteView data;                       // the file: reply after its status byte
     std::int64_t offset = 0;
   };
   struct OpenDir {

@@ -61,6 +61,10 @@ std::int64_t LocalVfs::write(int fd, ByteView buf) {
   sync::MutexLock lk(mu_);
   const auto it = open_files_.find(fd);
   if (it == open_files_.end() || it->second.mode != OpenMode::kWrite) return -EBADF;
+  const std::streamoff pos = it->second.stream.tellp();
+  if (pos < 0 || static_cast<std::uint64_t>(pos) + buf.size() > kMaxFileBytes) {
+    return -EFBIG;  // same bound as the RAM-buffered backends
+  }
   it->second.stream.write(reinterpret_cast<const char*>(buf.data()),
                           static_cast<std::streamsize>(buf.size()));
   return it->second.stream.good() ? static_cast<std::int64_t>(buf.size()) : -EIO;

@@ -67,13 +67,7 @@ std::int64_t MemVfs::write(int fd, ByteView buf) {
   if (it == open_files_.end()) return -EBADF;
   OpenFile& of = it->second;
   if (of.mode != OpenMode::kWrite) return -EBADF;
-  Bytes& data = *of.data;
-  const auto end = static_cast<std::size_t>(of.offset) + buf.size();
-  if (end > data.size()) data.resize(end);
-  std::copy(buf.begin(), buf.end(),
-            data.begin() + static_cast<std::ptrdiff_t>(of.offset));
-  of.offset += static_cast<std::int64_t>(buf.size());
-  return static_cast<std::int64_t>(buf.size());
+  return write_at_cursor(of.data.get(), &of.offset, buf);
 }
 
 std::int64_t MemVfs::lseek(int fd, std::int64_t offset, Whence whence) {

@@ -1,5 +1,7 @@
 #include "posixfs/vfs.hpp"
 
+#include <algorithm>
+#include <new>
 #include <vector>
 
 namespace fanstore::posixfs {
@@ -49,6 +51,56 @@ std::int64_t Vfs::pread(int fd, MutByteView buf, std::uint64_t offset) {
   const std::int64_t n = read(fd, buf);
   lseek(fd, saved, Whence::kSet);
   return n;
+}
+
+std::int64_t write_at_cursor(Bytes* buffer, std::int64_t* cursor, ByteView buf) {
+  // The cursor is >= 0 (seek_cursor keeps it there), so the sum is exact.
+  const std::uint64_t end = static_cast<std::uint64_t>(*cursor) + buf.size();
+  if (end > kMaxFileBytes) return -EFBIG;
+  if (end > buffer->size()) {
+    try {
+      buffer->resize(static_cast<std::size_t>(end));
+    } catch (const std::bad_alloc&) {
+      return -ENOMEM;
+    }
+  }
+  std::copy(buf.begin(), buf.end(),
+            buffer->begin() + static_cast<std::ptrdiff_t>(*cursor));
+  *cursor = static_cast<std::int64_t>(end);
+  return static_cast<std::int64_t>(buf.size());
+}
+
+bool Vfs::try_serve(ServeOp, std::string_view, ServeAnswer*) { return false; }
+
+ServeAnswer serve(Vfs& fs, ServeOp op, std::string_view path) {
+  ServeAnswer a;
+  switch (op) {
+    case ServeOp::kStat:
+      a.rc = fs.stat(path, &a.stat);
+      break;
+    case ServeOp::kList: {
+      const int h = fs.opendir(path);
+      if (h < 0) {
+        a.rc = h;
+        break;
+      }
+      while (auto e = fs.readdir(h)) a.entries.push_back(std::move(*e));
+      fs.closedir(h);
+      break;
+    }
+    case ServeOp::kReadAll: {
+      auto data = read_file(fs, path);
+      if (!data) {
+        a.rc = -ENOENT;
+        break;
+      }
+      auto owned = std::make_shared<const Bytes>(std::move(*data));
+      a.data = as_view(*owned);
+      a.pin = std::move(owned);
+      break;
+    }
+  }
+  return a;
 }
 
 std::optional<Bytes> read_file(Vfs& fs, std::string_view path) {

@@ -13,9 +13,11 @@
 
 #include <cerrno>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "format/file_stat.hpp"
 #include "util/bytes.hpp"
@@ -32,6 +34,20 @@ enum class Whence { kSet, kCur, kEnd };
 struct Dirent {
   std::string name;  // entry name (not full path)
   format::FileType type = format::FileType::kRegular;
+};
+
+/// What Vfs::try_serve() is asked: the three whole-object questions a
+/// file server answers (stat(), a directory listing, a whole-file read).
+enum class ServeOp { kStat, kList, kReadAll };
+
+/// A try_serve() answer. `rc` is 0 or -errno, a final answer either way
+/// (-ENOENT is as definitive as a hit).
+struct ServeAnswer {
+  int rc = 0;
+  format::FileStat stat;         // kStat
+  std::vector<Dirent> entries;   // kList
+  ByteView data;                 // kReadAll: the whole file...
+  std::shared_ptr<const void> pin;  // ...valid while this (or a copy) lives
 };
 
 /// Abstract filesystem with POSIX-flavoured error handling. Implementations
@@ -59,7 +75,9 @@ class Vfs {
   /// chunk-compressed file.
   virtual std::int64_t pread(int fd, MutByteView buf, std::uint64_t offset);
 
-  /// Appends/overwrites at the fd's offset; returns bytes written or -errno.
+  /// Appends/overwrites at the fd's offset; returns bytes written or -errno
+  /// (-EFBIG, cursor unchanged, for a write that would end past
+  /// kMaxFileBytes).
   virtual std::int64_t write(int fd, ByteView buf) = 0;
 
   /// Repositions the fd; returns the new offset or -errno.
@@ -77,6 +95,15 @@ class Vfs {
 
   /// Returns 0 or -errno.
   virtual int closedir(int dir_handle) = 0;
+
+  /// Non-blocking answer for a server's event-loop thread: fills `*out`
+  /// and returns true only when answering `op` on `path` needs no I/O, no
+  /// RPC, no load and no wait on another thread's work; otherwise returns
+  /// false ("would block") and the caller makes the blocking calls
+  /// instead. An answer equals what the blocking calls would return and
+  /// counts in the metrics as they would. The default always reports
+  /// "would block".
+  virtual bool try_serve(ServeOp op, std::string_view path, ServeAnswer* out);
 };
 
 /// lseek() for a Vfs that keeps the cursor itself: moves `*cursor` to
@@ -85,6 +112,21 @@ class Vfs {
 /// int64 returns -EINVAL and leaves `*cursor` unchanged.
 std::int64_t seek_cursor(std::int64_t* cursor, std::int64_t offset,
                          Whence whence, std::size_t size);
+
+/// Largest file a Vfs that buffers writes in RAM grows to (1 TiB).
+inline constexpr std::uint64_t kMaxFileBytes = std::uint64_t{1} << 40;
+
+/// write() for a Vfs that buffers the file in RAM: copies `buf` to
+/// `*cursor`, zero-filling any gap, advances the cursor and returns
+/// buf.size(). A write that would end past kMaxFileBytes returns -EFBIG,
+/// and one the buffer cannot grow for returns -ENOMEM; both leave the
+/// buffer and `*cursor` unchanged.
+std::int64_t write_at_cursor(Bytes* buffer, std::int64_t* cursor, ByteView buf);
+
+/// Answers `op` on `path` through the blocking calls (stat(), opendir()
+/// + readdir(), open() + read()): what try_serve() must equal. A kReadAll
+/// answer owns its bytes through `pin`.
+ServeAnswer serve(Vfs& fs, ServeOp op, std::string_view path);
 
 /// Normalizes "a//b/./c" to "a/b/c"; strips leading and trailing slashes.
 /// Rejects ".." (returns empty string) — FanStore paths are dataset-rooted.

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,6 +20,40 @@ using ByteView = std::span<const std::uint8_t>;
 using MutByteView = std::span<std::uint8_t>;
 
 inline ByteView as_view(const Bytes& b) { return ByteView{b.data(), b.size()}; }
+
+/// Immutable, reference-counted byte buffer: copies share one allocation,
+/// so a blob handed from a backend to the cache (or to a socket reply)
+/// is never duplicated. Built from a Bytes it takes over, never copies.
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  // Implicit: a Bytes handed to a Blob or a CachedFile becomes shared.
+  SharedBytes(Bytes bytes)
+      : buf_(std::make_shared<const Bytes>(std::move(bytes))) {}
+
+  const Bytes& bytes() const { return buf_ != nullptr ? *buf_ : empty_bytes(); }
+  const std::uint8_t* data() const { return bytes().data(); }
+  std::size_t size() const { return bytes().size(); }
+  bool empty() const { return bytes().empty(); }
+  Bytes::const_iterator begin() const { return bytes().begin(); }
+  Bytes::const_iterator end() const { return bytes().end(); }
+
+  friend bool operator==(const SharedBytes& a, const Bytes& b) {
+    return a.bytes() == b;
+  }
+  friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
+    return a.bytes() == b.bytes();
+  }
+
+ private:
+  static const Bytes& empty_bytes() {
+    static const Bytes kEmpty;
+    return kEmpty;
+  }
+  std::shared_ptr<const Bytes> buf_;
+};
+
+inline ByteView as_view(const SharedBytes& b) { return as_view(b.bytes()); }
 
 inline ByteView as_view(const std::string& s) {
   return ByteView{reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};

@@ -54,7 +54,7 @@ void put_replica(core::Instance& inst, const Bytes& part) {
   for (const auto& rec : views) {
     core::Blob b;
     b.compressor = rec.compressor;
-    b.data.assign(rec.data.begin(), rec.data.end());
+    b.data = Bytes(rec.data.begin(), rec.data.end());
     inst.backend().put(std::string(rec.path), std::move(b));
   }
 }

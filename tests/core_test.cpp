@@ -11,6 +11,7 @@
 #include "core/checkpoint.hpp"
 #include "core/instance.hpp"
 #include "dlsim/datagen.hpp"
+#include "fault/injector.hpp"
 #include "posixfs/mem_vfs.hpp"
 #include "prep/prepare.hpp"
 #include "tests/test_data.hpp"
@@ -730,6 +731,97 @@ TEST(FanStoreIntegrationTest, StatsReportMentionsActivity) {
     EXPECT_NE(report.find("opens=1"), std::string::npos) << report;
     EXPECT_NE(report.find("local=1"), std::string::npos) << report;
     EXPECT_NE(report.find("backend 1 objs"), std::string::npos) << report;
+  });
+}
+
+// --- One copy of a blob's bytes ----------------------------------------
+
+TEST(SharedBytesTest, RamBackendGetsShareOneBuffer) {
+  RamBackend be;
+  be.put("a", Blob{0, Bytes{1, 2, 3}});
+  const auto x = be.get("a");
+  const auto y = be.get("a");
+  ASSERT_TRUE(x.has_value() && y.has_value());
+  EXPECT_EQ(x->data.data(), y->data.data());
+  EXPECT_EQ(x->data, (Bytes{1, 2, 3}));
+}
+
+TEST(SharedBytesTest, ReadingBackAWrittenFileAddsNoSecondBuffer) {
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    Instance inst(comm, {});
+    inst.exchange_metadata();
+    const Bytes data = testdata::random_bytes(4096, 21);
+    ASSERT_EQ(posixfs::write_file(inst.fs(), "out/w.bin", as_view(data)), 0);
+    const auto got = posixfs::read_file(inst.fs(), "out/w.bin");
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, data);
+    const auto blob = inst.backend().get("out/w.bin");
+    ASSERT_TRUE(blob.has_value());
+    ASSERT_EQ(blob->compressor, 0);  // outputs are stored
+    auto entry = inst.fs().tiers().try_acquire("out/w.bin");
+    ASSERT_NE(entry, nullptr);
+    // The cache entry aliases the backend's buffer, and is charged as if
+    // it held its own copy.
+    EXPECT_EQ(entry->plain().data(), blob->data.data());
+    EXPECT_EQ(entry->charge_bytes(), data.size());
+    entry.reset();
+    inst.fs().tiers().release("out/w.bin");
+  });
+}
+
+TEST(SharedBytesTest, LazyChunkedEntryKeepsTheBackendsFrame) {
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    Instance::Options opt;
+    opt.fs.lazy_chunked_open = true;
+    Instance inst(comm, opt);
+    const Bytes data = testdata::text_like(50000, 22);
+    inst.load_partition_blob(as_view(make_partition({{"f", data}}, "chunked-16k+lz4")), 0);
+    inst.exchange_metadata();
+    const int fd = inst.fs().open("f", OpenMode::kRead);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(inst.fs().materialize(fd), 0);
+    const auto blob = inst.backend().get("f");
+    ASSERT_TRUE(blob.has_value());
+    auto entry = inst.fs().tiers().try_acquire("f");
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->compressed_bytes().data(), blob->data.data());
+    EXPECT_EQ(entry->charge_bytes(), blob->data.size() + data.size());
+    EXPECT_EQ(entry->plain(), data);
+    entry.reset();
+    inst.fs().tiers().release("f");
+    inst.fs().close(fd);
+  });
+}
+
+TEST(SharedBytesTest, InjectedCorruptionNeverTouchesTheSharedBlob) {
+  fault::FaultPlan plan;
+  fault::BackendRule torn;
+  torn.corrupt_prob = 1.0;
+  torn.max_faults = 1;  // the first get only
+  plan.backends.push_back(torn);
+  fault::FaultInjector injector(plan);
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    Instance::Options opt;
+    opt.fault = &injector;
+    Instance inst(comm, opt);
+    const Bytes data = testdata::text_like(3000, 23);
+    inst.load_partition_blob(as_view(make_partition({{"f", data}}, "store")), 0);
+    inst.exchange_metadata();
+    CompressedBackend& inner =
+        dynamic_cast<FaultInjectedBackend&>(inst.backend()).inner();
+    const auto original = inner.get("f");
+    ASSERT_TRUE(original.has_value());
+    // The torn copy fails the stored-blob crc check...
+    EXPECT_EQ(inst.fs().open("f", OpenMode::kRead), -EIO);
+    EXPECT_EQ(injector.metrics().counter("fault.backend_corrupted").value(), 1u);
+    // ...while the backend's own buffer is untouched and still shared.
+    const auto after = inner.get("f");
+    ASSERT_TRUE(after.has_value());
+    EXPECT_EQ(after->data.data(), original->data.data());
+    EXPECT_EQ(after->data, data);
+    const auto again = posixfs::read_file(inst.fs(), "f");
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, data);
   });
 }
 

@@ -25,7 +25,7 @@ void put_replica_blob(core::Instance& inst, const Bytes& part) {
   for (const auto& rec : format::scan_partition(as_view(part))) {
     core::Blob b;
     b.compressor = rec.compressor;
-    b.data.assign(rec.data.begin(), rec.data.end());
+    b.data = Bytes(rec.data.begin(), rec.data.end());
     inst.backend().put(std::string(rec.path), std::move(b));
   }
 }
@@ -54,7 +54,7 @@ TEST(FailoverTest, ReplicaServesWhenOwnerDaemonDies) {
       const auto views = format::scan_partition(as_view(part));
       core::Blob b;
       b.compressor = views[0].compressor;
-      b.data.assign(views[0].data.begin(), views[0].data.end());
+      b.data = Bytes(views[0].data.begin(), views[0].data.end());
       inst.backend().put("f", std::move(b));
     }
     inst.exchange_metadata();

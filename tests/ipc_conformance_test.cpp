@@ -1,6 +1,8 @@
 // Socket-level conformance suite for the daemon front door, run against
-// all three server flavours (legacy thread-per-connection UDS, event-driven
-// over UDS, event-driven over TCP loopback): hostile and half-broken
+// every server flavour (legacy thread-per-connection UDS, event-driven
+// over UDS and over TCP loopback serving a MemVfs, and event-driven over
+// UDS serving a warm FanStoreFs, which answers on the loop thread):
+// hostile and half-broken
 // clients — truncated frames, oversized declared lengths, garbage headers,
 // byte-at-a-time dribbling, silent connections — must produce a clean
 // error reply or a closed connection, never a hang, an fd leak, or a
@@ -15,6 +17,8 @@
 #include <string>
 #include <thread>
 
+#include "compress/registry.hpp"
+#include "core/instance.hpp"
 #include "ipc/protocol.hpp"
 #include "ipc/server.hpp"
 #include "ipc/transport.hpp"
@@ -73,23 +77,41 @@ bool send_all(int fd, ByteView data) {
   return true;
 }
 
-enum class Flavor { kLegacy, kEventUds, kEventTcp };
+enum class Flavor { kLegacy, kEventUds, kEventTcp, kEventFanStore };
 
 const char* flavor_name(Flavor f) {
   switch (f) {
     case Flavor::kLegacy: return "legacy";
     case Flavor::kEventUds: return "event_uds";
     case Flavor::kEventTcp: return "event_tcp";
+    case Flavor::kEventFanStore: return "event_fanstore";
   }
   return "?";
 }
 
-// One running server of the given flavour over a MemVfs with known files.
+// One running server of the given flavour over a MemVfs (or, for
+// kEventFanStore, a warm one-rank FanStoreFs) with known files.
 class Harness {
  public:
   explicit Harness(Flavor flavor, ServerOptions options = {}) : flavor_(flavor) {
     posixfs::write_file(fs_, "ds/small", as_view(small_));
     posixfs::write_file(fs_, "ds/big", as_view(big_));
+    posixfs::Vfs* served = &fs_;
+    if (flavor == Flavor::kEventFanStore) {
+      world_ = std::make_unique<mpi::World>(1);
+      instance_ = std::make_unique<core::Instance>(world_->comm(0),
+                                                   core::Instance::Options{});
+      const auto& reg = compress::Registry::instance();
+      const auto* codec = reg.by_name("lz4");
+      format::PartitionWriter w;
+      w.add(format::make_record("ds/small", *codec, reg.id_of(*codec), as_view(small_)));
+      w.add(format::make_record("ds/big", *codec, reg.id_of(*codec), as_view(big_)));
+      instance_->load_partition_blob(as_view(w.serialize()), 0);
+      instance_->exchange_metadata();
+      (void)posixfs::read_file(instance_->fs(), "ds/small");  // warm
+      (void)posixfs::read_file(instance_->fs(), "ds/big");
+      served = &instance_->fs();
+    }
     switch (flavor) {
       case Flavor::kLegacy: {
         spec_ = unique_socket_path("legacy");
@@ -98,15 +120,16 @@ class Harness {
         break;
       }
       case Flavor::kEventUds:
-      case Flavor::kEventTcp: {
+      case Flavor::kEventTcp:
+      case Flavor::kEventFanStore: {
         // Small fixed thread counts: the point of the event server is that
         // client count is independent of thread count.
         if (options.shards == 0) options.shards = 2;
         if (options.blocker_threads == 0) options.blocker_threads = 2;
-        const Endpoint ep = flavor == Flavor::kEventUds
-                                ? Endpoint::uds(unique_socket_path("event"))
-                                : Endpoint::tcp("127.0.0.1", 0);
-        server_ = std::make_unique<Server>(std::vector<Endpoint>{ep}, fs_,
+        const Endpoint ep = flavor == Flavor::kEventTcp
+                                ? Endpoint::tcp("127.0.0.1", 0)
+                                : Endpoint::uds(unique_socket_path("event"));
+        server_ = std::make_unique<Server>(std::vector<Endpoint>{ep}, *served,
                                            options);
         server_->start();
         spec_ = server_->endpoints()[0].to_string();
@@ -136,6 +159,8 @@ class Harness {
  private:
   Flavor flavor_;
   posixfs::MemVfs fs_;
+  std::unique_ptr<mpi::World> world_;         // kEventFanStore
+  std::unique_ptr<core::Instance> instance_;  // kEventFanStore
   Bytes small_ = testdata::random_bytes(512, 7);
   Bytes big_ = testdata::random_bytes(256 << 10, 8);
   std::unique_ptr<UdsServer> legacy_;
@@ -147,7 +172,8 @@ class IpcConformanceTest : public ::testing::TestWithParam<Flavor> {};
 
 INSTANTIATE_TEST_SUITE_P(AllServers, IpcConformanceTest,
                          ::testing::Values(Flavor::kLegacy, Flavor::kEventUds,
-                                           Flavor::kEventTcp),
+                                           Flavor::kEventTcp,
+                                           Flavor::kEventFanStore),
                          [](const auto& info) {
                            return flavor_name(info.param);
                          });

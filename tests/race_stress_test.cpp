@@ -443,7 +443,7 @@ TEST(RaceStressTest, ChaosDaemonKillRestartDuringConcurrentReads) {
           for (const auto& rec : format::scan_partition(as_view(part))) {
             core::Blob b;
             b.compressor = rec.compressor;
-            b.data.assign(rec.data.begin(), rec.data.end());
+            b.data = Bytes(rec.data.begin(), rec.data.end());
             inst.backend().put(std::string(rec.path), std::move(b));
           }
         }

@@ -1,7 +1,8 @@
 // POSIX-surface conformance suite: every Vfs implementation (MemVfs,
-// LocalVfs, Interceptor, FanStoreFs, UdsClientVfs) must expose identical
-// open/read/lseek/stat/readdir semantics, because the training program on
-// top of the interceptor cannot know which backend it is talking to.
+// LocalVfs, Interceptor, FanStoreFs, UdsClientVfs over each server) must
+// expose identical open/read/lseek/stat/readdir semantics, because the
+// training program on top of the interceptor cannot know which backend it
+// is talking to.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -73,7 +74,7 @@ std::unique_ptr<Backend> make_backend(const std::string& kind) {
     b->shim->mount("", b->mem.get());
     populate(*b->shim);
     b->vfs = b->shim.get();
-  } else if (kind == "FanStoreFs") {
+  } else if (kind == "FanStoreFs" || kind == "EventFanStore") {
     b->world = std::make_unique<mpi::World>(1);
     b->instance = std::make_unique<core::Instance>(b->world->comm(0),
                                                    core::Instance::Options{});
@@ -88,6 +89,26 @@ std::unique_ptr<Backend> make_backend(const std::string& kind) {
     b->instance->load_partition_blob(as_view(blob), 0);
     b->instance->exchange_metadata();
     b->vfs = &b->instance->fs();
+    if (kind == "EventFanStore") {
+      // The event server over a warm FanStoreFs: stats, listings and
+      // whole-file reads are answered on the loop thread (DESIGN.md §11).
+      (void)read_file(b->instance->fs(), "tree/a.txt");
+      (void)read_file(b->instance->fs(), "tree/sub/b.bin");
+      ipc::ServerOptions opt;
+      opt.shards = 2;
+      opt.blocker_threads = 2;
+      b->event_server = std::make_unique<ipc::Server>(
+          std::vector<ipc::Endpoint>{ipc::Endpoint::uds(
+              "/tmp/fanstore_conf_evfs_" + std::to_string(getpid()) + ".sock")},
+          b->instance->fs(), opt);
+      b->event_server->start();
+      b->client = std::make_unique<ipc::UdsClientVfs>(
+          b->event_server->endpoints().front().to_string());
+      b->vfs = b->client.get();
+      b->writable = false;  // read-only transport
+      auto* server = b->event_server.get();
+      b->cleanup = [server] { server->stop(); };
+    }
   } else if (kind == "TieredFanStoreFs") {
     // Same facade with the tiered cache stack underneath, budgeted so the
     // dataset is 10x the plain-RAM tier: most reads are served by
@@ -293,12 +314,37 @@ TEST_P(VfsConformanceTest, WriteRoundTripWhereSupported) {
   EXPECT_EQ(*read_file(fs(), "out/new.bin"), data);
 }
 
+TEST_P(VfsConformanceTest, WritePastTheFileSizeBoundIsRefused) {
+  if (!backend_->writable) return;  // read-only transports refuse the open
+  const int fd = fs().open("out/far.bin", OpenMode::kWrite);
+  ASSERT_GE(fd, 0);
+  const Bytes data = testdata::random_bytes(10, 5);
+  for (const std::int64_t far :
+       {static_cast<std::int64_t>(kMaxFileBytes) - 4, INT64_MAX - 4}) {
+    const std::int64_t pos = fs().lseek(fd, far, Whence::kSet);
+    if (pos == -EINVAL) {
+      // Only the host filesystem behind LocalVfs may refuse the offset
+      // already at the seek.
+      EXPECT_EQ(GetParam(), "LocalVfs") << far;
+      continue;
+    }
+    ASSERT_EQ(pos, far);
+    EXPECT_EQ(fs().write(fd, as_view(data)), -EFBIG) << far;
+    EXPECT_EQ(fs().lseek(fd, 0, Whence::kCur), far);  // the cursor stayed
+  }
+  // The fd still writes normally once it seeks back.
+  ASSERT_EQ(fs().lseek(fd, 0, Whence::kSet), 0);
+  ASSERT_EQ(fs().write(fd, as_view(data)), 10);
+  ASSERT_EQ(fs().close(fd), 0);
+  EXPECT_EQ(*read_file(fs(), "out/far.bin"), data);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, VfsConformanceTest,
                          ::testing::Values("MemVfs", "LocalVfs", "Interceptor",
                                            "FanStoreFs", "TieredFanStoreFs",
                                            "ShardedMetadataFanStoreFs",
                                            "UdsClientVfs", "EventUds",
-                                           "EventTcp"),
+                                           "EventTcp", "EventFanStore"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
