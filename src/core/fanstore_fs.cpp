@@ -449,6 +449,7 @@ int FanStoreFs::close(int fd) {
 
   charge(options_.cost.read_path.file_write_time(rec.data.size()));
   backend_->put(of->path, Blob{rec.compressor, std::move(rec.data)});
+  stored_writes_.store(true, std::memory_order_relaxed);
   // The metadata replicates to every shard owner (every rank under full
   // replication) with a (version, writer) tag; concurrent writers of one
   // path resolve by deterministic last-writer-wins at each replica (§13).
@@ -636,6 +637,9 @@ bool FanStoreFs::try_serve(posixfs::ServeOp op, std::string_view path_in,
         out->rc = st ? -EISDIR : -ENOENT;
         return true;
       }
+      // The answer's pin drops on the loop thread, and that release can
+      // evict; with a spill tier the demotion would write the device there.
+      if (cache_.spill_enabled()) return false;
       std::shared_ptr<CachedFile> file = cache_.try_acquire(path);
       if (file == nullptr) return false;  // open() would load or decode
       // What open() + read() to the end + close() charge and count.
@@ -646,6 +650,11 @@ bool FanStoreFs::try_serve(posixfs::ServeOp op, std::string_view path_in,
       io_.opens.inc();
       io_.bytes_read.inc(file->size());
       io_.open_us.record(static_cast<std::uint64_t>(timer.elapsed_us()));
+      // read_file() reads kReadFileChunk bytes per read(); the answer
+      // copies none of them, so each of those reads takes no time here.
+      for (std::size_t off = 0; off < file->size(); off += posixfs::kReadFileChunk) {
+        io_.read_us.record(0);
+      }
       out->rc = 0;
       out->data = as_view(file->plain());
       out->pin = std::make_shared<const ServePin>(&cache_, path, std::move(file));

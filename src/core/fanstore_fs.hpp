@@ -175,6 +175,11 @@ class FanStoreFs final : public posixfs::Vfs {
     cache_.set_eviction_policy(plan);
   }
 
+  /// True once a write-mode close() has stored a file in the backend.
+  bool stored_writes() const {
+    return stored_writes_.load(std::memory_order_relaxed);
+  }
+
   /// The whole tier stack (introspection; pass-through when no tier
   /// budgets are configured). tiers().plain() is the plain-RAM tier.
   TieredCache& tiers() { return cache_; }
@@ -310,6 +315,7 @@ class FanStoreFs final : public posixfs::Vfs {
   int next_dir_ GUARDED_BY(dir_mu_) = 1;
   mutable sync::Mutex writer_mu_{"fanstore_fs.writer_mu"};
   std::set<std::string> writing_ GUARDED_BY(writer_mu_);  // in-flight writers
+  std::atomic<bool> stored_writes_{false};
   std::atomic<std::uint32_t> reply_seq_{0};
 };
 

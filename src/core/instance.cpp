@@ -67,25 +67,16 @@ Instance::Instance(mpi::Comm comm, Options options)
 
 Instance::~Instance() {
   stop();
-  // Written files are the part of the footprint that grows with the run,
-  // and glibc keeps their pages in the writers' per-thread arenas after
-  // they are freed. An Instance that stored any frees what it holds (in
-  // the order the members would go) and hands the pages back to the OS,
-  // so a process that outlives it (a node daemon between jobs, the
-  // training process sharing the node) does not keep its peak resident.
-  // A read-only Instance skips the trim: the next load needs as much
-  // again, and re-faulting it doubled a repeated set-up (fsbench
-  // socket_warm setup_s 7.2 -> 14.8 ms on a 4-vCPU VM).
-  [[maybe_unused]] const bool stored_writes =
-      metrics().counter("fs.bytes_written").value() > 0;
-  own_partitions_ = {};
-  server_.reset();
-  daemon_.reset();
-  fs_.reset();
-  cluster_.reset();
-  backend_.reset();
+  heap_return_.armed = fs_->stored_writes();
+}
+
+Instance::HeapReturn::~HeapReturn() {
 #if defined(__GLIBC__)
-  if (stored_writes) malloc_trim(0);
+  // glibc keeps freed pages in the arena of the thread that allocated
+  // them, and written files come from the writers' threads: free()
+  // hands almost none of such an arena back, malloc_trim hands back its
+  // free pages (bench_teardown measures both).
+  if (armed) malloc_trim(0);
 #endif
 }
 

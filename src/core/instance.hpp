@@ -70,8 +70,10 @@ class Instance {
   // (see metrics() / metrics_dump()).
 
   Instance(mpi::Comm comm, Options options);
-  /// Stops and frees every structure; an Instance that stored written
-  /// files also returns the freed heap pages to the OS.
+  /// Stops and frees every structure. When this Instance stored written
+  /// files, the heap pages they freed go back to the OS (glibc), so the
+  /// process does not keep the job's peak after the job ends; a read-only
+  /// Instance leaves them to the allocator for the next load.
   ~Instance();
 
   Instance(const Instance&) = delete;
@@ -141,6 +143,18 @@ class Instance {
   ipc::Server* ipc_server() { return server_.get(); }
 
  private:
+  /// Declared first, so destroyed last: after every other member has
+  /// freed its heap, returns the free pages to the OS when `armed`.
+  struct HeapReturn {
+    HeapReturn() = default;
+    HeapReturn(const HeapReturn&) = delete;
+    HeapReturn& operator=(const HeapReturn&) = delete;
+    ~HeapReturn();
+
+    bool armed = false;
+  };
+
+  HeapReturn heap_return_;
   mpi::Comm comm_;
   Options options_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // when not injected

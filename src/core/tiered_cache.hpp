@@ -151,6 +151,9 @@ class TieredCache {
 
   // --- Introspection (tests, stats_report) ---
   bool tiers_enabled() const { return tier1_on_ || tier2_on_; }
+  /// True with a spill tier: a release() that evicts may then write the
+  /// spill device (a plain or compressed-tier victim spills to it).
+  bool spill_enabled() const { return tier2_on_; }
   bool compressed_contains(const std::string& path) const;
   bool spill_contains(const std::string& path) const;
   std::size_t compressed_bytes_used() const;

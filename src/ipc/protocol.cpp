@@ -31,12 +31,17 @@ Bytes encode_get_reply(Status status, ByteView data) {
   return out;
 }
 
+Bytes encode_get_reply_head(Status status, std::size_t data_size) {
+  Bytes out;
+  out.reserve(5);
+  append_le<std::uint32_t>(out, static_cast<std::uint32_t>(1 + data_size));
+  out.push_back(static_cast<std::uint8_t>(status));
+  return out;
+}
+
 std::optional<GetReply> decode_get_reply(ByteView payload) {
   if (payload.empty()) return std::nullopt;
-  GetReply r;
-  r.status = static_cast<Status>(payload[0]);
-  r.data.assign(payload.begin() + 1, payload.end());
-  return r;
+  return GetReply{static_cast<Status>(payload[0]), payload.subspan(1)};
 }
 
 Bytes encode_stat_reply(Status status, const format::FileStat& stat) {

@@ -42,12 +42,18 @@ std::optional<Request> decode_request(ByteView payload);
 // --- Reply encoding ---
 
 Bytes encode_get_reply(Status status, ByteView data);
+/// The framed head of a get reply carrying `data_size` file bytes:
+/// [u32 len][status], the file's bytes following it on the wire. A server
+/// sends the file from where it lies after this head (one gather write)
+/// instead of copying it into an encode_get_reply payload.
+Bytes encode_get_reply_head(Status status, std::size_t data_size);
 Bytes encode_stat_reply(Status status, const format::FileStat& stat);
 Bytes encode_list_reply(Status status, const std::vector<posixfs::Dirent>& entries);
 
+/// `data` views the payload the reply was decoded from.
 struct GetReply {
   Status status = Status::kError;
-  Bytes data;
+  ByteView data;
 };
 std::optional<GetReply> decode_get_reply(ByteView payload);
 

@@ -319,7 +319,7 @@ void Server::parse_frames(const std::shared_ptr<Conn>& conn) {
       // Oversized declared length: a clean error reply, then close — and
       // never allocate the claimed size.
       protocol_errors_->inc();
-      OutFrame err{frame_reply(encode_get_reply(Status::kError, {})), {}, {}};
+      OutFrame err{encode_get_reply_head(Status::kError, 0), {}, {}};
       conn->out_bytes += err.size();
       conn->outq.push_back(std::move(err));
       conn->closing = true;
@@ -373,7 +373,7 @@ bool Server::serve_frame(ByteView payload, bool on_loop, OutFrame* reply) {
   const auto request = decode_request(payload);
   if (!request) {
     protocol_errors_->inc();
-    reply->head = frame_reply(encode_get_reply(Status::kError, {}));
+    reply->head = encode_get_reply_head(Status::kError, 0);
     return true;
   }
   const posixfs::ServeOp op = serve_op(request->op);
@@ -386,17 +386,10 @@ bool Server::serve_frame(ByteView payload, bool on_loop, OutFrame* reply) {
   const Status status = answer.rc == 0 ? Status::kOk : Status::kNotFound;
   switch (request->op) {
     case Op::kGet:
-      if (answer.rc == 0) {
-        // [u32 len][status] then the file straight from the answer's pin.
-        reply->head.resize(5);
-        store_le<std::uint32_t>(reply->head.data(),
-                                static_cast<std::uint32_t>(1 + answer.data.size()));
-        reply->head[4] = static_cast<std::uint8_t>(Status::kOk);
-        reply->body = answer.data;
-        reply->pin = std::move(answer.pin);
-      } else {
-        reply->head = frame_reply(encode_get_reply(Status::kNotFound, {}));
-      }
+      // The head, then the file straight from the answer's pin.
+      reply->head = encode_get_reply_head(status, answer.data.size());
+      reply->body = answer.data;
+      reply->pin = std::move(answer.pin);
       break;
     case Op::kStat:
       reply->head = frame_reply(encode_stat_reply(status, answer.stat));

@@ -79,14 +79,15 @@ int UdsClientVfs::open(std::string_view path_in, posixfs::OpenMode mode) {
   if (mode != posixfs::OpenMode::kRead) return -EROFS;  // read-only transport
   const std::string path = posixfs::normalize_path(path_in);
   auto reply = call(as_view(encode_request(Op::kGet, path)));
-  if (!reply || reply->empty()) return -EIO;  // a get reply is [status][data]
-  if (static_cast<Status>((*reply)[0]) != Status::kOk) return -ENOENT;
+  if (!reply) return -EIO;
   // Keep the reply and read the file out of it, rather than copy it out.
   auto whole = std::make_shared<const Bytes>(std::move(*reply));
-  const ByteView data(whole->data() + 1, whole->size() - 1);
+  const auto get = decode_get_reply(as_view(*whole));
+  if (!get) return -EIO;
+  if (get->status != Status::kOk) return -ENOENT;
   sync::MutexLock lk(mu_);
   const int fd = next_fd_++;
-  open_files_[fd] = OpenFile{std::move(whole), data, 0};
+  open_files_[fd] = OpenFile{std::move(whole), get->data, 0};
   return fd;
 }
 

@@ -107,7 +107,7 @@ std::optional<Bytes> read_file(Vfs& fs, std::string_view path) {
   const int fd = fs.open(path, OpenMode::kRead);
   if (fd < 0) return std::nullopt;
   Bytes out;
-  std::uint8_t chunk[64 * 1024];
+  std::uint8_t chunk[kReadFileChunk];
   for (;;) {
     const std::int64_t n = fs.read(fd, MutByteView{chunk, sizeof(chunk)});
     if (n < 0) {

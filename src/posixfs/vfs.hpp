@@ -101,8 +101,9 @@ class Vfs {
   /// RPC, no load and no wait on another thread's work; otherwise returns
   /// false ("would block") and the caller makes the blocking calls
   /// instead. An answer equals what the blocking calls would return and
-  /// counts in the metrics as they would. The default always reports
-  /// "would block".
+  /// counts in the metrics (counters and histogram samples) as they
+  /// would; it emits no trace spans. The default always reports "would
+  /// block".
   virtual bool try_serve(ServeOp op, std::string_view path, ServeAnswer* out);
 };
 
@@ -132,8 +133,10 @@ ServeAnswer serve(Vfs& fs, ServeOp op, std::string_view path);
 /// Rejects ".." (returns empty string) — FanStore paths are dataset-rooted.
 std::string normalize_path(std::string_view path);
 
-/// Reads an entire file through any Vfs; returns nullopt on error.
+/// Reads an entire file through any Vfs, kReadFileChunk bytes per read();
+/// returns nullopt on error.
 std::optional<Bytes> read_file(Vfs& fs, std::string_view path);
+inline constexpr std::size_t kReadFileChunk = 64 * 1024;
 
 /// Writes an entire file through any Vfs; returns 0 or -errno.
 int write_file(Vfs& fs, std::string_view path, ByteView data);

@@ -257,7 +257,7 @@ TEST_P(IpcConformanceTest, GarbageHeaderGetsErrorReplyAndConnSurvives) {
   const auto got = decode_get_reply(as_view(*ok));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->status, Status::kOk);
-  EXPECT_EQ(got->data, h.small());
+  EXPECT_EQ(Bytes(got->data.begin(), got->data.end()), h.small());
   ::close(fd);
   h.stop();
 }
@@ -279,7 +279,7 @@ TEST_P(IpcConformanceTest, ByteAtATimeDribbleStillParses) {
   const auto got = decode_get_reply(as_view(*reply));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->status, Status::kOk);
-  EXPECT_EQ(got->data, h.small());
+  EXPECT_EQ(Bytes(got->data.begin(), got->data.end()), h.small());
   ::close(fd);
   h.stop();
 }

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -38,10 +39,18 @@ TEST(IpcProtocolTest, RequestRoundTrip) {
 
 TEST(IpcProtocolTest, ReplyRoundTrips) {
   const Bytes payload = testdata::random_bytes(1000, 1);
-  const auto get = decode_get_reply(as_view(encode_get_reply(Status::kOk, as_view(payload))));
+  const Bytes encoded = encode_get_reply(Status::kOk, as_view(payload));
+  const auto get = decode_get_reply(as_view(encoded));  // views `encoded`
   ASSERT_TRUE(get.has_value());
   EXPECT_EQ(get->status, Status::kOk);
-  EXPECT_EQ(get->data, payload);
+  EXPECT_EQ(Bytes(get->data.begin(), get->data.end()), payload);
+  // A get reply's head followed by the file is the frame of the
+  // encode_get_reply payload.
+  Bytes framed = encode_get_reply_head(Status::kOk, payload.size());
+  framed.insert(framed.end(), payload.begin(), payload.end());
+  ASSERT_EQ(framed.size(), 4 + encoded.size());
+  EXPECT_EQ(load_le<std::uint32_t>(framed.data()), encoded.size());
+  EXPECT_TRUE(std::equal(encoded.begin(), encoded.end(), framed.begin() + 4));
 
   format::FileStat st;
   st.size = 777;
@@ -412,14 +421,21 @@ TEST(IpcLoopPathTest, LoopAndBlockerServedRequestsCountAlike) {
     auto loop_server = serve(inst, inst.fs(), "count_loop");
     auto blocker_server = serve(inst, blocking, "count_blocker");
     const char* const kNames[] = {"fs.opens", "cache.hits", "cache.misses",
-                                  "fs.bytes_read", "ipc.requests", "ipc.bytes_out"};
+                                  "fs.bytes_read", "ipc.requests", "ipc.bytes_out",
+                                  "fs.open_us", "fs.read_us"};
+    // Counters, and for the histograms their sample counts.
+    const auto value = [&](const char* name) {
+      const std::string_view n(name);
+      return n.ends_with("_us") ? inst.metrics().histogram(name).count()
+                                : counter(inst, name);
+    };
     // Deltas of one get + one stat + one listing through a client of
     // `server`, taken once the server has closed the connection: it reads
     // the client's EOF only after sending every reply, so every reply
     // byte is counted by then.
     const auto deltas = [&](Server& server) {
       std::vector<std::uint64_t> before;
-      for (const char* n : kNames) before.push_back(counter(inst, n));
+      for (const char* n : kNames) before.push_back(value(n));
       {
         UdsClientVfs client(server.endpoints()[0].to_string());
         const auto got = posixfs::read_file(client, "ds/c");
@@ -440,7 +456,7 @@ TEST(IpcLoopPathTest, LoopAndBlockerServedRequestsCountAlike) {
       EXPECT_EQ(server.connections_open(), 0);
       std::vector<std::uint64_t> d;
       for (std::size_t i = 0; i < before.size(); ++i) {
-        d.push_back(counter(inst, kNames[i]) - before[i]);
+        d.push_back(value(kNames[i]) - before[i]);
       }
       return d;
     };
@@ -455,6 +471,7 @@ TEST(IpcLoopPathTest, LoopAndBlockerServedRequestsCountAlike) {
     EXPECT_EQ(a[0], 1u);  // fs.opens
     EXPECT_EQ(a[1], 1u);  // cache.hits
     EXPECT_EQ(a[4], 3u);  // ipc.requests
+    EXPECT_EQ(a[7], 1u);  // fs.read_us: one read() of the 20000-byte file
     loop_server->stop();
     blocker_server->stop();
   });
@@ -508,7 +525,7 @@ TEST(IpcLoopPathTest, EntryEvictedWhileQueuedForASlowReaderStaysIntact) {
       const auto reply = decode_get_reply(as_view(*frame));
       ASSERT_TRUE(reply.has_value());
       ASSERT_EQ(reply->status, Status::kOk);
-      EXPECT_EQ(reply->data, big) << "reply " << i;
+      EXPECT_EQ(Bytes(reply->data.begin(), reply->data.end()), big) << "reply " << i;
     }
     ::close(fd);
     // The loop drops each pin as its frame's last byte leaves (the last
@@ -520,6 +537,73 @@ TEST(IpcLoopPathTest, EntryEvictedWhileQueuedForASlowReaderStaysIntact) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     EXPECT_EQ(inst.fs().tiers().plain().open_count("ds/big"), 0);
+    server->stop();
+  });
+}
+
+TEST(IpcLoopPathTest, GetsWithASpillTierGoToABlocker) {
+  // With a spill tier, a pin's release that evicts may write the spill
+  // device, so no pin may drop on the loop thread: every get goes to a
+  // blocker, which copies the file out and releases it at once. Replies
+  // queued for a backpressured reader then hold no pin while the cache
+  // churns through the spill tier. Stats stay on the loop.
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    core::Instance::Options opt;
+    opt.fs.cache_bytes = 3u << 20;
+    opt.fs.spill_bytes = 16u << 20;
+    core::Instance inst(comm, opt);
+    const Bytes big = testdata::random_bytes(1u << 20, 17);
+    std::vector<std::pair<std::string, Bytes>> files = {{"ds/big", big}};
+    for (int i = 0; i < 8; ++i) {
+      files.emplace_back("ds/other" + std::to_string(i),
+                         testdata::random_bytes(512u << 10, 200 + i));
+    }
+    inst.load_partition_blob(as_view(one_partition(files, "store")), 0);
+    inst.exchange_metadata();
+    ASSERT_TRUE(posixfs::read_file(inst.fs(), "ds/big").has_value());  // warm
+    ServerOptions so;
+    so.write_high_water = 256u << 10;
+    auto server = serve(inst, inst.fs(), "spill_reader", so);
+    const int fd = transport_connect(server->endpoints()[0]);
+    ASSERT_GE(fd, 0);
+    constexpr int kGets = 6;
+    const Bytes req = encode_request(Op::kGet, "ds/big");
+    for (int i = 0; i < kGets; ++i) ASSERT_TRUE(write_frame(fd, as_view(req)));
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (counter(inst, "ipc.backpressure_pauses") == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_GE(counter(inst, "ipc.backpressure_pauses"), 1u);
+    EXPECT_EQ(counter(inst, "ipc.loop_served"), 0u);
+    // A blocker may still be reading the next get; once it is done, the
+    // queued replies pin nothing (loop-served ones would, for good).
+    const auto unpin_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (inst.fs().tiers().plain().open_count("ds/big") > 0 &&
+           std::chrono::steady_clock::now() < unpin_deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(inst.fs().tiers().plain().open_count("ds/big"), 0);
+    for (int i = 0; i < 8; ++i) {
+      const auto other = posixfs::read_file(inst.fs(), "ds/other" + std::to_string(i));
+      ASSERT_TRUE(other.has_value());
+    }
+    EXPECT_GT(counter(inst, "tier.spill.demotes"), 0u);
+    for (int i = 0; i < kGets; ++i) {
+      const auto frame = read_frame(fd);
+      ASSERT_TRUE(frame.has_value());
+      const auto reply = decode_get_reply(as_view(*frame));
+      ASSERT_TRUE(reply.has_value());
+      ASSERT_EQ(reply->status, Status::kOk);
+      EXPECT_EQ(Bytes(reply->data.begin(), reply->data.end()), big) << "reply " << i;
+    }
+    ::close(fd);
+    EXPECT_EQ(counter(inst, "ipc.loop_served"), 0u);
+    UdsClientVfs client(server->endpoints()[0].to_string());
+    format::FileStat st;
+    ASSERT_EQ(client.stat("ds/big", &st), 0);
+    EXPECT_EQ(st.size, big.size());
+    EXPECT_EQ(counter(inst, "ipc.loop_served"), 1u);  // the stat
     server->stop();
   });
 }
