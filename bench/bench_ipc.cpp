@@ -1,18 +1,18 @@
-// Socket front-door benchmark (DESIGN.md §11): the event-driven
-// ipc::Server (epoll shards + blocker pool) vs the thread-per-connection
-// UdsServer baseline, over UDS, at 1/8/64/256 concurrent clients. Both
-// serve the product path: a warm one-rank FanStoreFs holding one 16 KiB
-// lz4 file, so every event-server get is a loop-thread cache hit. Each
-// client runs a fixed number of kGet round trips; reported per cell:
-// requests/s and p99 round-trip latency, plus the share of event-server
-// requests answered on the loop thread.
+// Socket front-door benchmark (DESIGN.md §11): the daemon's event-driven
+// ipc::Server (epoll shards + blocker pool, default thread counts) over
+// UDS at 1/8/64/256 concurrent clients. It serves the product path: a
+// warm one-rank FanStoreFs holding one 16 KiB lz4 file, so every get is a
+// loop-thread cache hit. Each client runs a fixed number of kGet round
+// trips. Reported per cell, from the clients: requests/s and p99 round
+// trip; from a metrics registry made for the cell, the server's own view
+// of where that time went: `ipc.serve_us` p99 (answering one request on
+// the loop) and `ipc.loop_dispatch_us` p50/p99 (one whole loop round,
+// every ready connection of a shard), plus the loop-served share.
 //
-// Acceptance (ISSUE 8): the event server must reach >= 2x the baseline's
-// requests/s at 64+ clients — enforced only when the host has >= 8
-// hardware threads (with fewer cores the fixed shard/blocker threads
-// cannot run in parallel with 64 client threads, and the comparison
-// measures the scheduler, not the server). The JSON always records
-// hardware_concurrency so small CI boxes still produce honest artifacts.
+// Gate (runs on every host): every request of every cell is answered on
+// the loop thread (share 1.0) and no client sees an error. Throughput and
+// latency are reported, not gated: with fewer cores than client threads
+// they measure the scheduler as much as the server.
 //
 // Emits BENCH_ipc.json. tools/ci.sh runs `--quick` as a smoke test.
 #include <unistd.h>
@@ -30,7 +30,7 @@
 #include "ipc/server.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/uds_client.hpp"
-#include "ipc/uds_server.hpp"
+#include "obs/metrics.hpp"
 #include "util/timer.hpp"
 
 using namespace fanstore;
@@ -43,8 +43,14 @@ std::string unique_socket_path(const char* tag) {
 }
 
 struct CellResult {
+  int clients = 0;
+  int errors = 0;
   double req_per_s = 0;
   double p99_us = 0;
+  double loop_share = 0;
+  double serve_p99_us = 0;
+  double dispatch_p50_us = 0;
+  double dispatch_p99_us = 0;
 };
 
 // `spec` serves "ds/payload"; every client does `per_client` round trips.
@@ -59,7 +65,9 @@ CellResult run_cell(const std::string& spec, int clients, int per_client,
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       ipc::ClientOptions copt;
-      copt.retry.max_attempts = 5;  // absorb transient connect backlog overflow
+      // Absorbs refused connects where net.core.somaxconn is below the
+      // client count.
+      copt.retry.max_attempts = 5;
       copt.retry.base_delay_ms = 1;
       ipc::UdsClientVfs client(spec, copt);
       lat[static_cast<std::size_t>(c)].reserve(
@@ -84,10 +92,11 @@ CellResult run_cell(const std::string& spec, int clients, int per_client,
   const double elapsed = wall.elapsed_sec();
 
   CellResult r;
-  if (errors.load() > 0) {
+  r.clients = clients;
+  r.errors = errors.load();
+  if (r.errors > 0) {
     std::fprintf(stderr, "bench_ipc: %d client errors at %d clients\n",
-                 errors.load(), clients);
-    return r;
+                 r.errors, clients);
   }
   std::vector<double> all;
   for (const auto& v : lat) all.insert(all.end(), v.begin(), v.end());
@@ -100,11 +109,19 @@ CellResult run_cell(const std::string& spec, int clients, int per_client,
 std::string json_cells(const std::vector<CellResult>& v) {
   std::string s = "[";
   for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) s += ", ";
-    s += "{\"req_per_s\": " + bench::fmt("%.0f", v[i].req_per_s) +
-         ", \"p99_us\": " + bench::fmt("%.1f", v[i].p99_us) + "}";
+    const CellResult& c = v[i];
+    if (i > 0) s += ",";
+    s += "\n    {\"clients\": " + std::to_string(c.clients) +
+         ", \"req_per_s\": " + bench::fmt("%.0f", c.req_per_s) +
+         ", \"p99_us\": " + bench::fmt("%.1f", c.p99_us) +
+         ", \"errors\": " + std::to_string(c.errors) +
+         ", \"loop_served_share\": " + bench::fmt("%.4f", c.loop_share) +
+         ", \"ipc.serve_us.p99\": " + bench::fmt("%.1f", c.serve_p99_us) +
+         ", \"ipc.loop_dispatch_us.p50\": " + bench::fmt("%.1f", c.dispatch_p50_us) +
+         ", \"ipc.loop_dispatch_us.p99\": " + bench::fmt("%.1f", c.dispatch_p99_us) +
+         "}";
   }
-  return s + "]";
+  return s + "\n  ]";
 }
 
 }  // namespace
@@ -117,7 +134,6 @@ int main(int argc, char** argv) {
     if (arg == "--quick") quick = true;
     if (arg == "--json" && i + 1 < argc) json_path = argv[++i];
   }
-  const unsigned hw = std::thread::hardware_concurrency();
   const std::vector<int> client_counts =
       quick ? std::vector<int>{1, 8, 64} : std::vector<int>{1, 8, 64, 256};
   const int per_client = quick ? 40 : 200;
@@ -132,115 +148,73 @@ int main(int argc, char** argv) {
   }
   mpi::World world(1);
   core::Instance inst(world.comm(0), {});
-  const auto& reg = compress::Registry::instance();
-  const auto* codec = reg.by_name("lz4");
-  format::PartitionWriter w;
-  w.add(format::make_record("ds/payload", *codec, reg.id_of(*codec),
-                            as_view(payload)));
-  inst.load_partition_blob(as_view(w.serialize()), 0);
+  inst.load_partition_blob(
+      as_view(bench::make_partition({{"ds/payload", payload}}, "lz4")), 0);
   inst.exchange_metadata();
   if (posixfs::read_file(inst.fs(), "ds/payload") != payload) {  // warm
     std::fprintf(stderr, "bench_ipc: warm read mismatch\n");
     return 1;
   }
-  posixfs::Vfs& fs = inst.fs();
-  obs::Counter& requests = inst.metrics().counter("ipc.requests");
-  obs::Counter& loop_served = inst.metrics().counter("ipc.loop_served");
-  std::uint64_t event_requests = 0, event_loop_served = 0;
 
-  std::vector<CellResult> baseline, event;
+  std::vector<CellResult> cells;
   for (const int clients : client_counts) {
-    // Thread-per-connection baseline.
-    {
-      ipc::UdsServer server(unique_socket_path("base"), fs,
-                            /*backlog=*/std::max(64, clients));
-      server.start();
-      baseline.push_back(
-          run_cell(server.socket_path(), clients, per_client, payload));
-      server.stop();
-    }
-    // Event-driven server: fixed threads regardless of client count.
-    {
-      ipc::ServerOptions opt;
-      opt.backlog = std::max(64, clients);
-      opt.metrics = &inst.metrics();
-      ipc::Server server({ipc::Endpoint::uds(unique_socket_path("event"))},
-                         fs, opt);
-      server.start();
-      const std::uint64_t r0 = requests.value(), l0 = loop_served.value();
-      event.push_back(run_cell(server.endpoints()[0].to_string(), clients,
-                               per_client, payload));
-      server.stop();
-      event_requests += requests.value() - r0;
-      event_loop_served += loop_served.value() - l0;
-    }
+    // A registry per cell, so each cell's histograms hold only its own
+    // requests and loop rounds.
+    obs::MetricsRegistry metrics;
+    ipc::ServerOptions opt;
+    opt.metrics = &metrics;
+    ipc::Server server({ipc::Endpoint::uds(unique_socket_path("event"))},
+                       inst.fs(), opt);
+    server.start();
+    CellResult r = run_cell(server.endpoints()[0].to_string(), clients,
+                            per_client, payload);
+    server.stop();
+    const std::uint64_t requests = metrics.counter("ipc.requests").value();
+    r.loop_share = requests > 0
+                       ? static_cast<double>(metrics.counter("ipc.loop_served").value()) /
+                             static_cast<double>(requests)
+                       : 0;
+    r.serve_p99_us = metrics.histogram("ipc.serve_us").quantile(99);
+    r.dispatch_p50_us = metrics.histogram("ipc.loop_dispatch_us").quantile(50);
+    r.dispatch_p99_us = metrics.histogram("ipc.loop_dispatch_us").quantile(99);
+    cells.push_back(r);
   }
 
-  bench::Table table({"clients", "baseline req/s", "baseline p99us",
-                      "event req/s", "event p99us", "speedup"});
-  for (std::size_t i = 0; i < client_counts.size(); ++i) {
-    const double speedup =
-        baseline[i].req_per_s > 0 ? event[i].req_per_s / baseline[i].req_per_s
-                                  : 0;
-    table.row({std::to_string(client_counts[i]),
-               bench::fmt_int(baseline[i].req_per_s),
-               bench::fmt("%.1f", baseline[i].p99_us),
-               bench::fmt_int(event[i].req_per_s),
-               bench::fmt("%.1f", event[i].p99_us),
-               bench::fmt("%.2f", speedup)});
-  }
-  table.print();
-  const double loop_share =
-      event_requests > 0 ? static_cast<double>(event_loop_served) /
-                               static_cast<double>(event_requests)
-                         : 0;
-  std::printf("event server: %.4f of %llu requests answered on the loop thread\n",
-              loop_share, static_cast<unsigned long long>(event_requests));
-
-  // Acceptance: >= 2x req/s at 64+ clients, hardware permitting.
-  const bool enforce = hw >= 8;
+  bench::Table table({"clients", "req/s", "p99us", "loop share",
+                      "serve p99us", "round p50us", "round p99us"});
   bool ok = true;
-  for (std::size_t i = 0; i < client_counts.size(); ++i) {
-    if (client_counts[i] < 64) continue;
-    if (baseline[i].req_per_s <= 0 || event[i].req_per_s <= 0) ok = false;
-    if (enforce && event[i].req_per_s < 2.0 * baseline[i].req_per_s) {
+  for (const CellResult& c : cells) {
+    table.row({std::to_string(c.clients), bench::fmt_int(c.req_per_s),
+               bench::fmt("%.1f", c.p99_us), bench::fmt("%.4f", c.loop_share),
+               bench::fmt("%.1f", c.serve_p99_us),
+               bench::fmt("%.1f", c.dispatch_p50_us),
+               bench::fmt("%.1f", c.dispatch_p99_us)});
+    if (c.errors > 0 || c.loop_share != 1.0) {
       std::fprintf(stderr,
-                   "bench_ipc: event server %.0f req/s < 2x baseline %.0f at "
-                   "%d clients\n",
-                   event[i].req_per_s, baseline[i].req_per_s,
-                   client_counts[i]);
+                   "bench_ipc: %d clients: %d errors, loop-served share %.4f "
+                   "(want 0 and 1.0)\n",
+                   c.clients, c.errors, c.loop_share);
       ok = false;
     }
   }
+  table.print();
 
   FILE* out = std::fopen(json_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_ipc: cannot write %s\n", json_path.c_str());
     return 1;
   }
-  std::string counts = "[";
-  for (std::size_t i = 0; i < client_counts.size(); ++i) {
-    if (i > 0) counts += ", ";
-    counts += std::to_string(client_counts[i]);
-  }
-  counts += "]";
   std::fprintf(out,
                "{\n"
-               "  \"bench\": \"ipc\",\n"
-               "  \"quick\": %s,\n"
-               "  \"hardware_concurrency\": %u,\n"
+               "%s,\n"
                "  \"payload_bytes\": %d,\n"
                "  \"requests_per_client\": %d,\n"
-               "  \"clients\": %s,\n"
-               "  \"baseline_thread_per_conn\": %s,\n"
-               "  \"event_driven\": %s,\n"
-               "  \"event_loop_served_share\": %.4f,\n"
-               "  \"speedup_enforced\": %s\n"
+               "  \"cells\": %s,\n"
+               "  \"gate\": {\"loop_served_share\": 1.0, \"client_errors\": 0, "
+               "\"passed\": %s}\n"
                "}\n",
-               quick ? "true" : "false", hw, 16 << 10, per_client,
-               counts.c_str(), json_cells(baseline).c_str(),
-               json_cells(event).c_str(), loop_share,
-               enforce ? "true" : "false");
+               bench::json_header("ipc", quick, "wall").c_str(), 16 << 10,
+               per_client, json_cells(cells).c_str(), ok ? "true" : "false");
   std::fclose(out);
   std::printf("\nwrote %s\n", json_path.c_str());
   if (!ok) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "compress/registry.hpp"
@@ -61,6 +62,31 @@ inline std::string fmt_int(double v) {
 
 inline void section(const std::string& title) {
   std::printf("\n=== %s ===\n\n", title.c_str());
+}
+
+/// The checkout's `git describe --always --dirty` (run from the working
+/// directory), or "unknown" outside a git checkout.
+inline std::string git_rev() {
+  std::string rev;
+  if (FILE* p = ::popen("git describe --always --dirty --abbrev=12 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr) rev += buf;
+    ::pclose(p);
+  }
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) rev.pop_back();
+  return rev.empty() ? "unknown" : rev;
+}
+
+/// The header fields every BENCH_*.json opens with (indented, no trailing
+/// comma): which bench, whether `--quick`, the host's hardware threads,
+/// the clock its times are on ("wall" or "virtual") and the source rev.
+inline std::string json_header(const std::string& bench, bool quick,
+                               const std::string& clock) {
+  return "  \"bench\": \"" + bench + "\",\n  \"quick\": " +
+         (quick ? "true" : "false") + ",\n  \"hardware_concurrency\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ",\n  \"clock\": \"" + clock + "\",\n  \"git_rev\": \"" + git_rev() +
+         "\"";
 }
 
 /// Builds one partition from (path, bytes) pairs with the named codec.

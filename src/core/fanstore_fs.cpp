@@ -291,10 +291,30 @@ void FanStoreFs::materialize_entry(const std::string& path, CachedFile& file,
   // per-chunk compressed crcs already caught corruption chunk-wise). An
   // entry is served as checked only after this passes; callers invalidate
   // it on a throw so the next open loads it again.
-  if (stat.crc != 0 && crc32(as_view(file.plain())) != stat.crc) {
+  if (!verify_whole_file(file, stat)) {
     throw std::runtime_error("fanstore: CRC mismatch for " + path);
   }
+}
+
+bool FanStoreFs::verify_whole_file(CachedFile& file, const format::FileStat& stat) {
+  if (file.verified()) return true;
+  if (stat.crc != 0 && crc32(as_view(file.plain())) != stat.crc) return false;
   file.mark_verified();
+  return true;
+}
+
+bool FanStoreFs::finish_range_decode(const OpenFile& of,
+                                     const CachedFile::DecodeStats& ds) {
+  if (ds.chunks_decoded == 0) return true;
+  CachedFile& file = *of.pinned;
+  charge_chunk_decode(file, ds, 1);  // inline range decode is serial
+  cache_.recharge(of.path);
+  // Reads of a lazy entry decode it piece by piece; the one that lands the
+  // last chunk runs the check a whole-file decode runs.
+  if (!file.fully_materialized() || verify_whole_file(file, of.stat)) return true;
+  FANSTORE_LOG_WARN("fanstore read(", of.path, "): CRC mismatch");
+  cache_.invalidate(of.path);  // erased when close() drops the last pin
+  return false;
 }
 
 bool FanStoreFs::warm_file(std::string_view path) {
@@ -501,10 +521,7 @@ std::int64_t FanStoreFs::read(int fd, MutByteView buf) {
     }
     of->offset += static_cast<std::int64_t>(n);
   }
-  if (ds.chunks_decoded > 0) {
-    charge_chunk_decode(file, ds, 1);  // inline range decode is serial
-    cache_.recharge(of->path);
-  }
+  if (!finish_range_decode(*of, ds)) return -EIO;
   charge(static_cast<double>(n) / options_.cost.read_path.bandwidth_bps);
   io_.bytes_read.inc(n);
   io_.read_us.record(static_cast<std::uint64_t>(timer.elapsed_us()));
@@ -537,10 +554,7 @@ std::int64_t FanStoreFs::pread(int fd, MutByteView buf, std::uint64_t offset) {
     FANSTORE_LOG_WARN("fanstore pread(", of->path, "): ", e.what());
     return -EIO;
   }
-  if (ds.chunks_decoded > 0) {
-    charge_chunk_decode(file, ds, 1);  // per-range decode charges only
-    cache_.recharge(of->path);         // the decoded bytes, serially
-  }
+  if (!finish_range_decode(*of, ds)) return -EIO;
   if (was_partial) {
     // The headline win, made observable: this read finished without the
     // whole file decoded, skipping every non-overlapping chunk.

@@ -269,6 +269,18 @@ class FanStoreFs final : public posixfs::Vfs {
   void materialize_entry(const std::string& path, CachedFile& file,
                          const format::FileStat& stat);
 
+  /// The whole-file check of a fully decoded `file`: marks it verified
+  /// when its crc matches `stat`'s (or `stat` carries none); false on a
+  /// mismatch, leaving it unverified for the caller to invalidate.
+  static bool verify_whole_file(CachedFile& file, const format::FileStat& stat);
+
+  /// Accounts the chunks a read()/pread() of `of` decoded inline and, when
+  /// that read decoded the entry's last missing chunk, runs the whole-file
+  /// check. False on a crc mismatch: the entry is invalidated (erased when
+  /// its last pin drops, so the next open loads it again) and the read
+  /// returns -EIO.
+  bool finish_range_decode(const OpenFile& of, const CachedFile::DecodeStats& ds);
+
   /// Charges + counts `stats` chunks decoded at `threads`-way parallelism.
   void charge_chunk_decode(const CachedFile& file,
                            const CachedFile::DecodeStats& stats,

@@ -257,7 +257,6 @@ void Instance::start_daemon() {
       eps.push_back(std::move(*ep));
     }
     ipc::ServerOptions so;
-    so.backlog = options_.serve_backlog;
     // Share the rank's registry: one snapshot covers fs + cache + daemon
     // + socket front door ("ipc.*").
     so.metrics = options_.fs.metrics;

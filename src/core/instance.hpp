@@ -46,8 +46,6 @@ class Instance {
     /// through the event-driven ipc::Server — the §V-A
     /// interceptor-to-daemon boundary. Empty: MPI front door only.
     std::vector<std::string> serve_endpoints;
-    /// listen(2) backlog for those endpoints.
-    int serve_backlog = 64;
     /// Metadata cluster (cluster/node.hpp, DESIGN.md §13).
     struct ClusterConfig {
       /// Owners per metadata shard, capped at the member count. The

@@ -113,15 +113,6 @@ FaultPlan& FaultPlan::straggler(int rank, double network_mult, double storage_mu
   return *this;
 }
 
-FaultPlan& FaultPlan::flaky_backend(int rank, double fail_prob, double corrupt_prob) {
-  BackendRule r;
-  r.rank = rank;
-  r.fail_prob = fail_prob;
-  r.corrupt_prob = corrupt_prob;
-  backends.push_back(r);
-  return *this;
-}
-
 FaultPlan FaultPlan::chaos_from_seed(std::uint64_t seed, int nranks) {
   Rng rng(seed ^ 0xC4A05F00Dull);
   FaultPlan plan;

@@ -146,7 +146,6 @@ struct FaultPlan {
   FaultPlan& kill_daemon_after(int rank, std::uint64_t fetches);
   FaultPlan& crash_window(int rank, double at_vsec, double until_vsec);
   FaultPlan& straggler(int rank, double network_mult, double storage_mult);
-  FaultPlan& flaky_backend(int rank, double fail_prob, double corrupt_prob);
 
   /// A survivable randomized chaos mix for soak testing, fully determined
   /// by (seed, nranks): a lossy + delaying + duplicating + lightly

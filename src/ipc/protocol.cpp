@@ -23,14 +23,6 @@ std::optional<Request> decode_request(ByteView payload) {
                                  payload.size() - 1)};
 }
 
-Bytes encode_get_reply(Status status, ByteView data) {
-  Bytes out;
-  out.reserve(1 + data.size());
-  out.push_back(static_cast<std::uint8_t>(status));
-  out.insert(out.end(), data.begin(), data.end());
-  return out;
-}
-
 Bytes encode_get_reply_head(Status status, std::size_t data_size) {
   Bytes out;
   out.reserve(5);

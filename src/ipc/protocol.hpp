@@ -6,6 +6,7 @@
 // opcode byte; replies a status byte.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -31,6 +32,12 @@ enum class Status : std::uint8_t {
 
 // --- Request encoding: [op][path bytes] ---
 
+/// Largest request frame a server accepts. A request is an opcode and a
+/// path, so anything bigger is garbage: the server answers a larger
+/// declared length with an error reply and closes the connection without
+/// allocating the claimed size.
+inline constexpr std::size_t kMaxRequestBytes = 1u << 20;
+
 Bytes encode_request(Op op, std::string_view path);
 
 struct Request {
@@ -41,11 +48,10 @@ std::optional<Request> decode_request(ByteView payload);
 
 // --- Reply encoding ---
 
-Bytes encode_get_reply(Status status, ByteView data);
 /// The framed head of a get reply carrying `data_size` file bytes:
-/// [u32 len][status], the file's bytes following it on the wire. A server
-/// sends the file from where it lies after this head (one gather write)
-/// instead of copying it into an encode_get_reply payload.
+/// [u32 len][status], the file's bytes following it on the wire. The
+/// server sends the file from where it lies after this head (one gather
+/// write), so no get reply is ever built as one contiguous payload.
 Bytes encode_get_reply_head(Status status, std::size_t data_size);
 Bytes encode_stat_reply(Status status, const format::FileStat& stat);
 Bytes encode_list_reply(Status status, const std::vector<posixfs::Dirent>& entries);

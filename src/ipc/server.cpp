@@ -159,8 +159,7 @@ void Server::start() {
     bound_.clear();
     for (const Endpoint& ep : requested_) {
       Endpoint actual;
-      const int fd =
-          Transport::for_kind(ep.kind).listen(ep, options_.backlog, &actual);
+      const int fd = Transport::for_kind(ep.kind).listen(ep, &actual);
       const std::size_t idx = listen_fds_.size();
       listen_fds_.push_back(fd);
       bound_.push_back(actual);
@@ -315,7 +314,7 @@ void Server::parse_frames(const std::shared_ptr<Conn>& conn) {
   while (!conn->closing) {
     if (conn->inbuf.size() - off < 4) break;
     const std::uint32_t len = load_le<std::uint32_t>(conn->inbuf.data() + off);
-    if (len > options_.max_request_bytes) {
+    if (len > kMaxRequestBytes) {
       // Oversized declared length: a clean error reply, then close — and
       // never allocate the claimed size.
       protocol_errors_->inc();

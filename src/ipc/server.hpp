@@ -1,8 +1,9 @@
 // Event-driven socket server for the FanStore daemon front door
-// (DESIGN.md §11). Replaces the thread-per-connection UdsServer: N shard
-// threads each run an epoll EventLoop over a slice of the connections, and
-// a fixed BlockerPool executes the (blocking) Vfs work, so one node daemon
-// serves hundreds of trainer processes through a fixed number of threads.
+// (DESIGN.md §11), the only way a byte leaves the daemon over a socket:
+// N shard threads each run an epoll EventLoop over a slice of the
+// connections, and a fixed BlockerPool executes the (blocking) Vfs work,
+// so one node daemon serves hundreds of trainer processes through a fixed
+// number of threads.
 //
 // Per-connection state machine (owned by the connection's shard thread):
 //
@@ -46,12 +47,6 @@ struct ServerOptions {
   std::size_t shards = 0;
   /// Blocker-pool threads for Vfs work; 0 = max(2, hardware concurrency).
   std::size_t blocker_threads = 0;
-  /// listen(2) backlog (the old server hardcoded 64).
-  int backlog = 64;
-  /// Largest acceptable *request* frame. Requests are an opcode + path, so
-  /// anything big is garbage; a larger declared length gets an error reply
-  /// and the connection is closed without allocating the claimed size.
-  std::size_t max_request_bytes = 1u << 20;
   /// Per-connection queued-reply bytes above which the server stops
   /// reading that connection until the queue drains below half.
   std::size_t write_high_water = 8u << 20;

@@ -72,7 +72,7 @@ namespace {
 
 class UdsTransport final : public Transport {
  public:
-  int listen(const Endpoint& ep, int backlog, Endpoint* bound) override {
+  int listen(const Endpoint& ep, Endpoint* bound) override {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     if (ep.path.size() >= sizeof(addr.sun_path)) {
@@ -86,7 +86,7 @@ class UdsTransport final : public Transport {
       ::close(fd);
       throw std::runtime_error("ipc: bind() failed for " + ep.path);
     }
-    if (::listen(fd, backlog) != 0) {
+    if (::listen(fd, SOMAXCONN) != 0) {
       ::close(fd);
       throw std::runtime_error("ipc: listen() failed for " + ep.path);
     }
@@ -120,7 +120,7 @@ class UdsTransport final : public Transport {
 
 class TcpTransport final : public Transport {
  public:
-  int listen(const Endpoint& ep, int backlog, Endpoint* bound) override {
+  int listen(const Endpoint& ep, Endpoint* bound) override {
     sockaddr_in addr{};
     if (!to_addr(ep, &addr)) {
       throw std::invalid_argument("ipc: bad tcp address: " + ep.to_string());
@@ -133,7 +133,7 @@ class TcpTransport final : public Transport {
       ::close(fd);
       throw std::runtime_error("ipc: bind() failed for " + ep.to_string());
     }
-    if (::listen(fd, backlog) != 0) {
+    if (::listen(fd, SOMAXCONN) != 0) {
       ::close(fd);
       throw std::runtime_error("ipc: listen() failed for " + ep.to_string());
     }

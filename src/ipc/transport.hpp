@@ -42,10 +42,13 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Binds + listens; returns the listening fd (non-blocking, CLOEXEC) or
-  /// throws std::runtime_error. `*bound` (may be null) receives the actual
-  /// endpoint — for TCP with port 0 this carries the kernel-assigned port.
-  virtual int listen(const Endpoint& ep, int backlog, Endpoint* bound) = 0;
+  /// Binds + listens with a SOMAXCONN backlog (the kernel caps it at
+  /// net.core.somaxconn), so a herd of clients connecting at once queues
+  /// instead of being refused. Returns the listening fd (non-blocking,
+  /// CLOEXEC) or throws std::runtime_error. `*bound` (may be null)
+  /// receives the actual endpoint — for TCP with port 0 this carries the
+  /// kernel-assigned port.
+  virtual int listen(const Endpoint& ep, Endpoint* bound) = 0;
 
   /// Blocking connect; returns the connected fd or -1. Retries EINTR.
   virtual int connect(const Endpoint& ep) = 0;

@@ -4,10 +4,9 @@
 // FanStore's model (writes stay in-process via FanStoreFs).
 //
 // Speaks any ipc::Endpoint ("unix:/path", "tcp:127.0.0.1:port", or a bare
-// UDS path for back-compat), against either server implementation (the
-// event-driven ipc::Server or the legacy thread-per-connection UdsServer —
-// the framed protocol is identical). Failed round trips reconnect and
-// retry with the shared RetryPolicy backoff, counting "retry.*".
+// UDS path for back-compat) to the daemon's event-driven ipc::Server.
+// Failed round trips reconnect and retry with the shared RetryPolicy
+// backoff, counting "retry.*".
 #pragma once
 
 #include <map>

@@ -49,13 +49,6 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  /// Approximately normal(0,1) via sum of uniforms (Irwin-Hall, 12 terms).
-  double next_gaussian() {
-    double s = 0;
-    for (int i = 0; i < 12; ++i) s += next_double();
-    return s - 6.0;
-  }
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -2,7 +2,9 @@
 // detection, compression-ratio sanity, and decode-speed ordering invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <set>
 #include <utility>
@@ -241,18 +243,20 @@ TEST(SpeedOrderingTest, ByteLzDecodesFasterThanRangeCoder) {
   const auto slow = Registry::instance().by_name("lzma");
   const auto fast_packed = fast->compress(as_view(data));
   const auto slow_packed = slow->compress(as_view(data));
-  double fast_time = 0, slow_time = 0;
-  (void)fast->decompress(as_view(fast_packed), data.size());  // warmup
-  {
-    WallTimer t;
-    for (int i = 0; i < 3; ++i) (void)fast->decompress(as_view(fast_packed), data.size());
-    fast_time = t.elapsed_sec();
-  }
-  {
-    WallTimer t;
-    for (int i = 0; i < 3; ++i) (void)slow->decompress(as_view(slow_packed), data.size());
-    slow_time = t.elapsed_sec();
-  }
+  // Best of N single decodes per codec, not one timed window: a burst of
+  // host steal can slow any one decode, but seldom every one, so the
+  // minimum measures the decoder rather than the host's load.
+  const auto best_decode_sec = [&](const Compressor* codec, const Bytes& packed) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < 7; ++i) {
+      WallTimer t;
+      (void)codec->decompress(as_view(packed), data.size());
+      best = std::min(best, t.elapsed_sec());
+    }
+    return best;
+  };
+  const double fast_time = best_decode_sec(fast, fast_packed);
+  const double slow_time = best_decode_sec(slow, slow_packed);
   EXPECT_GT(slow_time, fast_time * 5);
 }
 

@@ -348,6 +348,44 @@ TEST(FanStoreIntegrationTest, WholeFileCrcMismatchFailsEveryMaterialize) {
   });
 }
 
+TEST(FanStoreIntegrationTest, WholeFileCrcMismatchFailsTheLazyReadThatCompletesIt) {
+  // Lazy opens decode chunk by chunk on read() and pread(). The read that
+  // decodes the last missing chunk runs the whole-file check: it returns
+  // -EIO and invalidates the entry, so the next open loads it again.
+  const Bytes data = testdata::text_like(200000, 43);  // 4 chunks of 64 KiB
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    Instance::Options opt;
+    opt.fs.lazy_chunked_open = true;
+    Instance inst(comm, opt);
+    inst.load_partition_blob(
+        as_view(make_partition_with_bad_crc({{"c", data}}, "chunked-64k+lz4")), 0);
+    inst.exchange_metadata();
+    auto& fs = inst.fs();
+    const auto misses = [&] { return inst.metrics().counter("cache.misses").value(); };
+    for (std::uint64_t attempt = 0; attempt < 2; ++attempt) {
+      const int fd = fs.open("c", OpenMode::kRead);
+      ASSERT_GE(fd, 0);
+      EXPECT_EQ(misses(), attempt + 1) << "the failed entry was not loaded again";
+      Bytes buf(data.size());
+      ASSERT_EQ(fs.pread(fd, MutByteView(buf.data(), 4096), 0), 4096);
+      if (attempt == 0) {
+        // Sequential reads: the one that reaches the last chunk fails.
+        std::size_t total = 0;
+        std::int64_t r = 0;
+        while ((r = fs.read(fd, MutByteView(buf.data(), 64u << 10))) > 0) {
+          total += static_cast<std::size_t>(r);
+        }
+        EXPECT_EQ(r, -EIO);
+        EXPECT_LT(total, data.size());
+      } else {
+        EXPECT_EQ(fs.pread(fd, MutByteView(buf.data(), buf.size()), 0), -EIO);
+      }
+      fs.close(fd);
+      EXPECT_FALSE(fs.tiers().contains("c"));
+    }
+  });
+}
+
 TEST(FanStoreIntegrationTest, WriteOnceModel) {
   mpi::run_world(2, [&](mpi::Comm& comm) {
     Instance inst(comm, {});

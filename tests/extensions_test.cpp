@@ -1,11 +1,7 @@
-// Tests for the extension features: SZ-lite lossy float compression
-// (paper §VIII future work), the real async prefetcher (Fig. 5b), and the
-// checkpoint manager with shared-FS mirroring (§V-E fault tolerance).
+// Tests for the extension features: the real async prefetcher (Fig. 5b)
+// and the checkpoint manager with shared-FS mirroring (§V-E fault tolerance).
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "compress/lossy.hpp"
 #include "compress/registry.hpp"
 #include "core/checkpoint.hpp"
 #include "core/instance.hpp"
@@ -14,74 +10,9 @@
 #include "obs/metrics.hpp"
 #include "posixfs/mem_vfs.hpp"
 #include "tests/test_data.hpp"
-#include "util/rng.hpp"
 
 namespace fanstore {
 namespace {
-
-// --- SZ-lite lossy -----------------------------------------------------
-
-class LossyTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(LossyTest, ErrorBoundHolds) {
-  const double eb = GetParam();
-  compress::LossyFloatCompressor codec(eb);
-  Rng rng(7);
-  std::vector<float> values(20000);
-  double walk = 0;
-  for (auto& v : values) {
-    // Mix of a smooth random walk and occasional jumps (outliers).
-    if (rng.next_below(100) == 0) {
-      walk = static_cast<double>(rng.next_range(-100000, 100000));
-    }
-    walk += rng.next_double() - 0.5;
-    v = static_cast<float>(walk);
-  }
-  const Bytes packed = codec.compress(values);
-  const auto restored = codec.decompress(as_view(packed), values.size());
-  ASSERT_EQ(restored.size(), values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    ASSERT_LE(std::abs(static_cast<double>(restored[i]) -
-                       static_cast<double>(values[i])),
-              eb * 1.0001)
-        << "at index " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ErrorBounds, LossyTest,
-                         ::testing::Values(1e-3, 1e-2, 0.1, 1.0),
-                         [](const ::testing::TestParamInfo<double>& info) {
-                           const int exp = static_cast<int>(
-                               std::round(std::log10(info.param)));
-                           return exp < 0 ? "eb_1em" + std::to_string(-exp)
-                                          : "eb_1e" + std::to_string(exp);
-                         });
-
-TEST(LossyCompressionTest, SmoothDataBeatsLossless) {
-  // Smooth float series: lossy at eb=1e-2 should compress far better than
-  // the best lossless codec.
-  std::vector<float> values(50000);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = std::sin(static_cast<double>(i) * 0.001) * 100.0f;
-  }
-  compress::LossyFloatCompressor lossy(1e-2);
-  const Bytes packed = lossy.compress(values);
-  const auto* lossless = compress::Registry::instance().by_name("zstd");
-  Bytes raw(values.size() * 4);
-  std::memcpy(raw.data(), values.data(), raw.size());
-  const Bytes lossless_packed = lossless->compress(as_view(raw));
-  EXPECT_LT(packed.size() * 3, lossless_packed.size())
-      << "lossy " << packed.size() << " vs lossless " << lossless_packed.size();
-}
-
-TEST(LossyCompressionTest, RejectsBadArguments) {
-  EXPECT_THROW(compress::LossyFloatCompressor(-1.0), std::invalid_argument);
-  EXPECT_THROW(compress::LossyFloatCompressor(0.0), std::invalid_argument);
-  compress::LossyFloatCompressor codec(0.1);
-  EXPECT_THROW(codec.decompress(ByteView{}, 5), compress::CorruptDataError);
-  const Bytes packed = codec.compress(std::vector<float>{1.0f, 2.0f});
-  EXPECT_THROW(codec.decompress(as_view(packed), 3), compress::CorruptDataError);
-}
 
 // --- Prefetcher ---------------------------------------------------------
 

@@ -50,7 +50,6 @@ TEST(IpcSoakTest, HundredsOfClientsThroughFixedThreads) {
   ServerOptions opt;
   opt.shards = 2;
   opt.blocker_threads = 4;
-  opt.backlog = kSoakClients;  // the herd connects all at once
   Server server({Endpoint::uds(unique_socket_path("soak"))}, fs, opt);
   server.start();
   const std::string spec = server.endpoints()[0].to_string();

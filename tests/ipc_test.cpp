@@ -1,13 +1,15 @@
-// Tests for the Unix-domain-socket daemon transport: protocol encode/
-// decode, server lifecycle, cross-"process" reads through a real socket,
-// and end-to-end UDS access to a FanStore instance.
+// Tests for the daemon's socket front door: protocol encode/decode, the
+// event server's lifecycle on a Unix-domain socket, cross-"process" reads
+// through a real socket, and which thread answers each request.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "compress/registry.hpp"
@@ -16,7 +18,6 @@
 #include "ipc/server.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/uds_client.hpp"
-#include "ipc/uds_server.hpp"
 #include "posixfs/mem_vfs.hpp"
 #include "tests/test_data.hpp"
 
@@ -38,19 +39,22 @@ TEST(IpcProtocolTest, RequestRoundTrip) {
 }
 
 TEST(IpcProtocolTest, ReplyRoundTrips) {
+  // A get reply on the wire is its head followed by the file; the frame's
+  // payload decodes back to the status and a view of the file.
   const Bytes payload = testdata::random_bytes(1000, 1);
-  const Bytes encoded = encode_get_reply(Status::kOk, as_view(payload));
-  const auto get = decode_get_reply(as_view(encoded));  // views `encoded`
+  Bytes framed = encode_get_reply_head(Status::kOk, payload.size());
+  framed.insert(framed.end(), payload.begin(), payload.end());
+  ASSERT_EQ(load_le<std::uint32_t>(framed.data()), 1 + payload.size());
+  const auto get = decode_get_reply(as_view(framed).subspan(4));
   ASSERT_TRUE(get.has_value());
   EXPECT_EQ(get->status, Status::kOk);
   EXPECT_EQ(Bytes(get->data.begin(), get->data.end()), payload);
-  // A get reply's head followed by the file is the frame of the
-  // encode_get_reply payload.
-  Bytes framed = encode_get_reply_head(Status::kOk, payload.size());
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  ASSERT_EQ(framed.size(), 4 + encoded.size());
-  EXPECT_EQ(load_le<std::uint32_t>(framed.data()), encoded.size());
-  EXPECT_TRUE(std::equal(encoded.begin(), encoded.end(), framed.begin() + 4));
+  const Bytes empty = encode_get_reply_head(Status::kNotFound, 0);
+  ASSERT_EQ(empty.size(), 5u);
+  const auto missing = decode_get_reply(as_view(empty).subspan(4));
+  ASSERT_TRUE(missing.has_value());
+  EXPECT_EQ(missing->status, Status::kNotFound);
+  EXPECT_TRUE(missing->data.empty());
 
   format::FileStat st;
   st.size = 777;
@@ -71,45 +75,23 @@ TEST(IpcProtocolTest, ReplyRoundTrips) {
   EXPECT_FALSE(decode_list_reply(as_view(Bytes{0, 9, 9})).has_value());
 }
 
-TEST(UdsTest, ClientReadsThroughServer) {
-  posixfs::MemVfs fs;
-  const Bytes data = testdata::text_like(20000, 3);
-  posixfs::write_file(fs, "dir/file.bin", as_view(data));
-
-  UdsServer server(unique_socket_path("basic"), fs);
-  server.start();
-  UdsClientVfs client(server.socket_path());
-  ASSERT_TRUE(client.connect());
-
-  // Whole-file read through the Vfs interface.
-  const auto got = posixfs::read_file(client, "dir/file.bin");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, data);
-
-  // stat + readdir.
-  format::FileStat st;
-  ASSERT_EQ(client.stat("dir/file.bin", &st), 0);
-  EXPECT_EQ(st.size, data.size());
-  const int h = client.opendir("dir");
-  ASSERT_GE(h, 0);
-  const auto entry = client.readdir(h);
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_EQ(entry->name, "file.bin");
-  client.closedir(h);
-
-  // Errors map to POSIX codes.
-  EXPECT_EQ(client.open("missing", posixfs::OpenMode::kRead), -ENOENT);
-  EXPECT_EQ(client.open("x", posixfs::OpenMode::kWrite), -EROFS);
-  EXPECT_GE(server.requests_served(), 4u);
-  server.stop();
+// An event server over `vfs` on this test's socket for `tag` (the same
+// path for the same tag), started.
+std::unique_ptr<Server> serve(posixfs::Vfs& vfs, const char* tag,
+                              ServerOptions so = {}) {
+  so.shards = 1;
+  so.blocker_threads = 2;
+  auto server = std::make_unique<Server>(
+      std::vector<Endpoint>{Endpoint::uds(unique_socket_path(tag))}, vfs, so);
+  server->start();
+  return server;
 }
 
 TEST(UdsTest, LseekSemanticsOnClient) {
   posixfs::MemVfs fs;
   posixfs::write_file(fs, "f", as_view(Bytes{0, 1, 2, 3, 4, 5, 6, 7}));
-  UdsServer server(unique_socket_path("seek"), fs);
-  server.start();
-  UdsClientVfs client(server.socket_path());
+  auto server = serve(fs, "seek");
+  UdsClientVfs client(server->endpoints()[0].to_string());
   const int fd = client.open("f", posixfs::OpenMode::kRead);
   ASSERT_GE(fd, 0);
   EXPECT_EQ(client.lseek(fd, -2, posixfs::Whence::kEnd), 6);
@@ -117,7 +99,7 @@ TEST(UdsTest, LseekSemanticsOnClient) {
   EXPECT_EQ(client.read(fd, MutByteView{buf.data(), buf.size()}), 2);
   EXPECT_EQ(buf[0], 6);
   client.close(fd);
-  server.stop();
+  server->stop();
 }
 
 TEST(UdsTest, ConcurrentClients) {
@@ -126,13 +108,12 @@ TEST(UdsTest, ConcurrentClients) {
     posixfs::write_file(fs, "f" + std::to_string(i),
                         as_view(testdata::random_bytes(5000, i)));
   }
-  UdsServer server(unique_socket_path("multi"), fs);
-  server.start();
+  auto server = serve(fs, "multi");
   std::vector<std::thread> clients;
   std::atomic<int> failures{0};
   for (int c = 0; c < 6; ++c) {
     clients.emplace_back([&, c] {
-      UdsClientVfs client(server.socket_path());
+      UdsClientVfs client(server->endpoints()[0].to_string());
       for (int i = 0; i < 20; ++i) {
         const std::string path = "f" + std::to_string((c + i) % 8);
         const auto got = posixfs::read_file(client, path);
@@ -142,8 +123,8 @@ TEST(UdsTest, ConcurrentClients) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GE(server.requests_served(), 120u);
-  server.stop();
+  EXPECT_GE(server->requests_served(), 120u);
+  server->stop();
 }
 
 TEST(UdsTest, ClientFailsCleanlyWithoutServer) {
@@ -168,28 +149,29 @@ TEST(UdsTest, ServesAFanStoreInstance) {
     inst.load_partition_blob(as_view(blob), 0);
     inst.exchange_metadata();
 
-    UdsServer server(unique_socket_path("fanstore"), inst.fs());
-    server.start();
-    UdsClientVfs client(server.socket_path());
+    auto server = serve(inst.fs(), "fanstore");
+    UdsClientVfs client(server->endpoints()[0].to_string());
     const auto got = posixfs::read_file(client, "ds/sample");
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, data);  // decompressed by the daemon, shipped plain
-    server.stop();
+    server->stop();
   });
 }
 
 TEST(UdsTest, StopIsIdempotentAndRestartable) {
   posixfs::MemVfs fs;
-  const std::string path = unique_socket_path("restart");
+  posixfs::write_file(fs, "x", as_view(Bytes{5, 6}));
   {
-    UdsServer server(path, fs);
-    server.start();
-    server.stop();
-    server.stop();
+    auto server = serve(fs, "restart");
+    server->stop();
+    server->stop();
   }
-  UdsServer server2(path, fs);
-  server2.start();  // rebinding the same path must work
-  server2.stop();
+  // A new server binds the path the old one served; clients reach it.
+  auto server2 = serve(fs, "restart");
+  EXPECT_EQ(server2->endpoints()[0].path, unique_socket_path("restart"));
+  UdsClientVfs client(server2->endpoints()[0].to_string());
+  EXPECT_EQ(posixfs::read_file(client, "x"), (Bytes{5, 6}));
+  server2->stop();
 }
 
 // --- The loop-thread fast path (DESIGN.md §11) ----------------------------
@@ -239,13 +221,8 @@ std::uint64_t counter(core::Instance& inst, const char* name) {
 // An event server over `vfs` that records into `inst`'s registry.
 std::unique_ptr<Server> serve(core::Instance& inst, posixfs::Vfs& vfs,
                               const char* tag, ServerOptions so = {}) {
-  so.shards = 1;
-  so.blocker_threads = 2;
   so.metrics = &inst.metrics();
-  auto server = std::make_unique<Server>(
-      std::vector<Endpoint>{Endpoint::uds(unique_socket_path(tag))}, vfs, so);
-  server->start();
-  return server;
+  return serve(vfs, tag, so);
 }
 
 TEST(IpcLoopPathTest, WarmHitsStatsAndListingsAreServedOnTheLoop) {
@@ -342,13 +319,12 @@ TEST(IpcLoopPathTest, UnverifiedChunkedEntryGoesToABlocker) {
     EXPECT_EQ(*got, data);
     EXPECT_EQ(counter(inst, "ipc.loop_served"), 0u);
     EXPECT_EQ(counter(inst, "ipc.requests"), 1u);
-    // That read decoded every chunk, but a lazy read never checks the
-    // whole-file crc: the entry is complete yet unverified, so the next
-    // get still takes a blocker.
+    // That read decoded every missing chunk and so ran the whole-file crc
+    // check: the entry is verified now, and the next get is a loop hit.
     const auto again = posixfs::read_file(client, "ds/lazy");
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(*again, data);
-    EXPECT_EQ(counter(inst, "ipc.loop_served"), 0u);
+    EXPECT_EQ(counter(inst, "ipc.loop_served"), 1u);
     EXPECT_EQ(counter(inst, "ipc.requests"), 2u);
     server->stop();
   });

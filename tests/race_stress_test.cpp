@@ -22,7 +22,7 @@
 #include "fault/injector.hpp"
 #include "tests/sanitizer_env.hpp"
 #include "ipc/uds_client.hpp"
-#include "ipc/uds_server.hpp"
+#include "ipc/server.hpp"
 #include "mpi/comm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -298,14 +298,17 @@ TEST(RaceStressTest, ConcurrentUdsRequestsAndStop) {
   }
   const std::string sock =
       "/tmp/fanstore_race_" + std::to_string(getpid()) + ".sock";
-  ipc::UdsServer server(sock, fs);
+  ipc::ServerOptions opt;
+  opt.shards = 2;
+  opt.blocker_threads = 2;
+  ipc::Server server({ipc::Endpoint::uds(sock)}, fs, opt);
   server.start();
 
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < 8; ++c) {
     clients.emplace_back([&, c] {
-      ipc::UdsClientVfs client(server.socket_path());
+      ipc::UdsClientVfs client(sock);
       for (int i = 0; i < 25; ++i) {
         const std::string path = "d/f" + std::to_string((c + i) % 8);
         const auto got = posixfs::read_file(client, path);
@@ -322,7 +325,7 @@ TEST(RaceStressTest, ConcurrentUdsRequestsAndStop) {
   EXPECT_GE(server.requests_served(), 200u);
 
   // stop() must cleanly kick a client that is connected but idle.
-  ipc::UdsClientVfs idle(server.socket_path());
+  ipc::UdsClientVfs idle(sock);
   ASSERT_TRUE(idle.connect());
   server.stop();
   EXPECT_EQ(idle.open("d/f0", posixfs::OpenMode::kRead), -EIO);

@@ -1,5 +1,6 @@
 // POSIX-surface conformance suite: every Vfs implementation (MemVfs,
-// LocalVfs, Interceptor, FanStoreFs, UdsClientVfs over each server) must
+// LocalVfs, Interceptor, FanStoreFs, UdsClientVfs over the event server on
+// each transport) must
 // expose identical open/read/lseek/stat/readdir semantics, because the
 // training program on top of the interceptor cannot know which backend it
 // is talking to.
@@ -17,7 +18,6 @@
 #include "core/instance.hpp"
 #include "ipc/server.hpp"
 #include "ipc/uds_client.hpp"
-#include "ipc/uds_server.hpp"
 #include "posixfs/interceptor.hpp"
 #include "posixfs/local_vfs.hpp"
 #include "posixfs/mem_vfs.hpp"
@@ -44,7 +44,6 @@ struct Backend {
   // Their daemon + cluster service threads answer rank 0's remote lookups
   // for the duration of the test.
   std::vector<std::unique_ptr<core::Instance>> cluster_peers;
-  std::unique_ptr<ipc::UdsServer> server;
   std::unique_ptr<ipc::Server> event_server;
   std::unique_ptr<ipc::UdsClientVfs> client;
 };
@@ -180,20 +179,10 @@ std::unique_ptr<Backend> make_backend(const std::string& kind) {
     b->cluster_peers.push_back(std::move(insts[1]));
     b->cluster_peers.push_back(std::move(insts[2]));
     b->vfs = &b->instance->fs();
-  } else if (kind == "UdsClientVfs") {
-    b->mem = std::make_unique<MemVfs>();
-    populate(*b->mem);
-    b->server = std::make_unique<ipc::UdsServer>(
-        "/tmp/fanstore_conf_" + std::to_string(getpid()) + ".sock", *b->mem);
-    b->server->start();
-    b->client = std::make_unique<ipc::UdsClientVfs>(b->server->socket_path());
-    b->vfs = b->client.get();
-    b->writable = false;  // read-only transport
-    auto* server = b->server.get();
-    b->cleanup = [server] { server->stop(); };
   } else if (kind == "EventUds" || kind == "EventTcp") {
-    // Same client, served by the event-driven epoll server (DESIGN.md
-    // §11) over each transport — the POSIX surface must be identical.
+    // The socket client, served by the event-driven epoll server
+    // (DESIGN.md §11) over each transport — the POSIX surface must be
+    // identical.
     b->mem = std::make_unique<MemVfs>();
     populate(*b->mem);
     const ipc::Endpoint ep =
@@ -343,8 +332,8 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, VfsConformanceTest,
                          ::testing::Values("MemVfs", "LocalVfs", "Interceptor",
                                            "FanStoreFs", "TieredFanStoreFs",
                                            "ShardedMetadataFanStoreFs",
-                                           "UdsClientVfs", "EventUds",
-                                           "EventTcp", "EventFanStore"),
+                                           "EventUds", "EventTcp",
+                                           "EventFanStore"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });

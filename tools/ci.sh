@@ -128,11 +128,11 @@ build/bench/bench_chunked --quick --json /tmp/BENCH_chunked_quick.json
 echo "==== [bench] bench_clairvoyant --quick ===="
 build/bench/bench_clairvoyant --quick --json /tmp/BENCH_clairvoyant_quick.json
 
-# Socket front-door smoke (DESIGN.md §11): event-driven server vs the
-# thread-per-connection baseline at a few client counts over UDS. The >=2x
-# requests/s acceptance bar at 64+ clients is enforced only on hardware
-# with enough cores for the shard/blocker threads to actually run in
-# parallel. Run without --quick for the recorded BENCH_ipc.json numbers.
+# Socket front-door smoke (DESIGN.md §11): the event-driven server over a
+# warm FanStoreFs at a few client counts over UDS. Exits non-zero unless
+# every request is answered on the loop thread (share 1.0) and no client
+# sees an error, on any host. Run without --quick for the recorded
+# BENCH_ipc.json numbers.
 echo "==== [bench] bench_ipc --quick ===="
 build/bench/bench_ipc --quick --json /tmp/BENCH_ipc_quick.json
 
