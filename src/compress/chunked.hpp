@@ -122,8 +122,9 @@ class ChunkedCompressor final : public Compressor {
                     std::size_t chunk_size);
 
   std::string name() const override;
-  /// Serial chunk-by-chunk encode (keeps CodecSpeedTable calibration
-  /// single-threaded); use compress_with() for parallel prep.
+  /// Serial chunk-by-chunk encode, so speed sampling
+  /// (select::profile_candidates) stays single-threaded; use
+  /// compress_with() for parallel prep.
   Bytes compress(ByteView src) const override;
   Bytes decompress(ByteView src, std::size_t original_size) const override;
 

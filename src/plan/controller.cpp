@@ -7,7 +7,7 @@ namespace fanstore::plan {
 
 PrefetchController::PrefetchController(AccessPlan& plan, core::FanStoreFs& fs,
                                        Warmer& warmer,
-                                       simnet::VirtualClock* clock,
+                                       simnet::VirtualClock& clock,
                                        ControllerOptions options)
     : plan_(plan), fs_(fs), warmer_(warmer), clock_(clock), opt_(options) {
   if (opt_.min_depth == 0 || opt_.max_depth < opt_.min_depth) {
@@ -32,19 +32,10 @@ std::size_t PrefetchController::adaptive_depth() const {
   // Warm cost is charged serially to the virtual clock but the trainer
   // divides by io_parallelism (§VII-E1), so the hideable budget per step is
   // step_time * io_parallelism of serial charge.
-  double est = est_warm_s_;
-  if (est <= 0) {
-    // No measurement yet: bootstrap from the fs's observed load/fetch
-    // latency medians (wall microseconds — the right order of magnitude
-    // even before any virtual charge is recorded).
-    const double load_us = fs_.metrics().histogram("fs.load_us").quantile(50);
-    const double fetch_us = fs_.metrics().histogram("fs.fetch_us").quantile(50);
-    est = (load_us + fetch_us) * 1e-6;
-  }
-  if (est <= 0) return opt_.min_depth;  // nothing known: be conservative
+  if (est_warm_s_ <= 0) return opt_.min_depth;  // nothing known: be conservative
   const double budget =
       opt_.step_time_s * static_cast<double>(opt_.io_parallelism);
-  const double k = budget / est;
+  const double k = budget / est_warm_s_;
   if (k <= static_cast<double>(opt_.min_depth)) return opt_.min_depth;
   if (k >= static_cast<double>(opt_.max_depth)) return opt_.max_depth;
   return static_cast<std::size_t>(k);
@@ -94,18 +85,15 @@ void PrefetchController::on_step_begin() {
   for (; warm_until_ < warm_end; ++warm_until_) {
     batch.push_back(plan_.path_at(warm_until_));
   }
-  const double before = clock_ != nullptr ? clock_->now_sec() : 0;
+  const double before = clock_.now_sec();
   warmer_.enqueue(batch);
   warmer_.drain();
   issued_->inc(batch.size());
-  if (clock_ != nullptr) {
-    const double charged = clock_->now_sec() - before;
-    const double per_file = charged / static_cast<double>(batch.size());
-    est_warm_s_ = est_warm_s_ <= 0
-                      ? per_file
-                      : opt_.ema_alpha * per_file +
-                            (1 - opt_.ema_alpha) * est_warm_s_;
-  }
+  const double per_file =
+      (clock_.now_sec() - before) / static_cast<double>(batch.size());
+  est_warm_s_ = est_warm_s_ <= 0 ? per_file
+                                 : opt_.ema_alpha * per_file +
+                                       (1 - opt_.ema_alpha) * est_warm_s_;
 }
 
 }  // namespace fanstore::plan

@@ -5,8 +5,8 @@
 // chosen so the warm work just fits under the compute budget it can hide
 // behind (k ~= step_time * io_parallelism / measured-per-file-warm-cost).
 // The per-file cost is an EMA of the virtual-clock time each warm batch
-// actually charged, bootstrapped from the fs's "fs.load_us"/"fs.fetch_us"
-// latency histograms before the first measurement lands.
+// actually charged; before the first measurement lands the depth is
+// min_depth.
 //
 // Ahead of the warm window it can run cross-rank staging: remote objects
 // due within stage_horizon accesses are pulled compressed into the local
@@ -75,11 +75,11 @@ struct ControllerOptions {
 
 class PrefetchController {
  public:
-  /// `plan`, `fs`, and `warmer` must outlive the controller. `clock` is the
-  /// virtual clock the fs charges (nullptr: adaptive depth falls back to
-  /// histogram estimates only). Metrics ("plan.*") land in fs.metrics().
+  /// `plan`, `fs`, `warmer` and `clock` must outlive the controller.
+  /// `clock` is the virtual clock the fs charges; the adaptive depth reads
+  /// warm cost from it. Metrics ("plan.*") land in fs.metrics().
   PrefetchController(AccessPlan& plan, core::FanStoreFs& fs, Warmer& warmer,
-                     simnet::VirtualClock* clock, ControllerOptions options);
+                     simnet::VirtualClock& clock, ControllerOptions options);
 
   /// The trainer calls this at the top of each iteration, inside the
   /// measured I/O window: advances staging, then warms up to the adaptive
@@ -98,7 +98,7 @@ class PrefetchController {
   AccessPlan& plan_;
   core::FanStoreFs& fs_;
   Warmer& warmer_;
-  simnet::VirtualClock* clock_;
+  simnet::VirtualClock& clock_;
   ControllerOptions opt_;
 
   std::size_t warm_until_ = 0;    // schedule index warmed up to (exclusive)

@@ -1,98 +1,49 @@
 #include "simnet/codec_speed.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 
 #include "compress/registry.hpp"
-#include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace fanstore::simnet {
 
 namespace {
 
-// Representative sample: a blend of text-like redundancy, runs, and noise,
-// so both LZ matchers and entropy coders have realistic work to do.
-Bytes calibration_sample() {
-  constexpr std::size_t kSize = 256 * 1024;
-  Rng rng(0xCA11B);
-  Bytes b;
-  b.reserve(kSize + 256);
-  static const char* words[] = {"tensor ", "batch ", "iter ", "epoch ", "data "};
-  while (b.size() < kSize) {
-    switch (rng.next_below(3)) {
-      case 0: {
-        const char* w = words[rng.next_below(5)];
-        while (*w != '\0') b.push_back(static_cast<std::uint8_t>(*w++));
-        break;
+constexpr CodecSpeed kRows[] = {
+#define FANSTORE_CODEC_SPEED(name, bps) CodecSpeed{name, bps},
+#include "simnet/codec_speeds.inc"
+#undef FANSTORE_CODEC_SPEED
+};
+
+// Rows keyed by registry id, resolved once. The function-local static is
+// initialized exactly once and read-only afterwards, so no lock guards it.
+const std::unordered_map<compress::CompressorId, double>& rows_by_id() {
+  static const auto table = [] {
+    const auto& reg = compress::Registry::instance();
+    std::unordered_map<compress::CompressorId, double> m;
+    for (const CodecSpeed& row : kRows) {
+      if (const compress::Compressor* codec = reg.by_name(row.name)) {
+        m.emplace(reg.id_of(*codec), row.decompress_bps);
       }
-      case 1:
-        b.insert(b.end(), 8 + rng.next_below(60),
-                 static_cast<std::uint8_t>(rng.next_u64()));
-        break;
-      default:
-        for (int k = 0; k < 16; ++k) b.push_back(static_cast<std::uint8_t>(rng.next_u64()));
     }
-  }
-  b.resize(kSize);
-  return b;
+    return m;
+  }();
+  return table;
 }
 
 }  // namespace
 
-CodecSpeedTable& CodecSpeedTable::shared() {
-  static CodecSpeedTable table;
-  return table;
-}
+std::span<const CodecSpeed> codec_speeds() { return kRows; }
 
-CodecSpeedTable::Speeds CodecSpeedTable::calibrate(compress::CompressorId id) {
-  const compress::Compressor* codec = compress::Registry::instance().by_id(id);
-  if (codec == nullptr) {
-    throw std::invalid_argument("CodecSpeedTable: unknown compressor id " +
+double decompress_bps(compress::CompressorId id) {
+  const auto& rows = rows_by_id();
+  const auto it = rows.find(id);
+  if (it == rows.end()) {
+    throw std::invalid_argument("codec speed table: no row for compressor id " +
                                 std::to_string(id));
   }
-  static const Bytes sample = calibration_sample();
-  Speeds s;
-  {
-    WallTimer t;
-    Bytes packed = codec->compress(as_view(sample));
-    s.compress_bps = static_cast<double>(sample.size()) / std::max(1e-9, t.elapsed_sec());
-    // Best-of-3 decompression (first pass warms caches).
-    double best = 1e99;
-    for (int i = 0; i < 3; ++i) {
-      WallTimer dt;
-      const Bytes out = codec->decompress(as_view(packed), sample.size());
-      best = std::min(best, std::max(1e-9, dt.elapsed_sec()));
-      if (out.size() != sample.size()) {
-        throw std::logic_error("CodecSpeedTable: bad round-trip during calibration");
-      }
-    }
-    s.decompress_bps = static_cast<double>(sample.size()) / best;
-  }
-  return s;
-}
-
-CodecSpeedTable::Speeds CodecSpeedTable::entry(compress::CompressorId id) {
-  {
-    sync::MutexLock lk(mu_);
-    const auto it = speeds_.find(id);
-    if (it != speeds_.end()) return it->second;
-  }
-  const Speeds s = calibrate(id);  // slow path outside the lock
-  sync::MutexLock lk(mu_);
-  return speeds_.try_emplace(id, s).first->second;
-}
-
-double CodecSpeedTable::decompress_bps(compress::CompressorId id) {
-  return entry(id).decompress_bps;
-}
-
-double CodecSpeedTable::compress_bps(compress::CompressorId id) {
-  return entry(id).compress_bps;
-}
-
-void CodecSpeedTable::set_decompress_bps(compress::CompressorId id, double bps) {
-  sync::MutexLock lk(mu_);
-  speeds_[id].decompress_bps = bps;
+  return it->second;
 }
 
 }  // namespace fanstore::simnet

@@ -87,6 +87,29 @@ TEST_F(LintTest, DeterminismIgnoresOutOfScopeAndMemberCalls) {
   EXPECT_TRUE(r.findings.empty()) << r.findings[0].message;
 }
 
+TEST_F(LintTest, DeterminismFlagsWallTimerInTheVirtualWorldOnly) {
+  // WallTimer wraps steady_clock inside util/, so only its own name shows
+  // in simnet/ and plan/; core/ keeps it for wall-time latency histograms.
+  const std::string body =
+      "#include \"util/timer.hpp\"\n"
+      "double f() {\n"
+      "  WallTimer t;\n"                      // line 3 — violation in scope
+      "  return t.elapsed_sec();\n"
+      "}\n";
+  write("simnet/speed.cpp", body);
+  write("plan/depth.cpp", body);
+  write("core/latency.cpp", body);
+  const LintResult r = lint({"determinism"});
+  ASSERT_EQ(r.findings.size(), 2u);
+  for (const auto& f : r.findings) {
+    EXPECT_EQ(f.rule, "determinism");
+    EXPECT_EQ(f.line, 3);
+    EXPECT_NE(f.message.find("WallTimer"), std::string::npos) << f.message;
+  }
+  EXPECT_EQ(r.findings[0].file, "plan/depth.cpp");
+  EXPECT_EQ(r.findings[1].file, "simnet/speed.cpp");
+}
+
 TEST_F(LintTest, RawSyncFlagsStdMutexOutsideUtilSync) {
   write("core/locks.cpp",
         "namespace fanstore::core {\n"

@@ -343,18 +343,19 @@ TEST(PrefetchControllerTest, ValidatesOptions) {
   mpi::run_world(1, [&](mpi::Comm& comm) {
     core::Instance inst(comm, {});
     dlsim::Prefetcher warmer(inst.fs(), 1, 1);
+    simnet::VirtualClock clock;
     plan::ControllerOptions bad;
     bad.min_depth = 0;
-    EXPECT_THROW(plan::PrefetchController(ap, inst.fs(), warmer, nullptr, bad),
+    EXPECT_THROW(plan::PrefetchController(ap, inst.fs(), warmer, clock, bad),
                  std::invalid_argument);
     bad = {};
     bad.max_depth = 1;
     bad.min_depth = 2;
-    EXPECT_THROW(plan::PrefetchController(ap, inst.fs(), warmer, nullptr, bad),
+    EXPECT_THROW(plan::PrefetchController(ap, inst.fs(), warmer, clock, bad),
                  std::invalid_argument);
     bad = {};
     bad.ema_alpha = 0;
-    EXPECT_THROW(plan::PrefetchController(ap, inst.fs(), warmer, nullptr, bad),
+    EXPECT_THROW(plan::PrefetchController(ap, inst.fs(), warmer, clock, bad),
                  std::invalid_argument);
     inst.stop();
   });
@@ -403,7 +404,7 @@ TEST(PrefetchControllerTest, ClairvoyantTrainerEndToEnd) {
     copt.min_depth = 2;
     copt.max_depth = 8;
     copt.stage_horizon = 4 * copt.max_depth;
-    plan::PrefetchController ctl(ap, inst.fs(), warmer, &clock, copt);
+    plan::PrefetchController ctl(ap, inst.fs(), warmer, clock, copt);
 
     dlsim::TrainerOptions topt;
     topt.t_iter_s = 0.05;
@@ -491,7 +492,7 @@ TEST(PrefetchControllerTest, FixedDepthWarmsEachStepsOwnBatchWindow) {
     copt.hot_replicas = 0;
     copt.stage_horizon = 0;
     simnet::VirtualClock clock;
-    plan::PrefetchController ctl(ap, inst.fs(), warmer, &clock, copt);
+    plan::PrefetchController ctl(ap, inst.fs(), warmer, clock, copt);
 
     dlsim::TrainerOptions topt;
     topt.batch_per_rank = kBatch;

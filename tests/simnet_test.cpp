@@ -2,13 +2,14 @@
 // including the Table III calibration shapes.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <thread>
 
 #include "compress/registry.hpp"
 #include "simnet/codec_speed.hpp"
 #include "simnet/models.hpp"
 #include "simnet/virtual_clock.hpp"
-#include "tests/sanitizer_env.hpp"
 
 namespace fanstore::simnet {
 namespace {
@@ -98,37 +99,50 @@ TEST(ClusterSpecTest, PaperPlatforms) {
 }
 
 TEST(CodecSpeedTest, CalibratesAndOrdersCodecs) {
-  auto& table = CodecSpeedTable::shared();
   const auto& reg = compress::Registry::instance();
-  const auto fast = table.decompress_bps(reg.id_by_name("lzsse8"));
-  const auto slow = table.decompress_bps(reg.id_by_name("lzma"));
-  if (!testsupport::kUnderSanitizer) {
-    EXPECT_GT(fast, 200e6);     // byte-LZ: hundreds of MB/s or more
-    EXPECT_GT(fast, slow * 5);  // range coder is far slower
-  }
+  const auto fast = decompress_bps(reg.id_by_name("lzsse8"));
+  const auto slow = decompress_bps(reg.id_by_name("lzma"));
+  // The committed table does not depend on the build, so the ordering is
+  // checked under sanitizers too.
+  EXPECT_GT(fast, 200e6);     // byte-LZ: hundreds of MB/s or more
+  EXPECT_GT(fast, slow * 5);  // range coder is far slower
   // Derived per-byte cost is consistent.
-  EXPECT_NEAR(table.decompress_seconds(reg.id_by_name("lzsse8"), 1 << 20),
+  EXPECT_NEAR(decompress_seconds(reg.id_by_name("lzsse8"), 1 << 20),
               (1 << 20) / fast, 1e-9);
   // A one-chunk frame costs exactly the flat decode, on any thread count.
   for (const char* name : {"lzsse8", "lzma"}) {
     const auto id = reg.id_by_name(name);
     for (const std::size_t threads : {1u, 4u}) {
-      EXPECT_EQ(table.chunked_decompress_seconds(id, 100000, 1, threads),
-                table.decompress_seconds(id, 100000))
+      EXPECT_EQ(chunked_decompress_seconds(id, 100000, 1, threads),
+                decompress_seconds(id, 100000))
           << name << " threads=" << threads;
     }
   }
 }
 
-TEST(CodecSpeedTest, OverrideForTests) {
-  auto& table = CodecSpeedTable::shared();
-  table.set_decompress_bps(9999, 1e9);
-  EXPECT_DOUBLE_EQ(table.decompress_bps(9999), 1e9);
+TEST(CodecSpeedTest, EveryRegisteredCodecHasExactlyOneRow) {
+  const auto& reg = compress::Registry::instance();
+  std::map<std::string, int> rows;
+  for (const CodecSpeed& row : codec_speeds()) {
+    ++rows[std::string(row.name)];
+    // Each row's name resolves to a registered id whose exact name it is.
+    const compress::Compressor* codec = reg.by_name(row.name);
+    ASSERT_NE(codec, nullptr) << row.name;
+    EXPECT_EQ(codec->name(), row.name);
+    EXPECT_EQ(decompress_bps(reg.id_of(*codec)), row.decompress_bps) << row.name;
+    EXPECT_GT(row.decompress_bps, 0) << row.name;
+  }
+  for (const auto& entry : reg.all()) {
+    EXPECT_EQ(rows[entry.codec->name()], 1) << entry.codec->name();
+  }
+  EXPECT_EQ(rows.size(), reg.all().size());
 }
 
 TEST(CodecSpeedTest, UnknownIdThrows) {
-  EXPECT_THROW(CodecSpeedTable::shared().decompress_bps(60000),
-               std::invalid_argument);
+  EXPECT_THROW(decompress_bps(60000), std::invalid_argument);
+  // Chunked ids are charged through their inner codec, never looked up.
+  const auto chunked = compress::Registry::instance().id_by_name("chunked-64k+lz4");
+  EXPECT_THROW(decompress_bps(chunked), std::invalid_argument);
 }
 
 }  // namespace

@@ -125,8 +125,18 @@ build/bench/bench_chunked --quick --json /tmp/BENCH_chunked_quick.json
 # Exits non-zero if clairvoyant is ever slower than reactive or the Belady
 # hit rate fails to beat FIFO's. Run without --quick (adds 512 ranks) for
 # the recorded BENCH_clairvoyant.json numbers.
-echo "==== [bench] bench_clairvoyant --quick ===="
+# A second run in a new process must replay the first exactly: the virtual
+# clock charges decode from the committed codec-speed table and nothing in
+# the virtual world reads a wall clock, so any differing items/s or hit-rate
+# value fails CI.
+echo "==== [bench] bench_clairvoyant --quick (twice, must replay) ===="
 build/bench/bench_clairvoyant --quick --json /tmp/BENCH_clairvoyant_quick.json
+build/bench/bench_clairvoyant --quick --json /tmp/BENCH_clairvoyant_replay.json
+if ! diff <(grep -E 'items_s|hit_rate' /tmp/BENCH_clairvoyant_quick.json) \
+          <(grep -E 'items_s|hit_rate' /tmp/BENCH_clairvoyant_replay.json); then
+  echo "ci.sh: bench_clairvoyant did not replay across processes" >&2
+  exit 1
+fi
 
 # Socket front-door smoke (DESIGN.md §11): the event-driven server over a
 # warm FanStoreFs at a few client counts over UDS. Exits non-zero unless

@@ -2,7 +2,10 @@
 // runtime must be replayable from a seed. Any ambient wall-clock or RNG use
 // in those subsystems breaks byte-identical replay, so time goes through
 // util::TimeSource and randomness through seeded generators owned by the
-// caller. This rule bans the ambient identifiers outright.
+// caller. This rule bans the ambient identifiers outright. The virtual
+// world (simnet/, plan/) also may not hold a WallTimer: core/ keeps one for
+// its wall-time latency histograms, but a cost model or a planner that
+// times itself makes every virtual-clock result depend on the host.
 #include "rules.hpp"
 
 #include <set>
@@ -35,12 +38,18 @@ const std::set<std::string> kBannedCalls = {
     "gettimeofday",        "clock_gettime", "timespec_get",
 };
 
-bool in_scope(const std::string& rel) {
-  if (kAllowlist.count(rel) != 0) return false;
-  for (const auto& dir : kScopedDirs) {
+// Directories where util/timer.hpp's WallTimer is banned too.
+const std::set<std::string> kVirtualDirs = {"simnet/", "plan/"};
+
+bool has_prefix(const std::string& rel, const std::set<std::string>& dirs) {
+  for (const auto& dir : dirs) {
     if (rel.rfind(dir, 0) == 0) return true;
   }
   return false;
+}
+
+bool in_scope(const std::string& rel) {
+  return kAllowlist.count(rel) == 0 && has_prefix(rel, kScopedDirs);
 }
 
 }  // namespace
@@ -49,9 +58,19 @@ void rule_determinism(const FileCtx& ctx, std::vector<Finding>* out) {
   if (!in_scope(ctx.rel)) return;
   const auto& toks = *ctx.tokens;
   const auto& m = *ctx.model;
+  const bool virtual_world = has_prefix(ctx.rel, kVirtualDirs);
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind != Tok::kIdent) continue;
+    if (virtual_world && t.text == "WallTimer") {
+      out->push_back(Finding{
+          "determinism", ctx.rel, t.line, t.col,
+          "'" + t.text + "' in the virtual world; charge and read the " +
+              "injected simnet::VirtualClock, and take measured constants " +
+              "from a committed table (simnet/codec_speeds.inc)",
+          {}});
+      continue;
+    }
     if (kBannedTypes.count(t.text) != 0) {
       out->push_back(Finding{
           "determinism", ctx.rel, t.line, t.col,
