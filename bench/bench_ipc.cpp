@@ -199,6 +199,7 @@ int main(int argc, char** argv) {
   }
   table.print();
 
+  const std::string header = bench::json_header("ipc", quick, "wall");
   FILE* out = std::fopen(json_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_ipc: cannot write %s\n", json_path.c_str());
@@ -213,7 +214,7 @@ int main(int argc, char** argv) {
                "  \"gate\": {\"loop_served_share\": 1.0, \"client_errors\": 0, "
                "\"passed\": %s}\n"
                "}\n",
-               bench::json_header("ipc", quick, "wall").c_str(), 16 << 10,
+               header.c_str(), 16 << 10,
                per_client, json_cells(cells).c_str(), ok ? "true" : "false");
   std::fclose(out);
   std::printf("\nwrote %s\n", json_path.c_str());

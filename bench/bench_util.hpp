@@ -80,6 +80,8 @@ inline std::string git_rev() {
 /// The header fields every BENCH_*.json opens with (indented, no trailing
 /// comma): which bench, whether `--quick`, the host's hardware threads,
 /// the clock its times are on ("wall" or "virtual") and the source rev.
+/// Call it before opening the output file: truncating a tracked BENCH
+/// file first would make the rev read "-dirty".
 inline std::string json_header(const std::string& bench, bool quick,
                                const std::string& clock) {
   return "  \"bench\": \"" + bench + "\",\n  \"quick\": " +

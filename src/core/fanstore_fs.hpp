@@ -45,7 +45,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "posixfs/vfs.hpp"
-#include "simnet/codec_speed.hpp"
 #include "simnet/models.hpp"
 #include "simnet/virtual_clock.hpp"
 #include "util/retry.hpp"
