@@ -6,30 +6,13 @@
 
 #include "fault/injector.hpp"
 #include "format/file_stat.hpp"
-#include "util/crc32.hpp"
 
 namespace fanstore::cluster {
 
 namespace {
 
-/// Appends crc32(body) so receivers can reject corrupted replies.
-Bytes seal(Bytes body) {
-  const std::uint32_t crc = crc32(as_view(body));
-  append_le<std::uint32_t>(body, crc);
-  return body;
-}
-
-/// Validates and strips the trailing crc; nullopt on mismatch/truncation.
-std::optional<Bytes> unseal(const Bytes& payload) {
-  if (payload.size() < 4) return std::nullopt;
-  const std::size_t n = payload.size() - 4;
-  const std::uint32_t want = load_le<std::uint32_t>(payload.data() + n);
-  if (crc32(ByteView{payload.data(), n}) != want) return std::nullopt;
-  return Bytes(payload.begin(), payload.begin() + static_cast<std::ptrdiff_t>(n));
-}
-
 bool is_cluster_request(const mpi::Message& m) {
-  return m.tag >= kTagGossip && m.tag <= kTagMetaPush;
+  return m.tag >= mpi::kTagGossip && m.tag <= mpi::kTagMetaPush;
 }
 
 /// Appends `extra` to `out`, keeping order and skipping duplicates — the
@@ -56,7 +39,8 @@ ClusterNode::Metrics::Metrics(obs::MetricsRegistry& m)
       sync_bytes(m.counter("cluster.sync_bytes")),
       shards_dropped(m.counter("cluster.shards_dropped")),
       push_bytes(m.counter("cluster.push_bytes")),
-      merge_skipped(m.counter("cluster.merge_skipped")) {}
+      merge_skipped(m.counter("cluster.merge_skipped")),
+      crc_rejects(m.counter("cluster.crc_rejects")) {}
 
 ClusterNode::ClusterNode(mpi::Comm comm, NodeOptions options)
     : comm_(comm),
@@ -87,7 +71,7 @@ void ClusterNode::start() {
 void ClusterNode::stop() {
   sync::MutexLock lock(lifecycle_mu_);
   if (!running_.load()) return;
-  comm_.send(comm_.rank(), kTagClusterStop, Bytes{});
+  comm_.send(comm_.rank(), mpi::kTagClusterStop, Bytes{});
   thread_.join();
   running_.store(false);
 }
@@ -95,7 +79,7 @@ void ClusterNode::stop() {
 void ClusterNode::serve() {
   while (true) {
     const mpi::Message msg = comm_.recv_if(is_cluster_request);
-    if (msg.tag == kTagClusterStop) return;
+    if (msg.tag == mpi::kTagClusterStop) return;
     handle(msg);
   }
 }
@@ -103,7 +87,7 @@ void ClusterNode::serve() {
 int ClusterNode::poll() {
   int handled = 0;
   while (auto msg = comm_.try_recv_if(is_cluster_request)) {
-    if (msg->tag != kTagClusterStop) handle(*msg);
+    if (msg->tag != mpi::kTagClusterStop) handle(*msg);
     ++handled;
   }
   return handled;
@@ -118,16 +102,26 @@ void ClusterNode::handle(const mpi::Message& msg) {
   // Process-crash semantics: a rank whose daemon the fault script killed
   // answers nothing — clients fail over to the shard's other owners.
   if (service_dead()) return;
-  switch (msg.tag) {
-    case kTagGossip: handle_gossip(msg); break;
-    case kTagMetaLookup: handle_meta_lookup(msg); break;
-    case kTagShardDigest: handle_shard_digest(msg); break;
-    case kTagShardPull: handle_shard_pull(msg); break;
-    case kTagListPaths: handle_list_paths(msg); break;
-    case kTagListDir: handle_list_dir(msg); break;
-    case kTagMetaPush: handle_meta_push(msg); break;
-    default: break;  // unknown cluster tag: ignore (forward compatibility)
+  const auto req = mpi::unseal(as_view(msg.payload));
+  if (!req) {
+    m_.crc_rejects.inc();  // dropped, never merged: the caller times out
+    return;
   }
+  Bytes out = mpi::envelope(req->reply_tag);
+  switch (msg.tag) {
+    case mpi::kTagGossip: handle_gossip(*req, out); break;
+    case mpi::kTagMetaLookup: handle_meta_lookup(req->body, out); break;
+    case mpi::kTagShardDigest: handle_shard_digest(out); break;
+    case mpi::kTagShardPull: handle_shard_pull(req->body, out); break;
+    case mpi::kTagListPaths: handle_list_paths(out); break;
+    case mpi::kTagListDir: handle_list_dir(req->body, out); break;
+    case mpi::kTagMetaPush: merge_push_body(req->body); break;
+    default: return;  // unknown cluster tag: ignore (forward compatibility)
+  }
+  // Gossip and shard pushes are one-way (reply tag 0).
+  if (req->reply_tag == 0) return;
+  comm_.send(msg.source, static_cast<int>(req->reply_tag),
+             mpi::seal(std::move(out)));
 }
 
 // --- view / ring maintenance ----------------------------------------------
@@ -175,13 +169,12 @@ void ClusterNode::gossip_now() {
     blob = view_.serialize();
     targets = view_.serving_members();
   }
-  Bytes payload;
-  payload.push_back(0);  // want_reply = no
-  append_le<std::uint32_t>(payload, 0);
-  payload.insert(payload.end(), blob.begin(), blob.end());
+  Bytes msg = mpi::envelope(0);  // a push: no reply wanted
+  msg.insert(msg.end(), blob.begin(), blob.end());
+  msg = mpi::seal(std::move(msg));
   for (const int dest : targets) {
     if (dest == comm_.rank()) continue;
-    comm_.send(dest, kTagGossip, payload);
+    comm_.send(dest, mpi::kTagGossip, msg);
     m_.gossip_sent.inc();
   }
 }
@@ -201,14 +194,13 @@ bool ClusterNode::join(const std::vector<int>& seeds) {
   bool reached = false;
   for (const int seed : seeds) {
     if (seed == comm_.rank()) continue;
-    Bytes body;
-    body.push_back(1);  // want_reply: push-pull — learn the seed's view
-    const auto reply = rpc(seed, kTagGossip, announce, /*prefixed=*/&body);
+    // A call, not a push: the reply teaches us the seed's view.
+    const mpi::Reply reply = call(seed, mpi::kTagGossip, as_view(announce));
     m_.gossip_sent.inc();
-    if (!reply) continue;
+    if (!reply.ok()) continue;
     reached = true;
     try {
-      merge_view(MembershipView::deserialize(as_view(*reply)));
+      merge_view(MembershipView::deserialize(reply.body()));
     } catch (const std::invalid_argument&) {
       // corrupted view blob: ignore; another seed or gossip round fixes it
     }
@@ -291,28 +283,35 @@ void ClusterNode::exchange_initial() {
   }
   for (const int dest : members) {
     if (dest == comm_.rank()) continue;
-    Bytes body;
+    Bytes msg = mpi::envelope(0);
+    const std::size_t head = msg.size();
     std::uint32_t count = 0;
-    append_le<std::uint32_t>(body, 0);  // patched below
+    append_le<std::uint32_t>(msg, 0);  // patched below
     for (std::uint32_t s = 0; s < kShards; ++s) {
       // An empty shard serializes to just its [u32 count=0] header.
       if (shard_blobs[s].size() <= 4) continue;
       if (!ring.is_owner(dest, s)) continue;
-      append_le<std::uint32_t>(body, s);
-      append_le<std::uint32_t>(body, static_cast<std::uint32_t>(shard_blobs[s].size()));
-      body.insert(body.end(), shard_blobs[s].begin(), shard_blobs[s].end());
+      append_le<std::uint32_t>(msg, s);
+      append_le<std::uint32_t>(msg, static_cast<std::uint32_t>(shard_blobs[s].size()));
+      msg.insert(msg.end(), shard_blobs[s].begin(), shard_blobs[s].end());
       ++count;
     }
-    store_le<std::uint32_t>(body.data(), count);
-    m_.push_bytes.inc(body.size());
-    comm_.send(dest, kTagMetaPush, std::move(body));
+    store_le<std::uint32_t>(msg.data() + head, count);
+    m_.push_bytes.inc(msg.size() - head);
+    comm_.send(dest, mpi::kTagMetaPush, mpi::seal(std::move(msg)));
   }
   // Symmetric: every participant pushed to every other, so exactly
   // members-1 pushes are inbound. Blocking-recv them (no collective — a
-  // world may hold spare ranks that are not members yet).
+  // world may hold spare ranks that are not members yet). A push that
+  // fails its crc is dropped and counted; anti-entropy pulls its shards.
   for (std::size_t i = 0; i + 1 < members.size(); ++i) {
-    const mpi::Message msg = comm_.recv(mpi::kAnySource, kTagMetaPush);
-    merge_push_body(as_view(msg.payload));
+    const mpi::Message msg = comm_.recv(mpi::kAnySource, mpi::kTagMetaPush);
+    const auto push = mpi::unseal(as_view(msg.payload));
+    if (!push) {
+      m_.crc_rejects.inc();
+      continue;
+    }
+    merge_push_body(push->body);
   }
 }
 
@@ -356,12 +355,13 @@ SyncStats ClusterNode::anti_entropy() {
   if (owned.empty()) return st;
   for (const int peer : peers) {
     if (peer == comm_.rank()) continue;
-    const auto digests = rpc(peer, kTagShardDigest, Bytes{});
+    const mpi::Reply reply = call(peer, mpi::kTagShardDigest, {}, kAttempts);
     ++st.digest_rpcs;
-    if (!digests || digests->size() < 4) continue;
-    const std::uint32_t remote_n = load_le<std::uint32_t>(digests->data());
+    const ByteView digests = reply.body();
+    if (digests.size() < 4) continue;
+    const std::uint32_t remote_n = load_le<std::uint32_t>(digests.data());
     if (remote_n != kShards ||
-        digests->size() < 4 + 8 * static_cast<std::size_t>(remote_n)) {
+        digests.size() < 4 + 8 * static_cast<std::size_t>(remote_n)) {
       continue;  // mismatched shard count: differently configured peer
     }
     // Delta selection: pull only owned shards whose remote digest is
@@ -370,7 +370,7 @@ SyncStats ClusterNode::anti_entropy() {
     Bytes req;
     std::vector<std::uint32_t> want;
     for (const std::uint32_t s : owned) {
-      const std::uint64_t theirs = load_le<std::uint64_t>(digests->data() + 4 + 8 * s);
+      const std::uint64_t theirs = load_le<std::uint64_t>(digests.data() + 4 + 8 * s);
       if (theirs == 0) continue;
       if (theirs == store_.shard_digest(s, kShards)) continue;
       want.push_back(s);
@@ -378,11 +378,11 @@ SyncStats ClusterNode::anti_entropy() {
     if (want.empty()) continue;
     append_le<std::uint32_t>(req, static_cast<std::uint32_t>(want.size()));
     for (const std::uint32_t s : want) append_le<std::uint32_t>(req, s);
-    const auto pulled = rpc(peer, kTagShardPull, req);
-    if (!pulled) continue;
-    st.bytes_pulled += pulled->size();
-    m_.sync_bytes.inc(pulled->size());
-    const std::size_t applied = merge_push_body(as_view(*pulled));
+    const mpi::Reply pulled = call(peer, mpi::kTagShardPull, as_view(req), kAttempts);
+    if (!pulled.ok()) continue;
+    st.bytes_pulled += pulled.body().size();
+    m_.sync_bytes.inc(pulled.body().size());
+    const std::size_t applied = merge_push_body(pulled.body());
     st.entries_applied += applied;
     st.shards_pulled += want.size();
     m_.shards_pulled.inc(want.size());
@@ -407,16 +407,18 @@ RebalanceStats ClusterNode::rebalance(bool drop_unowned) {
     // drop can never lose the only copy of an entry (merges are
     // idempotent — owners that already converged apply nothing).
     const Bytes blob = store_.serialize_shard(s, kShards);
-    Bytes body;
-    append_le<std::uint32_t>(body, 1);
-    append_le<std::uint32_t>(body, s);
-    append_le<std::uint32_t>(body, static_cast<std::uint32_t>(blob.size()));
-    body.insert(body.end(), blob.begin(), blob.end());
+    Bytes msg = mpi::envelope(0);
+    append_le<std::uint32_t>(msg, 1);
+    append_le<std::uint32_t>(msg, s);
+    append_le<std::uint32_t>(msg, static_cast<std::uint32_t>(blob.size()));
+    msg.insert(msg.end(), blob.begin(), blob.end());
+    const std::size_t body_bytes = msg.size() - 4;
+    msg = mpi::seal(std::move(msg));
     bool handed_off = false;
     for (const int owner : ring.shard_owners(s)) {
       if (owner == comm_.rank()) continue;
-      comm_.send(owner, kTagMetaPush, body);
-      m_.push_bytes.inc(body.size());
+      comm_.send(owner, mpi::kTagMetaPush, msg);
+      m_.push_bytes.inc(body_bytes);
       handed_off = true;
     }
     if (!handed_off) continue;  // no live owner: keep the shard
@@ -450,16 +452,17 @@ std::vector<std::string> ClusterNode::enumerate_paths() {
   }
   for (const int peer : peers) {
     if (peer == comm_.rank()) continue;
-    const auto reply = rpc(peer, kTagListPaths, Bytes{});
-    if (!reply || reply->size() < 4) continue;
-    const std::uint32_t count = load_le<std::uint32_t>(reply->data());
+    const mpi::Reply reply = call(peer, mpi::kTagListPaths, {}, kAttempts);
+    const ByteView body = reply.body();
+    if (body.size() < 4) continue;
+    const std::uint32_t count = load_le<std::uint32_t>(body.data());
     std::size_t pos = 4;
     for (std::uint32_t i = 0; i < count; ++i) {
-      if (pos + 2 > reply->size()) break;
-      const std::uint16_t len = load_le<std::uint16_t>(reply->data() + pos);
+      if (pos + 2 > body.size()) break;
+      const std::uint16_t len = load_le<std::uint16_t>(body.data() + pos);
       pos += 2;
-      if (pos + len > reply->size()) break;
-      out.emplace_back(reinterpret_cast<const char*>(reply->data() + pos), len);
+      if (pos + len > body.size()) break;
+      out.emplace_back(reinterpret_cast<const char*>(body.data() + pos), len);
       pos += len;
     }
   }
@@ -512,26 +515,35 @@ std::optional<VersionedStat> ClusterNode::resolve(const std::string& path) {
     append_unique(candidates, view_.serving_members());
     view = view_;
   }
-  Bytes body = to_bytes(path);
   bool sent = false;
-  for (const int dest : candidates) {
-    if (dest == comm_.rank()) continue;
-    if (view.get(dest).state == MemberState::kDead) continue;
-    if (!sent) m_.lookups_remote.inc();
-    sent = true;
-    const auto reply = rpc(dest, kTagMetaLookup, body);
-    if (!reply || reply->empty()) continue;
-    const std::uint8_t status = (*reply)[0];
-    if (status != kMetaOk ||
-        reply->size() < 1 + 8 + 4 + format::kStatBytes) {
-      continue;  // not found there (or malformed): try the next candidate
+  // Only a verified "not found" rules a candidate out: one whose request
+  // or reply was lost is asked again after the others, up to kAttempts
+  // times in all.
+  for (int attempt = 0; attempt < kAttempts && !candidates.empty(); ++attempt) {
+    std::vector<int> lost;
+    for (const int dest : candidates) {
+      if (dest == comm_.rank()) continue;
+      if (view.get(dest).state == MemberState::kDead) continue;
+      if (!sent) m_.lookups_remote.inc();
+      sent = true;
+      const mpi::Reply reply = call(dest, mpi::kTagMetaLookup, as_view(path));
+      if (!reply.ok()) {
+        lost.push_back(dest);
+        continue;
+      }
+      const ByteView body = reply.body();
+      if (body.empty() || body[0] != kMetaOk ||
+          body.size() < 1 + 8 + 4 + format::kStatBytes) {
+        continue;  // not found there (or malformed): try the next candidate
+      }
+      VersionedStat vs;
+      vs.version = load_le<std::uint64_t>(body.data() + 1);
+      vs.writer = load_le<std::uint32_t>(body.data() + 9);
+      vs.stat = format::FileStat::deserialize(body.data() + 13);
+      lookup_cache_.insert(path, vs, epoch);
+      return vs;
     }
-    VersionedStat vs;
-    vs.version = load_le<std::uint64_t>(reply->data() + 1);
-    vs.writer = load_le<std::uint32_t>(reply->data() + 9);
-    vs.stat = format::FileStat::deserialize(reply->data() + 13);
-    lookup_cache_.insert(path, vs, epoch);
-    return vs;
+    candidates = std::move(lost);
   }
   m_.lookup_misses.inc();
   return std::nullopt;
@@ -551,17 +563,18 @@ std::vector<posixfs::Dirent> ClusterNode::list_union(const std::string& dir) {
   };
   for (const int peer : peers) {
     if (peer == comm_.rank()) continue;
-    const auto reply = rpc(peer, kTagListDir, to_bytes(dir));
-    if (!reply || reply->size() < 5) continue;
-    const std::uint32_t count = load_le<std::uint32_t>(reply->data() + 1);
+    const mpi::Reply reply = call(peer, mpi::kTagListDir, as_view(dir), kAttempts);
+    const ByteView body = reply.body();
+    if (body.size() < 5) continue;
+    const std::uint32_t count = load_le<std::uint32_t>(body.data() + 1);
     std::size_t pos = 5;
     for (std::uint32_t i = 0; i < count; ++i) {
-      if (pos + 3 > reply->size()) break;
-      const std::uint16_t len = load_le<std::uint16_t>(reply->data() + pos);
-      const bool is_dir = reply->data()[pos + 2] != 0;
+      if (pos + 3 > body.size()) break;
+      const std::uint16_t len = load_le<std::uint16_t>(body.data() + pos);
+      const bool is_dir = body[pos + 2] != 0;
       pos += 3;
-      if (pos + len > reply->size()) break;
-      std::string name(reinterpret_cast<const char*>(reply->data() + pos), len);
+      if (pos + len > body.size()) break;
+      std::string name(reinterpret_cast<const char*>(body.data() + pos), len);
       pos += len;
       if (!have(name)) {
         out.push_back(posixfs::Dirent{
@@ -587,161 +600,110 @@ bool ClusterNode::dir_exists_union(const std::string& dir) {
   }
   for (const int peer : peers) {
     if (peer == comm_.rank()) continue;
-    const auto reply = rpc(peer, kTagListDir, to_bytes(dir));
-    if (reply && !reply->empty() && (*reply)[0] != 0) return true;
+    const mpi::Reply reply = call(peer, mpi::kTagListDir, as_view(dir), kAttempts);
+    if (!reply.body().empty() && reply.body()[0] != 0) return true;
   }
   return false;
 }
 
 // --- request handlers ------------------------------------------------------
 
-void ClusterNode::handle_gossip(const mpi::Message& msg) {
-  if (msg.payload.size() < 5) return;
-  const bool want_reply = msg.payload[0] != 0;
-  const std::uint32_t reply_tag = load_le<std::uint32_t>(msg.payload.data() + 1);
+void ClusterNode::handle_gossip(const mpi::Unsealed& req, Bytes& out) {
   MembershipView incoming;
   try {
-    incoming = MembershipView::deserialize(
-        ByteView{msg.payload.data() + 5, msg.payload.size() - 5});
+    incoming = MembershipView::deserialize(req.body);
   } catch (const std::invalid_argument&) {
-    return;  // corrupted gossip: a later round carries the same state
+    return;  // malformed gossip: a later round carries the same state
   }
   if (merge_view(incoming)) m_.gossip_merged.inc();
-  if (want_reply) {
-    Bytes view_blob;
-    {
-      sync::MutexLock lock(mu_);
-      view_blob = view_.serialize();
-    }
-    comm_.send(msg.source, static_cast<int>(reply_tag), seal(std::move(view_blob)));
-  }
+  if (req.reply_tag == 0) return;  // a push, not join()'s push-pull
+  sync::MutexLock lock(mu_);
+  const Bytes view_blob = view_.serialize();
+  out.insert(out.end(), view_blob.begin(), view_blob.end());
 }
 
-void ClusterNode::handle_meta_lookup(const mpi::Message& msg) {
-  if (msg.payload.size() < 4) return;
-  const std::uint32_t reply_tag = load_le<std::uint32_t>(msg.payload.data());
-  const std::string path(reinterpret_cast<const char*>(msg.payload.data() + 4),
-                         msg.payload.size() - 4);
+void ClusterNode::handle_meta_lookup(ByteView body, Bytes& out) const {
   m_.meta_served.inc();
-  Bytes body;
-  const std::optional<VersionedStat> found = local_answer(path);
+  const std::optional<VersionedStat> found = local_answer(fanstore::to_string(body));
   if (!found) {
-    body.push_back(kMetaNotFound);
-  } else {
-    body.push_back(kMetaOk);
-    append_le<std::uint64_t>(body, found->version);
-    append_le<std::uint32_t>(body, found->writer);
-    const std::size_t at = body.size();
-    body.resize(at + format::kStatBytes);
-    found->stat.serialize(body.data() + at);
+    out.push_back(kMetaNotFound);
+    return;
   }
-  comm_.send(msg.source, static_cast<int>(reply_tag), seal(std::move(body)));
+  out.push_back(kMetaOk);
+  append_le<std::uint64_t>(out, found->version);
+  append_le<std::uint32_t>(out, found->writer);
+  const std::size_t at = out.size();
+  out.resize(at + format::kStatBytes);
+  found->stat.serialize(out.data() + at);
 }
 
-void ClusterNode::handle_shard_digest(const mpi::Message& msg) {
-  if (msg.payload.size() < 4) return;
-  const std::uint32_t reply_tag = load_le<std::uint32_t>(msg.payload.data());
-  Bytes body;
-  append_le<std::uint32_t>(body, kShards);
+void ClusterNode::handle_shard_digest(Bytes& out) const {
+  append_le<std::uint32_t>(out, kShards);
   for (std::uint32_t s = 0; s < kShards; ++s) {
-    append_le<std::uint64_t>(body, store_.shard_digest(s, kShards));
+    append_le<std::uint64_t>(out, store_.shard_digest(s, kShards));
   }
-  comm_.send(msg.source, static_cast<int>(reply_tag), seal(std::move(body)));
 }
 
-void ClusterNode::handle_shard_pull(const mpi::Message& msg) {
-  if (msg.payload.size() < 8) return;
-  const std::uint32_t reply_tag = load_le<std::uint32_t>(msg.payload.data());
-  std::uint32_t count = load_le<std::uint32_t>(msg.payload.data() + 4);
-  const std::uint32_t listed =
-      static_cast<std::uint32_t>((msg.payload.size() - 8) / 4);
-  count = std::min(count, listed);
-  Bytes body;
+void ClusterNode::handle_shard_pull(ByteView body, Bytes& out) const {
+  const std::uint32_t listed = static_cast<std::uint32_t>(body.size() / 4);
+  const std::uint32_t count =
+      listed == 0 ? 0 : std::min(load_le<std::uint32_t>(body.data()), listed - 1);
+  const std::size_t head = out.size();
   std::uint32_t emitted = 0;
-  append_le<std::uint32_t>(body, 0);  // patched below
+  append_le<std::uint32_t>(out, 0);  // patched below
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t s = load_le<std::uint32_t>(msg.payload.data() + 8 + 4 * i);
+    const std::uint32_t s = load_le<std::uint32_t>(body.data() + 4 + 4 * i);
     if (s >= kShards) continue;
     const Bytes blob = store_.serialize_shard(s, kShards);
-    append_le<std::uint32_t>(body, s);
-    append_le<std::uint32_t>(body, static_cast<std::uint32_t>(blob.size()));
-    body.insert(body.end(), blob.begin(), blob.end());
+    append_le<std::uint32_t>(out, s);
+    append_le<std::uint32_t>(out, static_cast<std::uint32_t>(blob.size()));
+    out.insert(out.end(), blob.begin(), blob.end());
     ++emitted;
   }
-  store_le<std::uint32_t>(body.data(), emitted);
-  comm_.send(msg.source, static_cast<int>(reply_tag), seal(std::move(body)));
+  store_le<std::uint32_t>(out.data() + head, emitted);
 }
 
-void ClusterNode::handle_list_paths(const mpi::Message& msg) {
-  if (msg.payload.size() < 4) return;
-  const std::uint32_t reply_tag = load_le<std::uint32_t>(msg.payload.data());
+void ClusterNode::handle_list_paths(Bytes& out) const {
   HashRing ring;
   {
     sync::MutexLock lock(mu_);
     ring = ring_;
   }
-  Bytes body;
+  const std::size_t head = out.size();
   std::uint32_t count = 0;
-  append_le<std::uint32_t>(body, 0);  // patched below
+  append_le<std::uint32_t>(out, 0);  // patched below
   for (std::uint32_t s = 0; s < kShards; ++s) {
     if (ring.primary(s) != comm_.rank()) continue;
     for (const std::string& p : store_.shard_paths(s, kShards)) {
-      append_le<std::uint16_t>(body, static_cast<std::uint16_t>(p.size()));
-      body.insert(body.end(), p.begin(), p.end());
+      append_le<std::uint16_t>(out, static_cast<std::uint16_t>(p.size()));
+      out.insert(out.end(), p.begin(), p.end());
       ++count;
     }
   }
-  store_le<std::uint32_t>(body.data(), count);
-  comm_.send(msg.source, static_cast<int>(reply_tag), seal(std::move(body)));
+  store_le<std::uint32_t>(out.data() + head, count);
 }
 
-void ClusterNode::handle_list_dir(const mpi::Message& msg) {
-  if (msg.payload.size() < 4) return;
-  const std::uint32_t reply_tag = load_le<std::uint32_t>(msg.payload.data());
-  const std::string dir(reinterpret_cast<const char*>(msg.payload.data() + 4),
-                        msg.payload.size() - 4);
-  Bytes body;
-  body.push_back(store_.dir_exists(dir) ? 1 : 0);
+void ClusterNode::handle_list_dir(ByteView body, Bytes& out) const {
+  const std::string dir = fanstore::to_string(body);
+  out.push_back(store_.dir_exists(dir) ? 1 : 0);
   const auto entries = store_.list(dir);
-  append_le<std::uint32_t>(body, static_cast<std::uint32_t>(entries.size()));
+  append_le<std::uint32_t>(out, static_cast<std::uint32_t>(entries.size()));
   for (const posixfs::Dirent& d : entries) {
-    append_le<std::uint16_t>(body, static_cast<std::uint16_t>(d.name.size()));
-    body.push_back(d.type == format::FileType::kDirectory ? 1 : 0);
-    body.insert(body.end(), d.name.begin(), d.name.end());
+    append_le<std::uint16_t>(out, static_cast<std::uint16_t>(d.name.size()));
+    out.push_back(d.type == format::FileType::kDirectory ? 1 : 0);
+    out.insert(out.end(), d.name.begin(), d.name.end());
   }
-  comm_.send(msg.source, static_cast<int>(reply_tag), seal(std::move(body)));
-}
-
-void ClusterNode::handle_meta_push(const mpi::Message& msg) {
-  merge_push_body(as_view(msg.payload));
 }
 
 // --- RPC client ------------------------------------------------------------
 
-std::optional<Bytes> ClusterNode::rpc(int dest, int tag, const Bytes& body,
-                                      const Bytes* prefix) {
-  const int reply_tag =
-      kClusterReplyTagBase + static_cast<int>(reply_seq_.fetch_add(1) % 1000000u);
-  Bytes payload;
-  if (prefix != nullptr) payload.insert(payload.end(), prefix->begin(), prefix->end());
-  append_le<std::uint32_t>(payload, static_cast<std::uint32_t>(reply_tag));
-  payload.insert(payload.end(), body.begin(), body.end());
-  comm_.send(dest, tag, std::move(payload));
-  std::optional<mpi::Message> reply;
-  if (options_.pump) {
-    // Deterministic wait: each pump() lets the simulation advance its
-    // clock and poll every live node once; the budget is the manual-mode
-    // timeout.
-    for (int i = 0; i < kPumpBudget && !reply; ++i) {
-      reply = comm_.try_recv(dest, reply_tag);
-      if (!reply) options_.pump();
-    }
-    if (!reply) reply = comm_.try_recv(dest, reply_tag);
-  } else {
-    reply = comm_.recv_timeout(dest, reply_tag, kRpcTimeoutMs);
+mpi::Reply ClusterNode::call(int dest, int tag, ByteView body, int attempts) {
+  mpi::Reply reply;
+  for (int i = 0; i < attempts && !reply.ok(); ++i) {
+    reply = caller_.call(dest, tag, body, wait_);
+    if (reply.status == mpi::CallStatus::kCorrupt) m_.crc_rejects.inc();
   }
-  if (!reply) return std::nullopt;
-  return unseal(reply->payload);
+  return reply;
 }
 
 }  // namespace fanstore::cluster

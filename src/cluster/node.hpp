@@ -9,10 +9,10 @@
 //   placement   — a HashRing over the Joined members; each of the kShards
 //                 metadata shards has `replication_factor` owners
 //   lookups     — a local miss resolves against the shard's owners over
-//                 new tagged request/reply messages on the same mpi::Comm
-//                 the fetch protocol uses (tags 110..117, replies >= 2e6);
-//                 dataset answers stay in a bounded LookupCache until the
-//                 ring next changes
+//                 request/reply messages on the same mpi::Comm the fetch
+//                 protocol uses (mpi::kTagGossip..kTagMetaPush, replies
+//                 from mpi::kClusterReplyTagBase); dataset answers stay in
+//                 a bounded LookupCache until the ring next changes
 //   anti-entropy— per-shard digests; a joiner/rebalancer pulls only the
 //                 shards whose digest differs (delta-only, byte-accounted
 //                 in "cluster.sync_bytes")
@@ -21,12 +21,19 @@
 //
 // Two execution modes share one handler path:
 //   threaded — start() spawns a service thread (recv_if on the cluster
-//              tags), like core::Daemon; client ops wait via recv_timeout.
+//              tags), like core::Daemon; client ops wait kRpcTimeoutMs.
 //   manual   — no thread; a single-threaded simulation drives every node
 //              deterministically by calling poll(), and client ops drain
-//              the world through NodeOptions::pump (at most kPumpBudget
-//              times) instead of blocking (the membership-churn test suite
-//              runs this way on a ManualTimeSource world).
+//              the world through NodeOptions::pump (at most
+//              mpi::kPumpBudget times) instead of blocking (the
+//              membership-churn test suite runs this way on a
+//              ManualTimeSource world).
+//
+// Every request, reply and push is an mpi::envelope (mpi/envelope.hpp).
+// handle() unseals before any handler reads a byte: a request or push
+// that fails its crc is dropped and counted in cluster.crc_rejects — a
+// caller then times out and tries the next owner, exactly as it does for
+// a corrupted reply — and a gossip push that fails it is never merged.
 //
 // Full replication (the paper's design) is the same service with every
 // rank an owner: when this rank owns every shard of the current and the
@@ -46,7 +53,7 @@
 #include "cluster/membership.hpp"
 #include "cluster/metadata_store.hpp"
 #include "cluster/shard_store.hpp"
-#include "mpi/comm.hpp"
+#include "mpi/envelope.hpp"
 #include "obs/metrics.hpp"
 #include "util/sync.hpp"
 
@@ -56,25 +63,16 @@ class FaultInjector;
 
 namespace fanstore::cluster {
 
-// Cluster tag space — disjoint from the daemon's fetch protocol (100..103,
-// replies >= 1000). fault/fault_plan.hpp mirrors the bounds; keep in sync.
-constexpr int kTagGossip = 110;
-constexpr int kTagMetaLookup = 111;
-constexpr int kTagShardDigest = 112;
-constexpr int kTagShardPull = 113;
-constexpr int kTagListPaths = 114;
-constexpr int kTagListDir = 115;
-constexpr int kTagClusterStop = 116;  // self-addressed by stop()
-constexpr int kTagMetaPush = 117;     // one-way shard merge (exchange/drop)
-constexpr int kClusterReplyTagBase = 2000000;
-
-// Fixed cluster settings (every rank must agree on the first two; the
-// ring's points per member are kVnodes in hash_ring.hpp).
+// Fixed cluster settings (every rank must agree on kShards; the ring's
+// points per member are kVnodes in hash_ring.hpp).
 constexpr std::uint32_t kShards = 64;  // metadata shards (shard_of)
 constexpr int kRpcTimeoutMs = 2000;    // threaded-mode reply deadline
-/// Manual mode: how many pump() iterations an RPC waits before giving up —
-/// the deterministic stand-in for the timeout.
-constexpr int kPumpBudget = 4096;
+/// Tries per peer for an answer that must not be lost: a lookup whose
+/// every holder's request or reply was corrupted would read as a miss, a
+/// listing (enumerate_paths, list_union, dir_exists_union) would drop
+/// that peer's entries from the union, and an anti-entropy round that
+/// lost a digest or pull would look converged while a shard is missing.
+constexpr int kAttempts = 3;
 
 // Metadata-lookup reply status codes.
 constexpr std::uint8_t kMetaOk = 0;
@@ -91,7 +89,7 @@ struct NodeOptions {
   /// Liveness script: when the injector says this rank's daemon is dead,
   /// the metadata service drops requests too (process-crash semantics).
   fault::FaultInjector* fault = nullptr;
-  /// Manual mode: invoked repeatedly while an RPC waits for its reply;
+  /// Manual mode: invoked repeatedly while a call waits for its reply;
   /// the simulation advances its clock and polls every live node.
   /// Unset = threaded mode (blocking waits).
   std::function<void()> pump;
@@ -220,17 +218,19 @@ class ClusterNode {
     obs::Counter& shards_dropped;
     obs::Counter& push_bytes;
     obs::Counter& merge_skipped;
+    obs::Counter& crc_rejects;
   };
 
   void serve();
+  /// Unseals a request or push and dispatches it; a request's handler
+  /// appends its reply body to `out`, which handle() seals and sends.
   void handle(const mpi::Message& msg);
-  void handle_gossip(const mpi::Message& msg);
-  void handle_meta_lookup(const mpi::Message& msg);
-  void handle_shard_digest(const mpi::Message& msg);
-  void handle_shard_pull(const mpi::Message& msg);
-  void handle_list_paths(const mpi::Message& msg);
-  void handle_list_dir(const mpi::Message& msg);
-  void handle_meta_push(const mpi::Message& msg);
+  void handle_gossip(const mpi::Unsealed& req, Bytes& out);
+  void handle_meta_lookup(ByteView body, Bytes& out) const;
+  void handle_shard_digest(Bytes& out) const;
+  void handle_shard_pull(ByteView body, Bytes& out) const;
+  void handle_list_paths(Bytes& out) const;
+  void handle_list_dir(ByteView body, Bytes& out) const;
 
   /// True when the fault script says this rank's process is down — the
   /// metadata service then drops requests exactly like the data daemon.
@@ -246,11 +246,13 @@ class ClusterNode {
   /// else a synthesized directory stat at version 0.
   std::optional<VersionedStat> local_answer(const std::string& path) const;
 
-  /// Sends [prefix?][u32 reply_tag][body] and waits for the crc-checked
-  /// reply body (blocking with timeout in threaded mode, pump-bounded in
-  /// manual mode). nullopt on timeout/corruption.
-  std::optional<Bytes> rpc(int dest, int tag, const Bytes& body,
-                           const Bytes* prefix = nullptr);
+  /// A request/reply round trip (kRpcTimeoutMs in threaded mode,
+  /// pump-bounded in manual mode), tried up to `attempts` times until a
+  /// verified reply arrives; a corrupted reply counts in
+  /// cluster.crc_rejects.
+  mpi::Reply call(int dest, int tag, ByteView body, int attempts = 1);
+  /// Merges a shard push or pull body:
+  /// [u32 count]([u32 shard][u32 len][shard blob])*.
   std::size_t merge_push_body(ByteView body);
 
   mpi::Comm comm_;
@@ -274,7 +276,8 @@ class ClusterNode {
   sync::Mutex lifecycle_mu_{"cluster.node.lifecycle_mu"};
   std::thread thread_ GUARDED_BY(lifecycle_mu_);
   std::atomic<bool> running_{false};
-  std::atomic<std::uint32_t> reply_seq_{0};
+  mpi::Caller caller_{comm_, mpi::kClusterReplyTagBase};
+  const mpi::Wait wait_{kRpcTimeoutMs, options_.pump};
 };
 
 }  // namespace fanstore::cluster

@@ -1,21 +1,21 @@
 // FanStore daemon (§V-A, §V-D): one service thread per rank that answers
 // remote compressed-file fetches and accepts forwarded write metadata.
 //
-// Wire protocol (all messages over mpi::Comm):
-//   kTagFetch      req : [u32 reply_tag][u32 path_crc][path bytes]
-//   reply_tag      rsp : [u8 status][u16 compressor][u64 raw_size]
-//                        [u32 crc][data…]
-//   kTagWriteMeta  one-way: [u16 path_len][path][144 B stat]
-//                  [u64 version][u32 writer] — a written file's metadata,
-//                  sent to every owner of its shard; a payload without the
-//                  version suffix is malformed and dropped
-//   kTagShutdown   one-way, self-addressed by stop()
+// Wire protocol: every message is an mpi::envelope (mpi/envelope.hpp),
+// [u32 reply_tag][body][u32 crc32]; the bodies are
+//   mpi::kTagFetch      req : [path bytes]
+//   reply_tag           rsp : [u8 status][u16 compressor][u64 raw_size][data…]
+//   mpi::kTagWriteMeta  one-way: [u16 path_len][path][144 B stat]
+//                       [u64 version][u32 writer] — a written file's
+//                       metadata, sent to every owner of its shard; a body
+//                       without the version suffix is malformed and dropped
+//   mpi::kTagShutdown   self-addressed by stop(), no envelope
 //
-// Both directions carry a CRC-32 so a corrupted message is *detected* and
-// becomes a retryable failure instead of silent data corruption (request:
-// crc over the path; reply: crc over the 11-byte header and the data). A
-// request whose path crc fails gets a kFetchMalformed reply — the reader
-// treats that as retryable, never as a definitive miss.
+// A fetch request that fails its crc (or names no path) is answered
+// kFetchMalformed at the reply tag it claims — the reader treats that as
+// retryable, never as a definitive miss, because the path we would parse
+// may not be the path that was asked for. A write-meta forward that fails
+// its crc is dropped and counted in daemon.crc_rejects, never applied.
 #pragma once
 
 #include <atomic>
@@ -24,7 +24,7 @@
 
 #include "core/backend.hpp"
 #include "cluster/metadata_store.hpp"
-#include "mpi/comm.hpp"
+#include "mpi/envelope.hpp"
 #include "obs/metrics.hpp"
 #include "simnet/virtual_clock.hpp"
 #include "util/sync.hpp"
@@ -35,34 +35,15 @@ class FaultInjector;
 
 namespace fanstore::core {
 
-// Message tags (FanStore reserves this range of the tag space).
-constexpr int kTagFetch = 100;
-constexpr int kTagWriteMeta = 101;
-constexpr int kTagShutdown = 102;
-constexpr int kTagRingCopy = 103;
-constexpr int kReplyTagBase = 1000;
-
 // Fetch reply status codes.
 constexpr std::uint8_t kFetchOk = 0;
 constexpr std::uint8_t kFetchNotFound = 1;
 constexpr std::uint8_t kFetchMalformed = 2;
+/// Bytes of a fetch reply body before the data: status, compressor, raw_size.
+constexpr std::size_t kFetchReplyFixedBytes = 11;
 
-// Fixed header sizes (see the wire protocol above).
-constexpr std::size_t kFetchRequestHeaderBytes = 8;   // reply_tag + path_crc
-constexpr std::size_t kFetchReplyHeaderBytes = 15;    // status..crc
-
-/// Encodes/decodes the fetch request payload.
-Bytes encode_fetch_request(std::uint32_t reply_tag, std::string_view path);
-
-/// Encodes the fetch reply payload (computes and embeds the wire crc).
-Bytes encode_fetch_reply(std::uint8_t status, const Blob* blob, std::uint64_t raw_size);
-
-/// True when `payload` is a structurally valid fetch reply whose embedded
-/// crc matches its header + data bytes.
-bool fetch_reply_crc_ok(ByteView payload);
-
-/// Encodes a write-metadata forward, applied via deterministic
-/// last-writer-wins at the receiving shard owner.
+/// A write-metadata forward, one-way and ready to mpi::seal(); the
+/// receiving shard owner applies it by deterministic last-writer-wins.
 Bytes encode_write_meta(std::string_view path, const cluster::VersionedStat& entry);
 
 class Daemon {
@@ -93,6 +74,9 @@ class Daemon {
   void serve();
   void handle_fetch(const mpi::Message& msg);
   void handle_write_meta(const mpi::Message& msg);
+  /// Seals the fetch reply for `reply_tag` and sends it to `dest`.
+  void reply(int dest, std::uint32_t reply_tag, std::uint8_t status,
+             const Blob* blob = nullptr, std::uint64_t raw_size = 0);
 
   mpi::Comm comm_;
   cluster::MetadataStore* meta_;  // internally synchronized
@@ -109,6 +93,7 @@ class Daemon {
   obs::Counter* fetches_served_;
   obs::Counter* meta_received_;
   obs::Counter* fetch_bytes_;
+  obs::Counter* crc_rejects_;
   obs::Histogram* serve_us_;
 };
 

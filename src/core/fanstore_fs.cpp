@@ -108,42 +108,34 @@ FanStoreFs::FetchStatus FanStoreFs::fetch_from(int rank, const std::string& path
                                                const format::FileStat& stat,
                                                Blob* out) {
   obs::TraceSpan span("fs.fetch", options_.clock);
-  const std::uint32_t reply_tag =
-      static_cast<std::uint32_t>(kReplyTagBase) +
-      (reply_seq_.fetch_add(1, std::memory_order_relaxed) % 1000000u);
-  comm_.send(rank, kTagFetch, encode_fetch_request(reply_tag, path));
-  std::optional<mpi::Message> reply;
-  if (options_.fetch_timeout_ms > 0) {
-    reply = comm_.recv_timeout(rank, static_cast<int>(reply_tag),
-                               options_.fetch_timeout_ms);
-    if (!reply) {
-      FANSTORE_LOG_WARN("fanstore rank ", comm_.rank(), ": fetch of ", path,
-                        " from rank ", rank, " timed out");
-      return FetchStatus::kTimeout;  // presumed-dead daemon
-    }
-  } else {
-    // fetch_timeout_ms == 0: no timeout — wait for the answer forever.
-    reply = comm_.recv(rank, static_cast<int>(reply_tag));
+  const mpi::Reply reply = fetch_caller_.call(
+      rank, mpi::kTagFetch, as_view(path), mpi::Wait{options_.fetch_timeout_ms, {}});
+  if (reply.status == mpi::CallStatus::kTimeout) {
+    FANSTORE_LOG_WARN("fanstore rank ", comm_.rank(), ": fetch of ", path,
+                      " from rank ", rank, " timed out");
+    return FetchStatus::kTimeout;  // presumed-dead daemon
   }
-  // Wire crc first: a corrupted reply must never be interpreted — not even
-  // its status byte (a flipped kFetchOk would otherwise read as a
-  // definitive miss, a flipped kFetchNotFound as data).
-  if (!fetch_reply_crc_ok(as_view(reply->payload))) {
+  // call() checked the wire crc before handing back a byte: a corrupted
+  // reply is never interpreted — not even its status byte (a flipped
+  // kFetchOk would otherwise read as a definitive miss, a flipped
+  // kFetchNotFound as data).
+  if (!reply.ok()) {
     io_.retry_crc_rejects.inc();
     FANSTORE_LOG_WARN("fanstore rank ", comm_.rank(), ": fetch of ", path,
                       " from rank ", rank, ": reply failed wire crc");
     return FetchStatus::kBadReply;
   }
-  if (reply->payload[0] == kFetchNotFound) return FetchStatus::kMiss;
-  if (reply->payload[0] != kFetchOk) {
+  const ByteView body = reply.body();
+  if (body.size() < kFetchReplyFixedBytes) return FetchStatus::kBadReply;
+  if (body[0] == kFetchNotFound) return FetchStatus::kMiss;
+  if (body[0] != kFetchOk) {
     // kFetchMalformed: our *request* was damaged in flight — retry it.
     return FetchStatus::kBadReply;
   }
   Blob fetched;
-  fetched.compressor = load_le<std::uint16_t>(reply->payload.data() + 1);
-  const std::uint64_t raw_size = load_le<std::uint64_t>(reply->payload.data() + 3);
-  fetched.data = Bytes(reply->payload.begin() + kFetchReplyHeaderBytes,
-                       reply->payload.end());
+  fetched.compressor = load_le<std::uint16_t>(body.data() + 1);
+  const std::uint64_t raw_size = load_le<std::uint64_t>(body.data() + 3);
+  fetched.data = Bytes(body.begin() + kFetchReplyFixedBytes, body.end());
   // raw_size == 0 means the serving daemon has no metadata for this path.
   // That is normal under sharded metadata (§13): data placement and
   // metadata placement are decoupled, so the rank holding the blob may not
@@ -477,9 +469,10 @@ int FanStoreFs::close(int fd) {
   const cluster::VersionedStat entry{stat, 1,
                                      static_cast<std::uint32_t>(comm_.rank())};
   cluster_->store().insert_versioned(of->path, entry);
+  const Bytes forward = mpi::seal(encode_write_meta(of->path, entry));
   for (const int owner : cluster_->meta_owners(of->path)) {
     if (owner == comm_.rank()) continue;
-    comm_.send(owner, kTagWriteMeta, encode_write_meta(of->path, entry));
+    comm_.send(owner, mpi::kTagWriteMeta, forward);
     charge(options_.cost.network.transfer_time(
         of->path.size() + format::kStatBytes + 12, options_.cost.nodes));
   }

@@ -41,7 +41,7 @@
 #include "core/cache.hpp"
 #include "core/daemon.hpp"
 #include "core/tiered_cache.hpp"
-#include "mpi/comm.hpp"
+#include "mpi/envelope.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "posixfs/vfs.hpp"
@@ -327,7 +327,7 @@ class FanStoreFs final : public posixfs::Vfs {
   mutable sync::Mutex writer_mu_{"fanstore_fs.writer_mu"};
   std::set<std::string> writing_ GUARDED_BY(writer_mu_);  // in-flight writers
   std::atomic<bool> stored_writes_{false};
-  std::atomic<std::uint32_t> reply_seq_{0};
+  mpi::Caller fetch_caller_{comm_, mpi::kFetchReplyTagBase};
 };
 
 }  // namespace fanstore::core

@@ -3,7 +3,19 @@
 #include <cstdio>
 #include <stdexcept>
 
-#if defined(__GLIBC__)
+// The heap return below is glibc's malloc_trim. A sanitizer that replaces
+// malloc owns the heap instead, and malloc_trim then walks arena state
+// that was never set up (it crashed with SEGV under ASan), so such builds
+// compile it out.
+#if defined(__SANITIZE_ADDRESS__)
+#define FANSTORE_ASAN_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define FANSTORE_ASAN_HEAP 1
+#endif
+#endif
+#if defined(__GLIBC__) && !defined(FANSTORE_ASAN_HEAP)
+#define FANSTORE_TRIM_HEAP 1
 #include <malloc.h>
 #endif
 
@@ -13,6 +25,34 @@
 #include "util/log.hpp"
 
 namespace fanstore::core {
+
+namespace {
+
+/// The partitions of a ring-copy body: [u32 count]([u64 len][bytes])*.
+std::vector<Bytes> unpack_ring_copy(ByteView body) {
+  if (body.size() < 4) {
+    throw std::runtime_error("instance: malformed ring-copy message");
+  }
+  const std::uint32_t count = load_le<std::uint32_t>(body.data());
+  std::vector<Bytes> out;
+  std::size_t pos = 4;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (pos + 8 > body.size()) {
+      throw std::runtime_error("instance: truncated ring-copy message");
+    }
+    const std::uint64_t len = load_le<std::uint64_t>(body.data() + pos);
+    pos += 8;
+    if (len > body.size() - pos) {
+      throw std::runtime_error("instance: truncated ring-copy partition");
+    }
+    const ByteView part = body.subspan(pos, len);
+    out.emplace_back(part.begin(), part.end());
+    pos += len;
+  }
+  return out;
+}
+
+}  // namespace
 
 Instance::Instance(mpi::Comm comm, Options options)
     : comm_(comm), options_(std::move(options)) {
@@ -71,7 +111,7 @@ Instance::~Instance() {
 }
 
 Instance::HeapReturn::~HeapReturn() {
-#if defined(__GLIBC__)
+#if defined(FANSTORE_TRIM_HEAP)
   // glibc keeps freed pages in the arena of the thread that allocated
   // them, and written files come from the writers' threads: free()
   // hands almost none of such an arena back, malloc_trim hands back its
@@ -140,33 +180,22 @@ void Instance::replicate_ring(int rounds) {
   std::vector<Bytes> outbound = own_partitions_;
   for (int round = 0; round < rounds; ++round) {
     const int next = (comm_.rank() + 1) % nranks;
-    Bytes packed;
+    Bytes packed = mpi::envelope(0);
     append_le<std::uint32_t>(packed, static_cast<std::uint32_t>(outbound.size()));
     for (const Bytes& p : outbound) {
       append_le<std::uint64_t>(packed, p.size());
       packed.insert(packed.end(), p.begin(), p.end());
     }
-    comm_.send(next, kTagRingCopy, std::move(packed));
-    const mpi::Message msg = comm_.recv(mpi::kAnySource, kTagRingCopy);
+    comm_.send(next, mpi::kTagRingCopy, mpi::seal(std::move(packed)));
+    const mpi::Message msg = comm_.recv(mpi::kAnySource, mpi::kTagRingCopy);
 
     std::vector<Bytes> inbound;
-    if (msg.payload.size() < 4) {
-      throw std::runtime_error("instance: malformed ring-copy message");
-    }
-    const std::uint32_t count = load_le<std::uint32_t>(msg.payload.data());
-    std::size_t pos = 4;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      if (pos + 8 > msg.payload.size()) {
-        throw std::runtime_error("instance: truncated ring-copy message");
-      }
-      const std::uint64_t len = load_le<std::uint64_t>(msg.payload.data() + pos);
-      pos += 8;
-      if (pos + len > msg.payload.size()) {
-        throw std::runtime_error("instance: truncated ring-copy partition");
-      }
-      inbound.emplace_back(msg.payload.begin() + static_cast<std::ptrdiff_t>(pos),
-                           msg.payload.begin() + static_cast<std::ptrdiff_t>(pos + len));
-      pos += len;
+    if (const auto sealed = mpi::unseal(as_view(msg.payload))) {
+      inbound = unpack_ring_copy(sealed->body);
+    } else {
+      // Dropped and counted, never stored: its files stay reachable
+      // through their owners' daemons.
+      metrics().counter("daemon.crc_rejects").inc();
     }
     // Replicas keep their original owner in *metadata* (which is exchanged
     // globally), but land in the local backend so reads hit locally.

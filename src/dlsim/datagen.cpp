@@ -47,10 +47,9 @@ Bytes gen_em_tif(std::size_t bytes, Rng& rng) {
 // float32 channels quantized to 1/64 steps around slowly-drifting
 // baselines: the low mantissa bytes are mostly zero, exponents repeat.
 Bytes gen_tokamak_npz(std::size_t bytes, Rng& rng) {
-  Bytes out;
-  out.reserve(bytes + 64);
   const char* header = "\x93NUMPY\x01\x00v\x00{'descr': '<f4', 'shape': (288,)}";
-  out.insert(out.end(), header, header + std::strlen(header));
+  Bytes out(header, header + std::strlen(header));
+  out.reserve(bytes + 64);
   // 8 channels round-robin, each a drifting baseline.
   float baselines[8];
   for (int ch = 0; ch < 8; ++ch) {

@@ -109,7 +109,6 @@ TrainerResult run_training(posixfs::Vfs& fs, const std::vector<std::string>& fil
       double compute = options.t_iter_s;
       if (options.compute_jitter > 0) {
         // Deterministic per-(rank, iteration) jitter draw.
-        const int rank = options.comm != nullptr ? options.comm->rank() : 0;
         Rng jrng(options.seed * 1000003 + result.iterations * 131 +
                  static_cast<std::uint64_t>(rank) * 7919);
         compute *= 1.0 + options.compute_jitter * jrng.next_double();

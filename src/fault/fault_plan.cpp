@@ -14,15 +14,15 @@ namespace {
 // replication, write-meta forwards) stays untouched — its receives block
 // without timeout and must always complete.
 void push_fetch_scoped(std::vector<MessageRule>& out, MessageRule proto) {
-  proto.tag = kFetchProtocolTag;
+  proto.tag = mpi::kTagFetch;
   proto.tag_min = proto.tag_max = -1;
   out.push_back(proto);
   proto.tag = kAnyTag;
-  proto.tag_min = kFetchReplyTagMin;
+  proto.tag_min = mpi::kFetchReplyTagBase;
   // Capped below the cluster reply space so fetch-scoped chaos never
   // bleeds into the metadata cluster's replies (which have their own
   // churn builder).
-  proto.tag_max = kClusterReplyTagMin - 1;
+  proto.tag_max = mpi::kClusterReplyTagBase - 1;
   out.push_back(proto);
 }
 
@@ -31,10 +31,10 @@ void push_fetch_scoped(std::vector<MessageRule>& out, MessageRule proto) {
 // fault_plan.hpp) and the cluster reply tag space.
 void push_cluster_scoped(std::vector<MessageRule>& out, MessageRule proto) {
   proto.tag = kAnyTag;
-  proto.tag_min = kClusterTagMin;
-  proto.tag_max = kClusterTagMax;
+  proto.tag_min = mpi::kTagGossip;
+  proto.tag_max = mpi::kTagListDir;
   out.push_back(proto);
-  proto.tag_min = kClusterReplyTagMin;
+  proto.tag_min = mpi::kClusterReplyTagBase;
   proto.tag_max = std::numeric_limits<int>::max();
   out.push_back(proto);
 }
@@ -167,18 +167,17 @@ FaultPlan FaultPlan::membership_churn_from_seed(std::uint64_t seed, int nranks) 
   // later round re-carries the full state.
   {
     MessageRule r;
-    r.tag = kClusterTagMin;  // kTagGossip
+    r.tag = mpi::kTagGossip;
     r.drop_prob = 0.10 + 0.20 * rng.next_double();
     plan.messages.push_back(r);
   }
-  // Corrupted cluster replies are rejected by the rpc seal and surface as
-  // timeouts — the client tries the next replica.
+  // Corrupted cluster requests and replies are rejected by the envelope
+  // crc and surface as timeouts — the client tries the next replica, and
+  // a corrupted gossip push is dropped (later rounds re-carry it).
   {
     MessageRule r;
-    r.tag_min = kClusterReplyTagMin;
-    r.tag_max = std::numeric_limits<int>::max();
     r.corrupt_prob = 0.05 * rng.next_double();
-    plan.messages.push_back(r);
+    push_cluster_scoped(plan.messages, r);
   }
   return plan;
 }

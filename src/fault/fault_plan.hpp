@@ -19,32 +19,24 @@
 #include <string>
 #include <vector>
 
+#include "mpi/envelope.hpp"
+
 namespace fanstore::fault {
 
 /// Wildcard for rule filters.
 constexpr int kAnyRank = -1;
 constexpr int kAnyTag = -1;
 
-/// Fetch-protocol tag space, mirroring core/daemon.hpp (kTagFetch and
-/// kReplyTagBase; the fault layer sits below core so the values are
-/// duplicated here — keep in sync). The link builders below scope their
-/// rules to these tags: the fetch path is hardened with retries and CRCs,
-/// while setup traffic (ring replication, metadata forwards) has blocking
-/// receives and must never be faulted, or a world could deadlock during
-/// construction.
-constexpr int kFetchProtocolTag = 100;
-constexpr int kFetchReplyTagMin = 1000;
-
-/// Metadata-cluster tag space, mirroring cluster/node.hpp (kTagGossip ..
-/// kTagListDir and kClusterReplyTagBase — keep in sync). The cluster's
-/// request/reply traffic is retried, idempotent, and crc-sealed, so churn
-/// plans may drop/delay/duplicate/corrupt it; the one-way shard hand-off
-/// (kTagMetaPush, 117) and the self-addressed stop token (116) are
-/// excluded — exchange_initial() receives pushes with a blocking recv and
-/// rebalance relies on a push landing before its shard is dropped.
-constexpr int kClusterTagMin = 110;
-constexpr int kClusterTagMax = 115;
-constexpr int kClusterReplyTagMin = 2000000;
+// Rules name tags from the one tag table, mpi/envelope.hpp. The link
+// builders below scope their rules to the fetch protocol (kTagFetch and
+// the fetch reply tags); the churn builder to the cluster requests
+// kTagGossip..kTagListDir and the cluster reply tags. Every message is an
+// mpi::envelope, so a corrupted one is rejected by its crc before it is
+// read. Setup traffic is still never faulted: the ring copy, write-meta
+// forwards, the one-way shard push (kTagMetaPush) and the stop tokens
+// have receivers that block without a timeout or rely on the message
+// landing, and faulting them would wedge world construction or drop a
+// shard's only hand-off rather than test resilience.
 
 /// One scripted behaviour for point-to-point messages crossing the mailbox
 /// boundary. All matching rules apply independently (their draws use
@@ -131,8 +123,8 @@ struct FaultPlan {
 
   // --- fluent builders (return *this for chaining) ---
   // The three link builders scope their rules to the fetch protocol
-  // (requests + replies, see kFetchProtocolTag/kFetchReplyTagMin above);
-  // for arbitrary-tag faults push a MessageRule directly.
+  // (requests + replies, see above); for arbitrary-tag faults push a
+  // MessageRule directly.
   FaultPlan& with_seed(std::uint64_t s);
   /// Lossy fabric: drop fetch-protocol messages with `prob`.
   FaultPlan& lossy_links(double prob);
@@ -159,8 +151,8 @@ struct FaultPlan {
   /// fully determined by (seed, nranks): delayed + duplicated cluster
   /// requests and replies, outright-dropped gossip (the view is a CRDT —
   /// later rounds re-carry the same state), and lightly corrupted cluster
-  /// replies (rejected by the rpc seal, surfacing as timeouts). Data-path
-  /// and setup traffic is untouched.
+  /// requests and replies (rejected by the envelope crc, surfacing as
+  /// timeouts). Data-path and setup traffic is untouched.
   static FaultPlan membership_churn_from_seed(std::uint64_t seed, int nranks);
 };
 

@@ -5,16 +5,17 @@
 #include <functional>
 #include <tuple>
 
+#include "mpi/envelope.hpp"
 #include "util/rng.hpp"
 
 namespace fanstore::fault {
 
 namespace {
 
-// Fetch replies use a dedicated tag space (>= core::kReplyTagBase == 1000)
+// Replies use dedicated tag spaces (every one >= mpi::kFetchReplyTagBase)
 // with a fresh tag per request; bucket them so a channel's sequence counter
 // spans "all replies from src to dest" rather than one counter per tag.
-constexpr int kReplyBucket = 1000;
+constexpr int kReplyBucket = mpi::kFetchReplyTagBase;
 
 int tag_bucket(int tag) { return tag >= kReplyBucket ? kReplyBucket : tag; }
 

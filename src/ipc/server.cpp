@@ -7,6 +7,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -28,10 +29,9 @@ std::uint64_t now_us() {
 
 // Prepends the [u32 len] frame header to a (small) reply payload.
 Bytes frame_reply(const Bytes& payload) {
-  Bytes out;
-  out.reserve(4 + payload.size());
-  append_le<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  Bytes out(4 + payload.size());
+  store_le<std::uint32_t>(out.data(), static_cast<std::uint32_t>(payload.size()));
+  std::copy(payload.begin(), payload.end(), out.begin() + 4);
   return out;
 }
 

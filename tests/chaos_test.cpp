@@ -22,6 +22,7 @@
 #include "posixfs/mem_vfs.hpp"
 #include "prep/prepare.hpp"
 #include "mpi/comm.hpp"
+#include "mpi/envelope.hpp"
 #include "simnet/virtual_clock.hpp"
 #include "tests/sanitizer_env.hpp"
 #include "util/clock.hpp"
@@ -181,7 +182,7 @@ TEST(ChaosTest, CorruptedRepliesAreRejectedAndServedByReplica) {
   const Bytes data = testdata::random_bytes(8000, 21);
   const Bytes part = one_file_partition("f", data);
   fault::FaultPlan plan;
-  plan.with_seed(5).corrupt_from(1, fault::kFetchReplyTagMin,
+  plan.with_seed(5).corrupt_from(1, mpi::kFetchReplyTagBase,
                                  std::numeric_limits<int>::max(), 1.0);
   fault::FaultInjector inj(plan);
   constexpr int kAttempts = 3;
@@ -675,8 +676,8 @@ TEST(ChaosTest, ChaosFromSeedIsDeterministicAndSurvivable) {
     EXPECT_EQ(a.messages[i].delay_ms, b.messages[i].delay_ms) << i;
     // Survivability: every generated link rule is scoped to the fetch
     // protocol — setup traffic must never be faulted.
-    EXPECT_TRUE(a.messages[i].tag == fault::kFetchProtocolTag ||
-                a.messages[i].tag_min >= fault::kFetchReplyTagMin)
+    EXPECT_TRUE(a.messages[i].tag == mpi::kTagFetch ||
+                a.messages[i].tag_min >= mpi::kFetchReplyTagBase)
         << i;
     EXPECT_LE(a.messages[i].drop_prob, 0.20) << i;
   }

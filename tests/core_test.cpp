@@ -559,30 +559,51 @@ TEST(DaemonProtocolTest, FetchNotFoundAndMalformed) {
     inst.start_daemon();
     comm.barrier();
     if (comm.rank() == 0) {
+      mpi::Caller caller(comm, 5000);
+      const auto status_of = [](const mpi::Reply& r) {
+        EXPECT_TRUE(r.ok());
+        return r.body().empty() ? 0xFF : r.body()[0];
+      };
       // Not found.
-      comm.send(1, kTagFetch, encode_fetch_request(5000, "ghost"));
-      auto reply = comm.recv(1, 5000);
-      ASSERT_GE(reply.payload.size(), 1u);
-      EXPECT_EQ(reply.payload[0], kFetchNotFound);
+      EXPECT_EQ(status_of(caller.call(1, mpi::kTagFetch, as_view(std::string("ghost")),
+                                      mpi::Wait{})),
+                kFetchNotFound);
       // Malformed (empty path).
-      comm.send(1, kTagFetch, encode_fetch_request(5001, ""));
-      reply = comm.recv(1, 5001);
-      EXPECT_EQ(reply.payload[0], kFetchMalformed);
-      // Garbage (too short) is dropped without killing the daemon.
-      comm.send(1, kTagFetch, Bytes{1});
-      comm.send(1, kTagWriteMeta, Bytes{1});
-      // So is write metadata without its [u64 version][u32 writer] suffix.
+      EXPECT_EQ(status_of(caller.call(1, mpi::kTagFetch, {}, mpi::Wait{})),
+                kFetchMalformed);
+      // A request that fails its crc is answered malformed (retryable) at
+      // the reply tag it claims, never "not found".
+      Bytes flipped = mpi::envelope(6000);
+      const Bytes ghost = to_bytes("ghost");
+      flipped.insert(flipped.end(), ghost.begin(), ghost.end());
+      flipped = mpi::seal(std::move(flipped));
+      flipped[5] ^= 0x10;  // a bit of the path
+      comm.send(1, mpi::kTagFetch, flipped);
+      const mpi::Message answer = comm.recv(1, 6000);
+      const auto sealed = mpi::unseal(as_view(answer.payload));
+      ASSERT_TRUE(sealed.has_value());
+      EXPECT_EQ(sealed->reply_tag, 6000u);
+      EXPECT_EQ(sealed->body[0], kFetchMalformed);
+      // Garbage (shorter than an envelope) is dropped without killing the
+      // daemon, and so is a write-meta forward that fails its crc.
+      comm.send(1, mpi::kTagFetch, Bytes{1});
+      comm.send(1, mpi::kTagWriteMeta, Bytes{1});
+      // So is write metadata without its [u64 version][u32 writer] suffix,
+      // sealed correctly.
       Bytes unversioned = encode_write_meta("unversioned", {regular_stat(7), 1, 0});
       unversioned.resize(unversioned.size() - 12);
-      comm.send(1, kTagWriteMeta, unversioned);
+      comm.send(1, mpi::kTagWriteMeta, mpi::seal(std::move(unversioned)));
       // Daemon still alive: valid request answered.
-      comm.send(1, kTagFetch, encode_fetch_request(5002, "ghost"));
-      reply = comm.recv(1, 5002);
-      EXPECT_EQ(reply.payload[0], kFetchNotFound);
+      EXPECT_EQ(status_of(caller.call(1, mpi::kTagFetch, as_view(std::string("ghost")),
+                                      mpi::Wait{})),
+                kFetchNotFound);
     }
     comm.barrier();  // the daemon handled rank 0's messages in order
     if (comm.rank() == 1) {
       EXPECT_FALSE(inst.metadata().lookup("unversioned").has_value());
+      // The flipped fetch request, the short one and the short write-meta.
+      EXPECT_EQ(inst.metrics().counter("daemon.crc_rejects").value(), 3u);
+      EXPECT_EQ(inst.metrics().counter("daemon.meta_forwards").value(), 0u);
     }
     inst.stop();
   });

@@ -12,6 +12,7 @@
 #include "core/instance.hpp"
 #include "dlsim/trainer.hpp"
 #include "fault/injector.hpp"
+#include "mpi/envelope.hpp"
 #include "posixfs/mem_vfs.hpp"
 #include "prep/prepare.hpp"
 #include "tests/test_data.hpp"
@@ -210,7 +211,7 @@ TEST(FailoverTest, CrcRejectedReplyNeverLandsInCacheOrDecodeStats) {
   const Bytes part = w.serialize();
 
   fault::FaultPlan plan;
-  plan.corrupt_from(1, fault::kFetchReplyTagMin, std::numeric_limits<int>::max(),
+  plan.corrupt_from(1, mpi::kFetchReplyTagBase, std::numeric_limits<int>::max(),
                     1.0);
   plan.messages.back().max_faults = 2;
   fault::FaultInjector inj(plan);

@@ -213,14 +213,15 @@ TEST_F(LintTest, CodecIdIgnoresOtherFiles) {
 TEST_F(LintTest, CrcBeforeInterpretFlagsEarlyStatusRead) {
   write("core/fetch.cpp",
         "namespace fanstore::core {\n"                            // 1
-        "int peek(const Reply& reply) {\n"                        // 2
+        "int peek(const mpi::Message& reply) {\n"                 // 2
         "  if (reply.payload[0] == kFetchNotFound) return 1;\n"   // 3
-        "  if (!fetch_reply_crc_ok(as_view(reply.payload))) return -1;\n"
+        "  if (!mpi::unseal(as_view(reply.payload))) return -1;\n"
         "  return 0;\n"
         "}\n"
-        "int good(const Reply& reply) {\n"
-        "  if (!fetch_reply_crc_ok(as_view(reply.payload))) return -1;\n"
-        "  if (reply.payload[0] == kFetchNotFound) return 1;\n"
+        "int good(const mpi::Message& reply) {\n"
+        "  const auto sealed = mpi::unseal(as_view(reply.payload));\n"
+        "  if (!sealed) return -1;\n"
+        "  if (sealed->body[0] == kFetchNotFound) return 1;\n"
         "  return 0;\n"
         "}\n"
         "}\n");
@@ -232,14 +233,42 @@ TEST_F(LintTest, CrcBeforeInterpretFlagsEarlyStatusRead) {
   EXPECT_EQ(r.findings[1].line, 3);
 }
 
+TEST_F(LintTest, CrcBeforeInterpretCoversClusterHandlersAndReplies) {
+  write("cluster/node.cpp",
+        "namespace fanstore::cluster {\n"                          // 1
+        "void Node::handle_push(const mpi::Message& msg) {\n"      // 2
+        "  merge_push_body(as_view(msg.payload));\n"               // 3
+        "}\n"                                                     // 4
+        "void Node::exchange() {\n"                                // 5
+        "  const mpi::Message msg = comm_.recv(0, kTagMetaPush);\n"
+        "  const auto push = mpi::unseal(as_view(msg.payload));\n"
+        "  if (push) merge_push_body(push->body);\n"
+        "}\n"
+        "bool Node::peek(const Bytes& body) {\n"                   // 10
+        "  return body[0] == kMetaOk;\n"                           // 11
+        "}\n"
+        "bool Node::ask() {\n"
+        "  const mpi::Reply r = call(1, kTagMetaLookup, {});\n"
+        "  return !r.body().empty() && r.body()[0] == kMetaOk;\n"
+        "}\n"
+        "void Node::spill(Entry& e) { keep(std::move(e.payload)); }\n"
+        "}\n");
+  const LintResult r = lint({"crc-before-interpret"});
+  ASSERT_EQ(r.findings.size(), 2u);
+  EXPECT_EQ(r.findings[0].file, "cluster/node.cpp");
+  EXPECT_EQ(r.findings[0].line, 3);   // payload merged unverified
+  EXPECT_EQ(r.findings[1].line, 11);  // status read with no call()/unseal()
+}
+
 TEST_F(LintTest, CrcRuleSkipsEncodersAndOutOfScope) {
   write("core/encoder.cpp",
         "namespace fanstore::core {\n"
-        "Bytes encode_fetch_reply(int s) { return pack(kFetchOk, "
-        "kFetchReplyHeaderBytes); }\n"
+        "Bytes encode_fetch_reply(int s) { Bytes m = mpi::envelope(7); "
+        "m.push_back(kFetchOk); return mpi::seal(std::move(m)); }\n"
         "}\n");
   write("mpi/other.cpp",
-        "namespace fanstore::mpi { int f(R& r) { return r.s == kFetchOk; } }\n");
+        "namespace fanstore::mpi { int f(const Message& r) { "
+        "return r.payload[0] == kFetchOk; } }\n");
   const LintResult r = lint({"crc-before-interpret"});
   EXPECT_TRUE(r.findings.empty());
 }

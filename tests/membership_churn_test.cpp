@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -36,6 +37,7 @@
 #include "fault/injector.hpp"
 #include "format/partition.hpp"
 #include "mpi/comm.hpp"
+#include "mpi/envelope.hpp"
 #include "posixfs/mem_vfs.hpp"
 #include "prep/prepare.hpp"
 #include "simnet/virtual_clock.hpp"
@@ -388,6 +390,82 @@ TEST(MembershipChurnTest, SeededChurnSweepConvergesWithExactOwnership) {
                   fm.counter("fault.msg_corrupted").value(),
               0u);
   }
+}
+
+// A gossip push whose member-state byte was flipped to kDead in flight is
+// dropped by its crc, never merged: a push without one would make the
+// receiver mark a live rank dead.
+TEST(MembershipChurnTest, GossipPushWithAFlippedMemberStateIsNotMerged) {
+  ClusterSim::Options o;
+  o.nranks = 3;
+  ClusterSim sim(o);
+  for (int r = 0; r < 3; ++r) sim.node(r).bootstrap({0, 1, 2});
+
+  sim.node(0).gossip_now();
+  // Take rank 0's push to rank 1 off the wire before rank 1 serves it.
+  auto push = sim.comm(1).try_recv(0, mpi::kTagGossip);
+  ASSERT_TRUE(push.has_value());
+  Bytes& wire = push->payload;
+  const cluster::MembershipView sent = sim.node(0).view();
+  const Bytes blob = sent.serialize();
+  const auto at = std::search(wire.begin(), wire.end(), blob.begin(), blob.end());
+  ASSERT_NE(at, wire.end());
+  // The blob is [u32 count]([i32 rank][u32 incarnation][u8 state])*.
+  const auto index = std::distance(sent.entries().begin(), sent.entries().find(2));
+  const auto state_at = (at - wire.begin()) + 4 + 9 * index + 8;
+  ASSERT_EQ(wire[static_cast<std::size_t>(state_at)],
+            static_cast<std::uint8_t>(cluster::MemberState::kJoined));
+  wire[static_cast<std::size_t>(state_at)] =
+      static_cast<std::uint8_t>(cluster::MemberState::kDead);
+  sim.comm(0).send(1, mpi::kTagGossip, std::move(wire));
+  sim.pump();
+
+  EXPECT_EQ(sim.node(1).view().get(2).state, cluster::MemberState::kJoined);
+  EXPECT_EQ(sim.node(1).view_digest(), sim.node(0).view_digest());
+  EXPECT_EQ(sim.metrics(1).counter("cluster.gossip_merged").value(), 0u);
+  EXPECT_EQ(sim.metrics(1).counter("cluster.crc_rejects").value(), 1u);
+}
+
+// A lookup request corrupted on its way to the first owner is dropped
+// there; the caller times out and the second owner answers.
+TEST(MembershipChurnTest, CorruptedLookupRequestFailsOverToTheNextOwner) {
+  constexpr int kRanks = 3;
+  ClusterSim::Options probe_opts;
+  probe_opts.nranks = kRanks;
+  probe_opts.replication_factor = 2;
+  ClusterSim probe(probe_opts);
+  for (int r = 0; r < kRanks; ++r) probe.node(r).bootstrap({0, 1, 2});
+  std::string path;
+  std::vector<int> owners;
+  for (int i = 0; owners.empty(); ++i) {
+    const std::string p = "ds/f" + std::to_string(i);
+    const auto o = probe.node(0).meta_owners(p);
+    if (std::find(o.begin(), o.end(), 0) == o.end()) {
+      path = p;
+      owners = o;
+    }
+  }
+
+  fault::FaultPlan plan;
+  fault::MessageRule corrupt;
+  corrupt.src = 0;
+  corrupt.dest = owners[0];
+  corrupt.tag = mpi::kTagMetaLookup;
+  corrupt.corrupt_prob = 1.0;
+  plan.messages.push_back(corrupt);
+  fault::FaultInjector inj(plan);
+  ClusterSim::Options o = probe_opts;
+  o.injector = &inj;
+  ClusterSim sim(o);
+  for (int r = 0; r < kRanks; ++r) sim.node(r).bootstrap({0, 1, 2});
+  for (const int owner : owners) sim.put_dataset_file(owner, path, 777);
+
+  const auto got = sim.node(0).resolve(path);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->stat.size, 777u);
+  EXPECT_EQ(sim.metrics(owners[0]).counter("cluster.crc_rejects").value(), 1u);
+  EXPECT_EQ(sim.metrics(owners[0]).counter("cluster.meta_served").value(), 0u);
+  EXPECT_EQ(sim.metrics(owners[1]).counter("cluster.meta_served").value(), 1u);
 }
 
 // ---------------------------------------------------------------------------

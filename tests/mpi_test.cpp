@@ -1,16 +1,22 @@
 // Tests for the in-process MPI subset: point-to-point matching, predicate
-// receive, and collective semantics across rank-threads.
+// receive, and collective semantics across rank-threads; and the sealed
+// envelope every rank-to-rank message travels in.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "fault/injector.hpp"
 #include "mpi/comm.hpp"
+#include "mpi/envelope.hpp"
 #include "util/clock.hpp"
+#include "util/crc32.hpp"
 
 namespace fanstore::mpi {
 namespace {
@@ -226,6 +232,102 @@ TEST(MpiTest, LargeWorld) {
     EXPECT_EQ(all.size(), 128u);
     comm.barrier();
   });
+}
+
+// --- the sealed envelope ------------------------------------------------------
+
+Bytes sealed_message(std::uint32_t reply_tag, std::string_view body) {
+  Bytes msg = envelope(reply_tag);
+  msg.insert(msg.end(), body.begin(), body.end());
+  return seal(std::move(msg));
+}
+
+TEST(EnvelopeTest, SealedMessageRoundTrips) {
+  const Bytes msg = sealed_message(0x12345678u, "ds/r0/f1");
+  ASSERT_EQ(msg.size(), 4u + 8u + 4u);
+  const auto got = unseal(as_view(msg));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->reply_tag, 0x12345678u);
+  EXPECT_EQ(to_string(got->body), "ds/r0/f1");
+  // An empty body is a valid (one-way, reply tag 0) message.
+  const Bytes empty = seal(envelope(0));
+  ASSERT_TRUE(unseal(as_view(empty)).has_value());
+  EXPECT_TRUE(unseal(as_view(empty))->body.empty());
+}
+
+TEST(EnvelopeTest, AnySingleBitFlipIsRejected) {
+  const Bytes msg = sealed_message(kFetchReplyTagBase + 17, "a body of some bytes");
+  const std::size_t body_end = msg.size() - 4;
+  for (std::size_t bit = 0; bit < msg.size() * 8; ++bit) {
+    const std::size_t byte = bit / 8;
+    const char* where = byte < 4 ? "reply tag" : byte < body_end ? "body" : "crc";
+    Bytes flipped = msg;
+    flipped[byte] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(unseal(as_view(flipped)).has_value())
+        << "bit " << bit << " (" << where << ") flipped and still unsealed";
+  }
+}
+
+TEST(EnvelopeTest, ShortAndTruncatedMessagesAreRejected) {
+  const Bytes msg = sealed_message(1001, "xyz");
+  for (std::size_t n = 0; n < msg.size(); ++n) {
+    EXPECT_FALSE(unseal(ByteView(msg).first(n)).has_value()) << n << " bytes";
+  }
+}
+
+TEST(EnvelopeTest, ClaimedReplyTagNeverAddressesARequestTag) {
+  EXPECT_EQ(claimed_reply_tag(as_view(sealed_message(kFetchReplyTagBase + 3, "p"))),
+            static_cast<std::uint32_t>(kFetchReplyTagBase + 3));
+  EXPECT_EQ(claimed_reply_tag(as_view(sealed_message(kTagFetch, "p"))), 0u);
+  EXPECT_EQ(claimed_reply_tag(as_view(Bytes{1, 2})), 0u);
+}
+
+// One thread drives both ranks: call() pumps, and the pump plays rank 1.
+TEST(EnvelopeTest, CallReturnsOnlyAVerifiedReply) {
+  World world(2);
+  Comm client = world.comm(0);
+  Comm server = world.comm(1);
+  Caller caller(client, kClusterReplyTagBase);
+  constexpr int kTag = 42;
+
+  // `mangle` edits the answer after it was sealed.
+  const auto serve_with = [&](const std::function<void(Bytes&)>& mangle) {
+    return [&, mangle] {
+      const auto req = server.try_recv(0, kTag);
+      if (!req) return;
+      const auto sealed = unseal(as_view(req->payload));
+      ASSERT_TRUE(sealed.has_value());
+      Bytes answer = envelope(sealed->reply_tag);
+      answer.insert(answer.end(), sealed->body.rbegin(), sealed->body.rend());
+      answer = seal(std::move(answer));
+      mangle(answer);
+      server.send(0, static_cast<int>(sealed->reply_tag), std::move(answer));
+    };
+  };
+
+  Reply r = caller.call(1, kTag, as_view(std::string("abc")),
+                        Wait{0, serve_with([](Bytes&) {})});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(to_string(r.body()), "cba");
+
+  r = caller.call(1, kTag, as_view(std::string("abc")),
+                  Wait{0, serve_with([](Bytes& m) { m[4] ^= 1; })});
+  EXPECT_EQ(r.status, CallStatus::kCorrupt);
+  EXPECT_TRUE(r.body().empty());
+
+  // A reply that verifies but answers another call's tag is corrupt too.
+  r = caller.call(1, kTag, as_view(std::string("abc")), Wait{0, serve_with([](Bytes& m) {
+                    store_le<std::uint32_t>(m.data(), load_le<std::uint32_t>(m.data()) + 1);
+                    const std::uint32_t crc = crc32(ByteView(m).first(m.size() - 4));
+                    store_le<std::uint32_t>(m.data() + m.size() - 4, crc);
+                  })});
+  EXPECT_EQ(r.status, CallStatus::kCorrupt);
+
+  // Nobody answers: the pump budget is the timeout.
+  int pumps = 0;
+  r = caller.call(1, kTag + 1, {}, Wait{0, [&] { ++pumps; }});
+  EXPECT_EQ(r.status, CallStatus::kTimeout);
+  EXPECT_EQ(pumps, kPumpBudget);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Unit tests for the util module: CRC, RNG determinism, stats, thread pool,
+// Unit tests for the util module: CRC, RNG determinism, thread pool,
 // CLI parsing, byte helpers, and the retry backoff policy.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "util/crc32.hpp"
 #include "util/retry.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fanstore {
@@ -168,37 +167,6 @@ TEST(RngTest, RangeBounds) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-TEST(StatsTest, BasicMoments) {
-  Stats s;
-  for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_NEAR(s.stddev(), 1.5811, 1e-3);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 3.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 5.0);
-}
-
-TEST(StatsTest, EmptyThrows) {
-  Stats s;
-  EXPECT_THROW(s.mean(), std::logic_error);
-  EXPECT_THROW(s.percentile(50), std::logic_error);
-}
-
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-3.0);   // clamps into first bucket
-  h.add(100.0);  // clamps into last bucket
-  EXPECT_EQ(h.count_at(0), 2u);
-  EXPECT_EQ(h.count_at(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(9), 10.0);
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {

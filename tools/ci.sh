@@ -148,12 +148,18 @@ build/bench/bench_ipc --quick --json /tmp/BENCH_ipc_quick.json
 
 # Tiered-cache smoke (DESIGN.md §12): plain-RAM-only vs the four-tier stack
 # across RAM-budget fractions in virtual time. The tier accounting identity
-# is enforced on every run; the "tiered beats plain at cache = 1/8 dataset"
-# epoch-time gate is enforced only on hardware with >= 8 cores (recorded in
-# the JSON either way, like BENCH_ipc.json). Run without --quick for the
-# recorded BENCH_tiered.json numbers.
-echo "==== [bench] bench_tiered --quick ===="
+# and the "tiered beats plain at cache = 1/8 dataset" epoch-time gate are
+# enforced on every host: the epoch times come from the virtual clock, so a
+# second run in a new process must replay the first exactly. Run without
+# --quick for the recorded BENCH_tiered.json numbers.
+echo "==== [bench] bench_tiered --quick (twice, must replay) ===="
 build/bench/bench_tiered --quick --json /tmp/BENCH_tiered_quick.json
+build/bench/bench_tiered --quick --json /tmp/BENCH_tiered_replay.json
+if ! diff <(grep -E 'epoch_s|speedup|hits|loads|misses' /tmp/BENCH_tiered_quick.json) \
+          <(grep -E 'epoch_s|speedup|hits|loads|misses' /tmp/BENCH_tiered_replay.json); then
+  echo "ci.sh: bench_tiered did not replay across processes" >&2
+  exit 1
+fi
 
 # Sharded-metadata smoke (DESIGN.md §13): full replication (rf = ranks) vs
 # the consistent-hash-sharded namespace (rf = 2), both through the same push

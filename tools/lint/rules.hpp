@@ -14,8 +14,10 @@
 //                        no conflicting duplicate registrations
 //   codec-id             compressor registry ids must be literal-unique and
 //                        below the chunked-container reserved bit range
-//   crc-before-interpret fetch-reply payload interpretation may not precede
-//                        the fetch_reply_crc_ok() call in the same function
+//   crc-before-interpret in core/ and cluster/, no byte of a received
+//                        message may be read, and no reply status
+//                        compared, before mpi::unseal() (or call(), which
+//                        unseals) in the same function
 //   eventfd-wakeup       ipc/ event-loop arm flags must use exchange(), not
 //                        store()/assignment (lost-wakeup protection; see
 //                        the protocol comment in ipc/event_loop.hpp)
