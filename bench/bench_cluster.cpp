@@ -13,17 +13,17 @@
 //                        local shard hits and meta RPCs to shard owners)
 //   lookup_rpc_share     share of rank 0's resolves that went to the wire
 //
-// Acceptance, enforced on every host (both are protocol properties): the
-// sharded exchange moves < 1/4 of the full-replication per-rank bytes at
-// 64 ranks (rf=2 vs 64-way replication), and full-replication lookups send
-// 0 RPCs. The build wall-time gate (sharded <= full at 64 ranks) is
-// enforced only on hosts with >= 8 hardware threads; below that the
-// 64-thread world measures the scheduler, not the exchange. Emits
-// BENCH_cluster.json; tools/ci.sh runs `--quick`.
+// Acceptance, enforced on every host: the sharded exchange moves < 1/4 of
+// the full-replication per-rank bytes at 64 ranks (rf=2 vs 64-way
+// replication), full-replication lookups send 0 RPCs (both protocol
+// properties), and the sharded build takes no longer than the full one at
+// 64 ranks (wall clock; on 4 hardware threads the full build applies
+// ~30x the entries, so the gate holds with a wide margin). Emits
+// BENCH_cluster.json with the common bench header; tools/ci.sh runs
+// `--quick`.
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -182,7 +182,6 @@ int main(int argc, char** argv) {
     if (arg == "--quick") quick = true;
     if (arg == "--json" && i + 1 < argc) json_path = argv[++i];
   }
-  const unsigned hw = std::thread::hardware_concurrency();
   const int files_per_rank = quick ? 50 : 200;
   const int lookups = quick ? 400 : 2000;
   constexpr int kRf = 2;
@@ -226,9 +225,8 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  // Acceptance. Bytes (rf copies vs N copies) and zero full-replication
-  // lookup RPCs are protocol properties, enforced on every host. Wall:
-  // only meaningful when the 64 threads can actually run in parallel.
+  // Acceptance, on every host: bytes (rf copies vs N copies), zero
+  // full-replication lookup RPCs, and the 64-rank build wall time.
   bool ok = true;
   const std::size_t i64 = 1;  // index of the 64-rank cell
   if (sharded[i64].bytes_per_rank >= full[i64].bytes_per_rank / 4) {
@@ -247,8 +245,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  const bool enforce_wall = hw >= 8;
-  if (enforce_wall && sharded[i64].build_ms > full[i64].build_ms) {
+  if (sharded[i64].build_ms > full[i64].build_ms) {
     std::fprintf(stderr,
                  "bench_cluster: sharded build %.2f ms slower than full "
                  "replication %.2f ms at 64 ranks\n",
@@ -256,6 +253,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
+  const std::string header = bench::json_header("cluster", quick, "wall");
   FILE* out = std::fopen(json_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_cluster: cannot write %s\n", json_path.c_str());
@@ -269,19 +267,15 @@ int main(int argc, char** argv) {
   ranks_json += "]";
   std::fprintf(out,
                "{\n"
-               "  \"bench\": \"cluster\",\n"
-               "  \"quick\": %s,\n"
-               "  \"hardware_concurrency\": %u,\n"
+               "%s,\n"
                "  \"files_per_rank\": %d,\n"
                "  \"sharded_replication_factor\": %d,\n"
                "  \"ranks\": %s,\n"
                "  \"full_replication\": %s,\n"
-               "  \"sharded\": %s,\n"
-               "  \"wall_gate_enforced\": %s\n"
+               "  \"sharded\": %s\n"
                "}\n",
-               quick ? "true" : "false", hw, files_per_rank, kRf,
-               ranks_json.c_str(), json_cells(full).c_str(),
-               json_cells(sharded).c_str(), enforce_wall ? "true" : "false");
+               header.c_str(), files_per_rank, kRf, ranks_json.c_str(),
+               json_cells(full).c_str(), json_cells(sharded).c_str());
   std::fclose(out);
   std::printf("\nwrote %s\n", json_path.c_str());
   if (!ok) {

@@ -11,10 +11,6 @@ namespace fanstore::cluster {
 
 namespace {
 
-bool is_cluster_request(const mpi::Message& m) {
-  return m.tag >= mpi::kTagGossip && m.tag <= mpi::kTagMetaPush;
-}
-
 /// Appends `extra` to `out`, keeping order and skipping duplicates — the
 /// candidate lists stay small (<= members), so linear scans beat a set.
 void append_unique(std::vector<int>& out, const std::vector<int>& extra) {
@@ -54,54 +50,24 @@ ClusterNode::ClusterNode(mpi::Comm comm, NodeOptions options)
   }
 }
 
-ClusterNode::~ClusterNode() { stop(); }
-
-// --- lifecycle -------------------------------------------------------------
-
-void ClusterNode::start() {
-  if (options_.pump) {
-    throw std::logic_error("ClusterNode: manual (pump) mode has no thread; drive poll()");
-  }
-  sync::MutexLock lock(lifecycle_mu_);
-  if (running_.load()) return;
-  running_.store(true);
-  thread_ = std::thread([this] { serve(); });
-}
-
-void ClusterNode::stop() {
-  sync::MutexLock lock(lifecycle_mu_);
-  if (!running_.load()) return;
-  comm_.send(comm_.rank(), mpi::kTagClusterStop, Bytes{});
-  thread_.join();
-  running_.store(false);
-}
-
-void ClusterNode::serve() {
-  while (true) {
-    const mpi::Message msg = comm_.recv_if(is_cluster_request);
-    if (msg.tag == mpi::kTagClusterStop) return;
-    handle(msg);
-  }
-}
+// --- serving ---------------------------------------------------------------
 
 int ClusterNode::poll() {
   int handled = 0;
-  while (auto msg = comm_.try_recv_if(is_cluster_request)) {
-    if (msg->tag != mpi::kTagClusterStop) handle(*msg);
+  while (auto msg = comm_.try_recv_if(
+             [](const mpi::Message& m) { return mpi::is_cluster_tag(m.tag); })) {
+    // A simulation runs no daemon and no virtual clock: liveness is the
+    // fault script's count triggers and manual kills.
+    if (options_.fault == nullptr ||
+        options_.fault->daemon_alive(comm_.rank(), /*vnow=*/-1.0)) {
+      handle(*msg);
+    }
     ++handled;
   }
   return handled;
 }
 
-bool ClusterNode::service_dead() const {
-  return options_.fault != nullptr &&
-         !options_.fault->daemon_alive(comm_.rank(), /*vnow=*/-1.0);
-}
-
 void ClusterNode::handle(const mpi::Message& msg) {
-  // Process-crash semantics: a rank whose daemon the fault script killed
-  // answers nothing — clients fail over to the shard's other owners.
-  if (service_dead()) return;
   const auto req = mpi::unseal(as_view(msg.payload));
   if (!req) {
     m_.crc_rejects.inc();  // dropped, never merged: the caller times out
@@ -262,9 +228,6 @@ bool ClusterNode::owns_shard(std::uint32_t shard) const {
 // --- sharded metadata ------------------------------------------------------
 
 void ClusterNode::exchange_initial() {
-  if (running_.load()) {
-    throw std::logic_error("ClusterNode: exchange_initial after start()");
-  }
   std::vector<int> members;
   HashRing ring;
   {

@@ -19,10 +19,12 @@
 //   rebalance   — on membership change: pull newly owned shards, push-then-
 //                 drop shards no longer owned
 //
-// Two execution modes share one handler path:
-//   threaded — start() spawns a service thread (recv_if on the cluster
-//              tags), like core::Daemon; client ops wait kRpcTimeoutMs.
-//   manual   — no thread; a single-threaded simulation drives every node
+// Two execution modes share one handler path, handle():
+//   threaded — the rank's core::Daemon receive loop (core/daemon.hpp)
+//              takes the cluster tags, decides liveness once on the
+//              rank's virtual clock and calls handle(); the node owns no
+//              thread. Client ops wait kRpcTimeoutMs.
+//   manual   — no daemon; a single-threaded simulation drives every node
 //              deterministically by calling poll(), and client ops drain
 //              the world through NodeOptions::pump (at most
 //              mpi::kPumpBudget times) instead of blocking (the
@@ -45,7 +47,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "cluster/hash_ring.hpp"
@@ -86,8 +87,9 @@ struct NodeOptions {
   int replication_factor = 1;
   /// Registry for the "cluster.*" metrics; nullptr = private registry.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Liveness script: when the injector says this rank's daemon is dead,
-  /// the metadata service drops requests too (process-crash semantics).
+  /// Liveness script for poll(): when the injector says this rank is
+  /// dead, poll() drops the requests it drains (process-crash semantics).
+  /// In threaded mode the daemon's loop makes that decision instead.
   fault::FaultInjector* fault = nullptr;
   /// Manual mode: invoked repeatedly while a call waits for its reply;
   /// the simulation advances its clock and polls every live node.
@@ -114,16 +116,19 @@ struct RebalanceStats {
 class ClusterNode {
  public:
   ClusterNode(mpi::Comm comm, NodeOptions options);
-  ~ClusterNode();
 
   ClusterNode(const ClusterNode&) = delete;
   ClusterNode& operator=(const ClusterNode&) = delete;
 
-  // --- lifecycle --------------------------------------------------------
-  void start() EXCLUDES(lifecycle_mu_);
-  void stop() EXCLUDES(lifecycle_mu_);
-  /// Manual mode: handles every pending cluster request now; returns how
-  /// many messages were processed.
+  // --- serving ----------------------------------------------------------
+  /// Unseals one request or push (mpi::kTagGossip..kTagMetaPush) and
+  /// dispatches it; a request's handler builds its reply body, which
+  /// handle() seals and sends. The caller has already decided the rank is
+  /// alive. A message that fails its crc is dropped and counted.
+  void handle(const mpi::Message& msg);
+  /// Manual mode: handles every pending cluster request now (dropping
+  /// them while the fault script says this rank is dead); returns how
+  /// many messages were drained.
   int poll();
 
   // --- membership -------------------------------------------------------
@@ -156,7 +161,7 @@ class ClusterNode {
   /// The startup metadata exchange: every bootstrap member pushes each of
   /// its local shards to that shard's owners (point-to-point, one message
   /// per peer) and merges the members-1 pushes it receives. Must run
-  /// before start() (the service thread also handles kTagMetaPush).
+  /// before the rank's daemon starts (its loop also takes kTagMetaPush).
   void exchange_initial();
   /// One pull round: fetch peers' shard digests, pull every owned shard
   /// whose digest differs. Convergence loops call this until !changed.
@@ -221,20 +226,12 @@ class ClusterNode {
     obs::Counter& crc_rejects;
   };
 
-  void serve();
-  /// Unseals a request or push and dispatches it; a request's handler
-  /// appends its reply body to `out`, which handle() seals and sends.
-  void handle(const mpi::Message& msg);
   void handle_gossip(const mpi::Unsealed& req, Bytes& out);
   void handle_meta_lookup(ByteView body, Bytes& out) const;
   void handle_shard_digest(Bytes& out) const;
   void handle_shard_pull(ByteView body, Bytes& out) const;
   void handle_list_paths(Bytes& out) const;
   void handle_list_dir(ByteView body, Bytes& out) const;
-
-  /// True when the fault script says this rank's process is down — the
-  /// metadata service then drops requests exactly like the data daemon.
-  bool service_dead() const;
 
   /// Merges `incoming` into the view; rebuilds the ring on change.
   bool merge_view(const MembershipView& incoming) EXCLUDES(mu_);
@@ -272,10 +269,6 @@ class ClusterNode {
 
   LookupCache lookup_cache_{kLookupCacheEntries};  // internally synchronized
 
-  // Serializes start()/stop(), mirroring core::Daemon.
-  sync::Mutex lifecycle_mu_{"cluster.node.lifecycle_mu"};
-  std::thread thread_ GUARDED_BY(lifecycle_mu_);
-  std::atomic<bool> running_{false};
   mpi::Caller caller_{comm_, mpi::kClusterReplyTagBase};
   const mpi::Wait wait_{kRpcTimeoutMs, options_.pump};
 };

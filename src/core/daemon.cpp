@@ -1,7 +1,5 @@
 #include "core/daemon.hpp"
 
-#include <chrono>
-
 #include "fault/injector.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -20,10 +18,10 @@ Bytes encode_write_meta(std::string_view path, const cluster::VersionedStat& ent
   return out;
 }
 
-Daemon::Daemon(mpi::Comm comm, cluster::MetadataStore* meta,
+Daemon::Daemon(mpi::Comm comm, cluster::ClusterNode& cluster,
                CompressedBackend* backend, obs::MetricsRegistry* metrics,
                fault::FaultInjector* injector, simnet::VirtualClock* clock)
-    : comm_(comm), meta_(meta), backend_(backend), injector_(injector),
+    : comm_(comm), cluster_(cluster), backend_(backend), injector_(injector),
       clock_(clock) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
@@ -52,17 +50,22 @@ void Daemon::stop() {
 }
 
 void Daemon::serve() {
-  // Match only protocol tags: fetch *replies* belong to this rank's
-  // application threads, not the daemon.
-  const auto is_protocol = [](const mpi::Message& m) {
+  // Match only requests: replies belong to this rank's callers, and the
+  // ring copy to Instance::replicate_ring.
+  const auto is_request = [](const mpi::Message& m) {
     return m.tag == mpi::kTagFetch || m.tag == mpi::kTagWriteMeta ||
-           m.tag == mpi::kTagShutdown;
+           m.tag == mpi::kTagShutdown || mpi::is_cluster_tag(m.tag);
   };
   for (;;) {
-    mpi::Message msg = comm_.recv_if(is_protocol);
+    const mpi::Message msg = comm_.recv_if(is_request);
+    if (msg.tag == mpi::kTagShutdown) return;
+    if (injector_ != nullptr) {
+      if (msg.tag == mpi::kTagFetch) injector_->note_fetch_request(comm_.rank());
+      const double vnow = clock_ != nullptr ? clock_->now_sec() : -1.0;
+      // Crashed process: the request vanishes and its sender times out.
+      if (!injector_->daemon_alive(comm_.rank(), vnow)) continue;
+    }
     switch (msg.tag) {
-      case mpi::kTagShutdown:
-        return;
       case mpi::kTagFetch:
         handle_fetch(msg);
         break;
@@ -70,7 +73,7 @@ void Daemon::serve() {
         handle_write_meta(msg);
         break;
       default:
-        FANSTORE_LOG_WARN("daemon rank ", comm_.rank(), ": unexpected tag ", msg.tag);
+        cluster_.handle(msg);
     }
   }
 }
@@ -78,15 +81,6 @@ void Daemon::serve() {
 void Daemon::handle_fetch(const mpi::Message& msg) {
   obs::TraceSpan span("daemon.fetch");
   WallTimer timer;
-  if (injector_ != nullptr) {
-    injector_->note_fetch_request(comm_.rank());
-    const double vnow = clock_ != nullptr ? clock_->now_sec() : -1.0;
-    if (!injector_->daemon_alive(comm_.rank(), vnow)) {
-      return;  // crashed daemon: request vanishes, requester times out
-    }
-    const int hang = injector_->daemon_hang_ms(comm_.rank());
-    if (hang > 0) std::this_thread::sleep_for(std::chrono::milliseconds(hang));
-  }
   const auto req = mpi::unseal(as_view(msg.payload));
   if (!req || req->body.empty()) {
     // A corrupted request must not turn into a definitive "not found" — the
@@ -107,7 +101,7 @@ void Daemon::handle_fetch(const mpi::Message& msg) {
   // path's metadata shard; raw_size 0 tells the requester "size unknown"
   // (FanStoreFs skips its staleness check for it, zero-byte files
   // included — their payload is empty either way).
-  const auto stat = meta_->lookup(path);
+  const auto stat = cluster_.store().lookup(path);
   const std::uint64_t raw_size = stat ? stat->size : 0;
   fetch_bytes_->inc(blob->data.size());
   reply(msg.source, req->reply_tag, kFetchOk, &*blob, raw_size);
@@ -152,7 +146,7 @@ void Daemon::handle_write_meta(const mpi::Message& msg) {
   entry.stat = format::FileStat::deserialize(p + len);
   entry.version = load_le<std::uint64_t>(p + len + format::kStatBytes);
   entry.writer = load_le<std::uint32_t>(p + len + format::kStatBytes + 8);
-  meta_->insert_versioned(path, entry);
+  cluster_.store().insert_versioned(path, entry);
   meta_received_->inc();
 }
 

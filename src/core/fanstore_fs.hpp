@@ -259,10 +259,12 @@ class FanStoreFs final : public posixfs::Vfs {
   ColdResult load_cached(const std::string& path,
                          const format::FileStat& stat);
 
-  /// Decodes every missing chunk of `file` with the configured decode
-  /// pool, charges the parallel-makespan decompress cost for exactly the
-  /// newly decoded chunks, verifies the whole-file crc against `stat` (the
-  /// one open() resolved) once complete, and re-syncs the cache budget.
+  /// Decodes every missing chunk of `file` on min(decode_threads(),
+  /// missing chunks) threads that util::parallel_for starts and joins on
+  /// every call (there is no standing pool), charges the parallel-makespan
+  /// decompress cost for exactly the newly decoded chunks, verifies the
+  /// whole-file crc against `stat` (the one open() resolved) once
+  /// complete, and re-syncs the cache budget.
   /// No-op once `file` is verified. Throws on corrupt data, leaving `file`
   /// unverified.
   void materialize_entry(const std::string& path, CachedFile& file,

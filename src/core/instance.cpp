@@ -100,7 +100,7 @@ Instance::Instance(mpi::Comm comm, Options options)
   }
   fs_ = std::make_unique<FanStoreFs>(comm_, cluster_.get(), backend_.get(),
                                      options_.fs);
-  daemon_ = std::make_unique<Daemon>(comm_, &cluster_->store(), backend_.get(),
+  daemon_ = std::make_unique<Daemon>(comm_, *cluster_, backend_.get(),
                                      options_.fs.metrics, options_.fault,
                                      options_.fs.clock);
 }
@@ -212,6 +212,11 @@ void Instance::replicate_ring(int rounds) {
 }
 
 void Instance::exchange_metadata() {
+  // The daemon's loop takes shard pushes too, so it would swallow the ones
+  // the exchange waits for.
+  if (daemon_->running()) {
+    throw std::logic_error("instance: exchange_metadata after start_daemon()");
+  }
   // Each member pushes each shard only to its owners — point-to-point, no
   // collective, so spare (non-member) ranks need not participate.
   cluster_->exchange_initial();
@@ -274,7 +279,6 @@ std::string Instance::metrics_dump(bool json) const {
 
 void Instance::start_daemon() {
   daemon_->start();
-  cluster_->start();
   if (!options_.serve_endpoints.empty() && server_ == nullptr) {
     std::vector<ipc::Endpoint> eps;
     eps.reserve(options_.serve_endpoints.size());
@@ -301,10 +305,6 @@ void Instance::stop() {
     server_->stop();
     server_.reset();
   }
-  // The fs resolves metadata through the cluster node, so it must stop
-  // answering only after the front doors above are gone; the data daemon
-  // goes last (cluster teardown never fetches data).
-  if (cluster_) cluster_->stop();
   if (daemon_) daemon_->stop();
 }
 

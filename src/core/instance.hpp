@@ -5,7 +5,8 @@
 //   2. optionally replicate neighbour partitions around a virtual ring
 //   3. exchange metadata — per-shard pushes to the shard owners (every
 //      rank under full replication, the default)
-//   4. start the daemon (and the cluster's metadata service) and serve
+//   4. start the daemon, the rank's one loop for data and metadata
+//      requests, and serve
 #pragma once
 
 #include <limits>
@@ -35,7 +36,7 @@ class Instance {
     posixfs::Vfs* local_fs = nullptr;
     std::string backend_root = ".fanstore";
     /// Optional fault injector (one per world, shared by every rank's
-    /// Instance and by the mpi::World). Wires: daemon crash/hang scripts,
+    /// Instance and by the mpi::World). Wires: daemon crash scripts,
     /// backend read faults (the local backend is wrapped in a
     /// FaultInjectedBackend), and straggler multipliers applied to this
     /// rank's cost models at construction. Must outlive the Instance.
@@ -97,7 +98,8 @@ class Instance {
   void replicate_ring(int rounds = 1);
 
   /// Collective among bootstrap members: the point-to-point push of each
-  /// local shard to its owners (ClusterNode::exchange_initial).
+  /// local shard to its owners (ClusterNode::exchange_initial). Runs
+  /// before start_daemon() (std::logic_error after it).
   void exchange_metadata();
 
   /// Every dataset path this rank can enumerate

@@ -47,7 +47,6 @@ FaultInjector::FaultInjector(FaultPlan plan, obs::MetricsRegistry* metrics)
       msg_duplicated_(metrics_->counter("fault.msg_duplicated")),
       msg_corrupted_(metrics_->counter("fault.msg_corrupted")),
       daemon_dropped_(metrics_->counter("fault.daemon_dropped")),
-      daemon_hangs_(metrics_->counter("fault.daemon_hangs")),
       backend_errors_(metrics_->counter("fault.backend_errors")),
       backend_corrupted_(metrics_->counter("fault.backend_corrupted")) {
   sync::MutexLock lk(mu_);
@@ -153,20 +152,6 @@ bool FaultInjector::daemon_alive(int rank, double vnow) {
   }
   if (dead) daemon_dropped_.inc();
   return !dead;
-}
-
-int FaultInjector::daemon_hang_ms(int rank) {
-  int hang = 0;
-  {
-    sync::MutexLock lk(mu_);
-    for (const DaemonRule& r : plan_.daemons) {
-      if (r.rank != kAnyRank && r.rank != rank) continue;
-      hang = std::max(hang, r.hang_ms);
-    }
-    if (hang > 0) log_event({'H', -1, rank, rank, 0, 0});
-  }
-  if (hang > 0) daemon_hangs_.inc();
-  return hang;
 }
 
 void FaultInjector::kill_daemon(int rank) {

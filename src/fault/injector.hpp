@@ -5,8 +5,8 @@
 // points:
 //
 //   mpi::World::deliver        -> on_message()       drop/delay/dup/corrupt
-//   core::Daemon::handle_fetch -> note_fetch_request(), daemon_alive(),
-//                                 daemon_hang_ms()    crash / hang / restart
+//   core::Daemon::serve        -> note_fetch_request(), daemon_alive()
+//                                                     crash / restart
 //   core::FaultInjectedBackend -> backend_get_action(), corrupt()
 //   core::Instance (setup)     -> network_multiplier(), storage_multiplier()
 //
@@ -71,8 +71,6 @@ class FaultInjector {
   /// dead right now (`vnow` = the rank's virtual clock, or -1 when no
   /// clock is wired). A false return is counted as fault.daemon_dropped.
   bool daemon_alive(int rank, double vnow) EXCLUDES(mu_);
-  /// Extra per-request service delay while alive (fault.daemon_hangs).
-  int daemon_hang_ms(int rank) EXCLUDES(mu_);
   /// Manual overrides for scenario tests; kill wins over every rule until
   /// revive_daemon() returns the rank to plan control.
   void kill_daemon(int rank) EXCLUDES(mu_);
@@ -100,7 +98,7 @@ class FaultInjector {
 
  private:
   struct Event {
-    char kind;  // 'D'rop 'L'delay 'U'dup 'C'orrupt 'K'daemon-drop 'H'ang 'B'ackend
+    char kind;  // 'D'rop 'L'delay 'U'dup 'C'orrupt 'K'daemon-drop 'B'ackend
     int rule;
     int src;
     int dest;
@@ -122,7 +120,6 @@ class FaultInjector {
   obs::Counter& msg_duplicated_;
   obs::Counter& msg_corrupted_;
   obs::Counter& daemon_dropped_;
-  obs::Counter& daemon_hangs_;
   obs::Counter& backend_errors_;
   obs::Counter& backend_corrupted_;
 

@@ -33,15 +33,18 @@ constexpr int kTagFetch = 100;
 constexpr int kTagWriteMeta = 101;     // one-way
 constexpr int kTagShutdown = 102;      // self-addressed by Daemon::stop()
 constexpr int kTagRingCopy = 103;      // one-way, Instance::replicate_ring
-// Metadata cluster (cluster/node.hpp). 110..115 are requests.
+// Metadata cluster (cluster/node.hpp), served by the daemon's loop.
+// 110..115 are requests; 116 is unused.
 constexpr int kTagGossip = 110;        // one-way push, or push-pull from join()
 constexpr int kTagMetaLookup = 111;
 constexpr int kTagShardDigest = 112;
 constexpr int kTagShardPull = 113;
 constexpr int kTagListPaths = 114;
 constexpr int kTagListDir = 115;
-constexpr int kTagClusterStop = 116;   // self-addressed by ClusterNode::stop()
 constexpr int kTagMetaPush = 117;      // one-way shard merge
+constexpr bool is_cluster_tag(int tag) {
+  return tag >= kTagGossip && tag <= kTagMetaPush;
+}
 // Reply tags: each caller draws from its own kReplyTagSpan tags.
 constexpr int kFetchReplyTagBase = 1000;
 constexpr int kClusterReplyTagBase = 2000000;

@@ -9,11 +9,13 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "compress/registry.hpp"
@@ -272,7 +274,9 @@ TEST(ChaosTest, OwnerDaemonDiesMidEpochFailoverCoversIt) {
 TEST(ChaosTest, CrashWindowOnVirtualClockKillsAndRestartsDaemon) {
   // Rank 1's daemon is scripted dead for virtual seconds [1, 2): reads
   // succeed before the window, fail inside it, and succeed again after
-  // the rank's clock passes the restart instant.
+  // the rank's clock passes the restart instant. Inside the window the
+  // whole rank is down: metadata requests go unanswered and forwarded
+  // write metadata is dropped, not just fetches.
   const Bytes data_a = testdata::text_like(3000, 31);
   const Bytes data_b = testdata::text_like(3000, 32);
   fault::FaultPlan plan;
@@ -311,21 +315,54 @@ TEST(ChaosTest, CrashWindowOnVirtualClockKillsAndRestartsDaemon) {
         }
         comm.barrier();
 
-        // Phase 2: rank 1 advances into the window — "b" is unreachable.
+        // A metadata lookup sent straight to rank 1's daemon, answered or
+        // not within a short wait (not a full resolve, which waits
+        // kRpcTimeoutMs per try).
+        mpi::Caller probe(comm, mpi::kClusterReplyTagBase +
+                                    static_cast<int>(mpi::kReplyTagSpan));
+        const auto lookup_answered = [&] {
+          return probe
+              .call(1, mpi::kTagMetaLookup, as_view(std::string("a")),
+                    mpi::Wait{scale_ms(100), {}})
+              .ok();
+        };
+
+        // Phase 2: rank 1 advances into the window — "b" is unreachable,
+        // a metadata lookup goes unanswered, and the metadata of a file
+        // rank 0 writes now is forwarded to rank 1 and dropped there.
         if (comm.rank() == 1) clock.advance_sec(1.5);
         comm.barrier();
         if (comm.rank() == 0) {
+          const obs::Counter& dropped = inj.metrics().counter("fault.daemon_dropped");
+          ASSERT_EQ(posixfs::write_file(inst.fs(), "w", as_view(data_a)), 0);
+          EXPECT_FALSE(lookup_answered());
+          // Rank 1's loop takes rank 0's messages in order: once the
+          // forward and the lookup behind it are both counted dropped, the
+          // forward was handled inside the window, not after the restart.
+          for (int i = 0; i < 500 && dropped.value() < 2; ++i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+          }
+          EXPECT_EQ(dropped.value(), 2u);
           EXPECT_EQ(inst.fs().open("b", posixfs::OpenMode::kRead), -EIO);
         }
         comm.barrier();
 
-        // Phase 3: rank 1 restarts (clock beyond the window) — "b" reads.
+        // Phase 3: rank 1 restarts (clock beyond the window) — "b" reads
+        // and lookups are answered again.
         if (comm.rank() == 1) clock.advance_sec(1.0);
         comm.barrier();
         if (comm.rank() == 0) {
           const auto got = posixfs::read_file(inst.fs(), "b");
           ASSERT_TRUE(got.has_value());
           EXPECT_EQ(*got, data_b);
+          // One loop serves rank 0's messages in order, so this answer
+          // also means the write-meta forward was handled before it.
+          EXPECT_TRUE(lookup_answered());
+        }
+        comm.barrier();
+        if (comm.rank() == 1) {
+          EXPECT_FALSE(inst.metadata().lookup("w").has_value());
+          EXPECT_EQ(inst.metrics().counter("daemon.meta_forwards").value(), 0u);
         }
         comm.barrier();
         inst.stop();

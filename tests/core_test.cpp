@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "compress/registry.hpp"
@@ -549,6 +550,17 @@ TEST(FanStoreIntegrationTest, FullSharedFsFlowWithRingReplication) {
     // local; the other 8 are remote fetches.
     EXPECT_EQ(inst.fs().metrics().counter("fs.remote_fetches").value(), 8u);
     comm.barrier();
+    inst.stop();
+  });
+}
+
+TEST(DaemonProtocolTest, ExchangeAfterStartIsRefused) {
+  // The daemon's loop takes shard pushes, so an exchange behind it would
+  // wait forever for pushes the loop already took.
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    Instance inst(comm, {});
+    inst.start_daemon();
+    EXPECT_THROW(inst.exchange_metadata(), std::logic_error);
     inst.stop();
   });
 }

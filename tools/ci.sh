@@ -164,12 +164,21 @@ fi
 # Sharded-metadata smoke (DESIGN.md §13): full replication (rf = ranks) vs
 # the consistent-hash-sharded namespace (rf = 2), both through the same push
 # exchange, at 8 and 64 ranks in-process (512 ranks modeled analytically).
-# The per-rank exchange-bytes gate and the zero-RPC gate for
-# full-replication lookups are enforced on every run; the wall-clock gate
-# only on hardware with >= 8 cores. Run without --quick for the committed
-# BENCH_cluster.json numbers.
-echo "==== [bench] bench_cluster --quick ===="
+# The per-rank exchange-bytes gate, the zero-RPC gate for full-replication
+# lookups and the 64-rank build wall-time gate (sharded no slower than
+# full) are enforced on every host. Bytes per rank and the lookup RPC share
+# are protocol properties, so a second run in a new process must replay
+# them exactly. Run without --quick for the committed BENCH_cluster.json
+# numbers.
+echo "==== [bench] bench_cluster --quick (twice, must replay) ===="
 build/bench/bench_cluster --quick --json /tmp/BENCH_cluster_quick.json
+build/bench/bench_cluster --quick --json /tmp/BENCH_cluster_replay.json
+cluster_columns='"(bytes_per_rank|lookup_rpc_share)": [0-9.]+'
+if ! diff <(grep -oE "$cluster_columns" /tmp/BENCH_cluster_quick.json) \
+          <(grep -oE "$cluster_columns" /tmp/BENCH_cluster_replay.json); then
+  echo "ci.sh: bench_cluster did not replay across processes" >&2
+  exit 1
+fi
 
 if [ "${1:-}" = "--tier1-only" ]; then
   echo "ci.sh: tier-1 pass complete (sanitizer matrix skipped)"
@@ -190,8 +199,9 @@ TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   run_chaos_seeds "tsan-chaos" build-tsan
 
-# And the membership-churn sweep with TSan watching the cluster service
-# threads, rebalance pushes, and client-side resolves interleave.
+# And the membership-churn sweep with TSan watching the daemon loops that
+# serve the cluster requests, rebalance pushes, and client-side resolves
+# interleave.
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   run_churn_seeds "tsan-churn" build-tsan
 
