@@ -297,6 +297,7 @@ int main(int argc, char** argv) {
   });
   fs_table.print();
 
+  const std::string header = bench::json_header("hotpath", quick, "wall");
   FILE* out = std::fopen(json_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_hotpath: cannot write %s\n", json_path.c_str());
@@ -304,8 +305,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "{\n"
-               "  \"bench\": \"hotpath\",\n"
-               "  \"quick\": %s,\n"
+               "%s,\n"
                "  \"file_bytes\": %zu,\n"
                "  \"files\": %zu,\n"
                "  \"cache_shards\": %zu,\n"
@@ -322,7 +322,7 @@ int main(int argc, char** argv) {
                "    \"kops\": %s\n"
                "  }\n"
                "}\n",
-               quick ? "true" : "false", kFileBytes, files, kShards,
+               header.c_str(), kFileBytes, files, kShards,
                json_array(hit.threads).c_str(), json_array(hit.kops).c_str(),
                json_array(miss.threads).c_str(), json_array(miss.kops).c_str(),
                json_array(fs_threads).c_str(), json_array(fs_kops).c_str());

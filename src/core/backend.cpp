@@ -95,21 +95,23 @@ void FaultInjectedBackend::put(const std::string& path, Blob blob) {
 }
 
 std::optional<Blob> FaultInjectedBackend::get(const std::string& path) const {
-  switch (injector_->backend_get_action(rank_, path)) {
+  std::optional<Blob> blob = inner_->get(path);
+  const fault::BackendVerdict v =
+      injector_->backend_get_action(rank_, path, blob ? blob->data.size() : 0);
+  switch (v.action) {
     case fault::BackendAction::kFail:
       return std::nullopt;  // read error: the object is unreachable
     case fault::BackendAction::kCorrupt: {
-      std::optional<Blob> blob = inner_->get(path);
       if (!blob) return blob;
       Bytes torn(blob->data.begin(), blob->data.end());
-      injector_->corrupt(torn);
+      fault::flip_bytes(torn, v.draw);
       blob->data = std::move(torn);
       return blob;  // torn object: crc layers above must catch it
     }
     case fault::BackendAction::kNone:
       break;
   }
-  return inner_->get(path);
+  return blob;
 }
 
 bool FaultInjectedBackend::contains(const std::string& path) const {

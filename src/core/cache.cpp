@@ -65,17 +65,17 @@ std::size_t PlainCache::shard_of(const std::string& path) const {
 std::shared_ptr<CachedFile> PlainCache::insert_pinned_locked(
     Shard& s, const std::string& path, std::shared_ptr<CachedFile> data,
     std::vector<Demoted>* demoted) {
-  Entry e;
+  const auto [it, admitted] = s.entries.try_emplace(path);
+  Entry& e = it->second;
+  e.open_count++;
+  if (!admitted) return e.data;  // another admission of `path` won the race
   e.data = std::move(data);
   e.charged = e.data->charge_bytes();
-  e.open_count = 1;
   s.fifo.push_back(path);
   e.fifo_pos = std::prev(s.fifo.end());
-  e.in_fifo = true;
   s.bytes_used += e.charged;
   bytes_gauge_->add(static_cast<std::int64_t>(e.charged));
   auto result = e.data;
-  s.entries.emplace(path, std::move(e));
   evict_if_needed_locked(s, demoted);
   return result;
 }
@@ -95,22 +95,18 @@ std::shared_ptr<CachedFile> PlainCache::acquire_file(
   bool load_here = false;
   {
     sync::MutexLock lk(s.mu);
-    while (result == nullptr && !load_here) {
-      const auto it = s.entries.find(path);
-      if (it != s.entries.end()) {
-        it->second.open_count++;
-        hits_->inc();
-        if (loaded != nullptr) *loaded = false;
-        result = it->second.data;
-        break;
-      }
-      const auto fit = s.inflight.find(path);
-      if (fit == s.inflight.end()) {  // we become the loader
-        load_here = true;
-        flight = std::make_shared<InFlight>();
-        s.inflight.emplace(path, flight);
-        break;
-      }
+    const auto it = s.entries.find(path);
+    if (it != s.entries.end()) {
+      it->second.open_count++;
+      hits_->inc();
+      if (loaded != nullptr) *loaded = false;
+      result = it->second.data;
+    } else if (const auto fit = s.inflight.find(path);
+               fit == s.inflight.end()) {  // we become the loader
+      load_here = true;
+      flight = std::make_shared<InFlight>();
+      s.inflight.emplace(path, flight);
+    } else {
       // Another thread is already loading this path: wait for it instead
       // of duplicating the fetch+decompress (single-flight).
       flight = fit->second;
@@ -119,17 +115,10 @@ std::shared_ptr<CachedFile> PlainCache::acquire_file(
       if (flight->error != nullptr) std::rethrow_exception(flight->error);
       hits_->inc();
       if (loaded != nullptr) *loaded = false;
-      const auto again = s.entries.find(path);
-      if (again != s.entries.end()) {
-        again->second.open_count++;
-        result = again->second.data;
-        break;
-      }
-      // Narrow window: the loader's entry was already evicted (the loader's
-      // caller released its pin before we woke). Re-admit the bytes we were
-      // handed so pin/release stays balanced for this caller.
+      // The loader's entry is usually resident and gets pinned; if it was
+      // already evicted (the loader's caller released its pin before we
+      // woke), the bytes we were handed are admitted again.
       result = insert_pinned_locked(s, path, flight->data, &demoted);
-      break;
     }
   }
   if (!load_here) {
@@ -231,75 +220,26 @@ void PlainCache::erase_locked(
     Shard& s, std::unordered_map<std::string, Entry>::iterator it) {
   s.bytes_used -= it->second.charged;
   bytes_gauge_->add(-static_cast<std::int64_t>(it->second.charged));
-  if (it->second.in_fifo) s.fifo.erase(it->second.fifo_pos);
+  s.fifo.erase(it->second.fifo_pos);
   s.entries.erase(it);
-}
-
-std::list<std::string>::iterator PlainCache::pick_policy_victim_locked(
-    Shard& s, const EvictionPolicy& policy) {
-  auto victim = s.fifo.end();
-  std::uint64_t worst = 0;
-  for (auto pos = s.fifo.begin(); pos != s.fifo.end();) {
-    const auto it = s.entries.find(*pos);
-    if (it == s.entries.end()) {  // stale FIFO node from a prior erase
-      pos = s.fifo.erase(pos);
-      continue;
-    }
-    if (it->second.open_count > 0) {
-      ++pos;  // in use by some I/O thread: skip
-      continue;
-    }
-    const std::uint64_t d = policy.next_use_distance(*pos);
-    // Strict > keeps the earliest FIFO position among equal distances, so
-    // a plan that knows nothing (all kNever) degenerates to exact FIFO.
-    if (victim == s.fifo.end() || d > worst) {
-      worst = d;
-      victim = pos;
-    }
-    if (d == EvictionPolicy::kNever) break;  // nothing can be farther
-    ++pos;
-  }
-  return victim;
 }
 
 void PlainCache::evict_if_needed_locked(Shard& s,
                                         std::vector<Demoted>* demoted) {
-  const EvictionPolicy* policy = policy_.load(std::memory_order_acquire);
-  if (policy != nullptr) {
-    // Belady / exact-future-reuse (DESIGN.md §10): repeatedly evict the
-    // unpinned entry whose next planned use is farthest away.
-    while (s.bytes_used > s.budget) {
-      const auto victim = pick_policy_victim_locked(s, *policy);
-      if (victim == s.fifo.end()) return;  // everything pinned
-      const auto it = s.entries.find(*victim);
-      s.bytes_used -= it->second.charged;
-      bytes_gauge_->add(-static_cast<std::int64_t>(it->second.charged));
-      evictions_->inc();
-      plan_evictions_->inc();
-      if (demote_) demoted->push_back({*victim, std::move(it->second.data)});
-      s.fifo.erase(victim);
-      s.entries.erase(it);
-    }
-    return;
-  }
-  // FIFO scan, skipping pinned entries (the paper's "variant of FIFO").
-  auto pos = s.fifo.begin();
-  while (s.bytes_used > s.budget && pos != s.fifo.end()) {
-    const auto it = s.entries.find(*pos);
-    if (it == s.entries.end()) {
-      pos = s.fifo.erase(pos);
-      continue;
-    }
-    if (it->second.open_count > 0) {
-      ++pos;  // in use by some I/O thread: skip
-      continue;
-    }
-    s.bytes_used -= it->second.charged;
-    bytes_gauge_->add(-static_cast<std::int64_t>(it->second.charged));
+  // Entries in use by some I/O thread are skipped (the paper's "variant of
+  // FIFO"); under a plan the victim is the farthest next use (§10).
+  const EvictionPolicy* policy = eviction_policy();
+  const auto unpinned = [&s](const std::string& p) NO_THREAD_SAFETY_ANALYSIS {
+    return s.entries.find(p)->second.open_count == 0;  // s.mu is held
+  };
+  while (s.bytes_used > s.budget) {
+    const auto victim = pick_victim(s.fifo, policy, unpinned);
+    if (victim == s.fifo.end()) return;  // everything pinned
+    const auto it = s.entries.find(*victim);
     evictions_->inc();
-    if (demote_) demoted->push_back({*pos, std::move(it->second.data)});
-    pos = s.fifo.erase(pos);
-    s.entries.erase(it);
+    if (policy != nullptr) plan_evictions_->inc();
+    if (demote_) demoted->push_back({*victim, std::move(it->second.data)});
+    erase_locked(s, it);
   }
 }
 

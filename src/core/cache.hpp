@@ -32,11 +32,10 @@
 namespace fanstore::core {
 
 /// Pluggable eviction advice (DESIGN.md §10). When a policy is installed
-/// via PlainCache::set_eviction_policy(), capacity pressure evicts the
-/// unpinned entry whose next use is farthest in the future (exact-future-
+/// via PlainCache::set_eviction_policy(), capacity pressure in every tier
+/// evicts the entry whose next use is farthest in the future (exact-future-
 /// reuse / Belady — the clairvoyant plan::AccessPlan implements this
-/// interface over the known epoch schedule); with no policy installed the
-/// classic FIFO scan runs unchanged, byte for byte.
+/// interface over the known epoch schedule); see pick_victim().
 class EvictionPolicy {
  public:
   /// "Never used again" per the known schedule — evicted first.
@@ -49,6 +48,31 @@ class EvictionPolicy {
   /// cheap, non-blocking, and must never call back into the cache.
   virtual std::uint64_t next_use_distance(const std::string& path) const = 0;
 };
+
+/// The victim rule of every cache tier (DESIGN.md §10, §12). Among the keys
+/// of `order` (insertion order, oldest first) that `accept` takes: the
+/// oldest when `policy` is null (the paper's FIFO); otherwise the one whose
+/// next planned use is farthest away, the oldest among equals, so a plan
+/// that knows nothing (all kNever) picks exactly what FIFO picks. Returns
+/// order.end() when `accept` takes no key.
+template <typename Accept>
+std::list<std::string>::iterator pick_victim(std::list<std::string>& order,
+                                             const EvictionPolicy* policy,
+                                             const Accept& accept) {
+  auto victim = order.end();
+  std::uint64_t farthest = 0;
+  for (auto pos = order.begin(); pos != order.end(); ++pos) {
+    if (!accept(*pos)) continue;
+    if (policy == nullptr) return pos;
+    const std::uint64_t d = policy->next_use_distance(*pos);
+    if (victim == order.end() || d > farthest) {
+      farthest = d;
+      victim = pos;
+    }
+    if (d == EvictionPolicy::kNever) break;  // nothing can be farther
+  }
+  return victim;
+}
 
 class PlainCache {
  public:
@@ -131,8 +155,7 @@ class PlainCache {
   /// Installs (nullptr clears) a clairvoyant eviction policy. The policy
   /// must outlive the cache or be cleared first; it is consulted only at
   /// eviction time, so installation mid-run is safe (acquire/release on the
-  /// pointer). With no policy installed every code path is byte-identical
-  /// to the classic FIFO cache.
+  /// pointer). With no policy installed victims leave in FIFO order.
   void set_eviction_policy(const EvictionPolicy* policy) {
     policy_.store(policy, std::memory_order_release);
   }
@@ -149,7 +172,6 @@ class PlainCache {
     std::size_t charged = 0;
     int open_count = 0;
     std::list<std::string>::iterator fifo_pos;
-    bool in_fifo = false;
     bool invalidated = false;  // invalidate() while pinned
   };
 
@@ -180,17 +202,15 @@ class PlainCache {
   };
 
   Shard& shard_for(const std::string& path) const;
-  /// Belady scan for one victim: the unpinned entry with the farthest next
-  /// planned use (FIFO position breaks ties). end() if everything is pinned.
-  std::list<std::string>::iterator pick_policy_victim_locked(
-      Shard& s, const EvictionPolicy& policy) REQUIRES(s.mu);
-  /// Inserts a freshly loaded entry pinned once; applies FIFO pressure.
+  /// The one admission rule: pins `path`'s resident entry if there is one,
+  /// else admits `data` pinned once and applies capacity pressure.
   std::shared_ptr<CachedFile> insert_pinned_locked(
       Shard& s, const std::string& path, std::shared_ptr<CachedFile> data,
       std::vector<Demoted>* demoted) REQUIRES(s.mu);
   void evict_if_needed_locked(Shard& s, std::vector<Demoted>* demoted)
       REQUIRES(s.mu);
-  /// Unlinks one invalidated entry from its shard without demoting it.
+  /// Unlinks one entry from its shard (bytes, FIFO node) without demoting
+  /// it.
   void erase_locked(Shard& s,
                     std::unordered_map<std::string, Entry>::iterator it)
       REQUIRES(s.mu);
@@ -212,7 +232,8 @@ class PlainCache {
   obs::Counter* plan_evictions_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;
 
-  /// Clairvoyant eviction advice; nullptr = classic FIFO (DESIGN.md §10).
+  /// Clairvoyant eviction advice for every tier; nullptr = classic FIFO
+  /// (DESIGN.md §10).
   std::atomic<const EvictionPolicy*> policy_{nullptr};
 
   /// Next-tier sink for evicted entries (DESIGN.md §12); empty = victims

@@ -15,6 +15,9 @@ namespace {
 constexpr std::uint32_t kSpillMagic = 0x31505346;  // "FSP1" little-endian
 constexpr std::size_t kSpillHeader = 4 + 4 + 2 + 8 + 4;  // 22 bytes
 
+/// The lower tiers pin nothing: every resident key may be a victim.
+constexpr auto kAnyKey = [](const std::string&) { return true; };
+
 }  // namespace
 
 Bytes encode_spill_record(compress::CompressorId compressor,
@@ -250,16 +253,9 @@ void TieredCache::demote(const std::string& path,
     if (insert_compressed(path, std::move(e))) comp_demotes_->inc();
     return;
   }
-  if (!tier2_on_) {
-    dropped_->inc();
-    return;
-  }
-  const ByteView payload =
-      framed ? as_view(file->compressed_bytes()) : as_view(file->plain());
-  if (insert_spill(path, file->container_id(), file->size(),
-                   framed ? 0 : crc32(payload), payload)) {
-    spill_demotes_->inc();
-  }
+  insert_spill(path, file->container_id(), file->size(),
+               framed ? as_view(file->compressed_bytes())
+                      : as_view(file->plain()));
 }
 
 bool TieredCache::insert_compressed(const std::string& path,
@@ -267,14 +263,8 @@ bool TieredCache::insert_compressed(const std::string& path,
   const std::size_t sz = entry.payload.size();
   if (sz > opt_.compressed_bytes) {
     // Larger than the whole tier: skip straight to spill.
-    if (tier2_on_) {
-      if (insert_spill(path, entry.compressor, entry.original_size, 0,
-                       as_view(entry.payload))) {
-        spill_demotes_->inc();
-      }
-    } else {
-      dropped_->inc();
-    }
+    insert_spill(path, entry.compressor, entry.original_size,
+                 as_view(entry.payload));
     return false;
   }
   struct Victim {
@@ -285,27 +275,16 @@ bool TieredCache::insert_compressed(const std::string& path,
   {
     sync::MutexLock lk(comp_mu_);
     if (comp_.count(path) > 0) return false;  // dedupe
+    // Admit, then evict: under a plan the newcomer may itself have the
+    // farthest next use and go straight on to spill.
     comp_fifo_.push_back(path);
     entry.fifo_pos = std::prev(comp_fifo_.end());
     comp_bytes_ += sz;
     comp_bytes_gauge_->add(static_cast<std::int64_t>(sz));
     comp_.emplace(path, std::move(entry));
-    const EvictionPolicy* policy = policy_.load(std::memory_order_acquire);
+    const EvictionPolicy* policy = plain_.eviction_policy();
     while (comp_bytes_ > opt_.compressed_bytes && !comp_fifo_.empty()) {
-      auto pos = comp_fifo_.begin();
-      if (policy != nullptr) {
-        // Per-tier Belady (DESIGN.md §10/§12): demote the entry with the
-        // farthest next planned use first, FIFO position breaking ties.
-        std::uint64_t worst = 0;
-        for (auto p = comp_fifo_.begin(); p != comp_fifo_.end(); ++p) {
-          const std::uint64_t d = policy->next_use_distance(*p);
-          if (p == comp_fifo_.begin() || d > worst) {
-            worst = d;
-            pos = p;
-          }
-          if (d == EvictionPolicy::kNever) break;
-        }
-      }
+      const auto pos = pick_victim(comp_fifo_, policy, kAnyKey);
       const auto it = comp_.find(*pos);
       comp_bytes_ -= it->second.payload.size();
       comp_bytes_gauge_->add(
@@ -317,14 +296,8 @@ bool TieredCache::insert_compressed(const std::string& path,
   }
   for (auto& v : victims) {
     comp_evictions_->inc();
-    if (tier2_on_) {
-      if (insert_spill(v.path, v.entry.compressor, v.entry.original_size, 0,
-                       as_view(v.entry.payload))) {
-        spill_demotes_->inc();
-      }
-    } else {
-      dropped_->inc();
-    }
+    insert_spill(v.path, v.entry.compressor, v.entry.original_size,
+                 as_view(v.entry.payload));
   }
   return true;
 }
@@ -338,36 +311,27 @@ void TieredCache::reclaim_spill_locked(const std::string& path,
   spill_bytes_gauge_->add(-static_cast<std::int64_t>(e.record_bytes));
 }
 
-bool TieredCache::insert_spill(const std::string& path,
+void TieredCache::insert_spill(const std::string& path,
                                compress::CompressorId compressor,
-                               std::uint64_t original_size,
-                               std::uint32_t plain_crc, ByteView payload) {
+                               std::uint64_t original_size, ByteView payload) {
   const std::size_t record_bytes = kSpillHeader + payload.size();
-  if (record_bytes > opt_.spill_bytes) {
-    dropped_->inc();
-    return false;
+  if (!tier2_on_ || record_bytes > opt_.spill_bytes) {
+    dropped_->inc();  // no spill tier, or larger than all of it
+    return;
   }
+  // Frames check themselves; plain (id 0) bytes carry a crc of their own.
+  const std::uint32_t plain_crc = compressor == 0 ? crc32(payload) : 0;
   const Bytes record =
       encode_spill_record(compressor, original_size, plain_crc, payload);
   std::size_t evicted = 0;
   {
     sync::MutexLock lk(spill_mu_);
-    if (spill_.count(path) > 0) return false;  // dedupe
-    const EvictionPolicy* policy = policy_.load(std::memory_order_acquire);
+    if (spill_.count(path) > 0) return;  // dedupe
+    // Evict, then write: the record being written is never its own victim.
+    const EvictionPolicy* policy = plain_.eviction_policy();
     while (spill_bytes_ + record_bytes > opt_.spill_bytes &&
            !spill_fifo_.empty()) {
-      auto pos = spill_fifo_.begin();
-      if (policy != nullptr) {
-        std::uint64_t worst = 0;
-        for (auto p = spill_fifo_.begin(); p != spill_fifo_.end(); ++p) {
-          const std::uint64_t d = policy->next_use_distance(*p);
-          if (p == spill_fifo_.begin() || d > worst) {
-            worst = d;
-            pos = p;
-          }
-          if (d == EvictionPolicy::kNever) break;
-        }
-      }
+      const auto pos = pick_victim(spill_fifo_, policy, kAnyKey);
       const auto it = spill_.find(*pos);
       reclaim_spill_locked(*pos, it->second);
       spill_fifo_.erase(pos);
@@ -378,7 +342,7 @@ bool TieredCache::insert_spill(const std::string& path,
     if (posixfs::write_file(*spill_fs_, spill_path(path), as_view(record)) !=
         0) {
       dropped_->inc();  // spill device full/failed: entry falls to cold
-      return false;
+      return;
     }
     SpillEntry e;
     e.record_bytes = record_bytes;
@@ -390,7 +354,7 @@ bool TieredCache::insert_spill(const std::string& path,
     spill_bytes_written_->inc(static_cast<std::uint64_t>(record_bytes));
   }
   spill_evictions_->inc(static_cast<std::uint64_t>(evicted));
-  return true;
+  spill_demotes_->inc();
 }
 
 void TieredCache::recharge(const std::string& path) { plain_.recharge(path); }
@@ -406,11 +370,6 @@ bool TieredCache::contains_any(const std::string& path) const {
     if (spill_.count(path) > 0) return true;
   }
   return false;
-}
-
-void TieredCache::set_eviction_policy(const EvictionPolicy* policy) {
-  plain_.set_eviction_policy(policy);
-  policy_.store(policy, std::memory_order_release);
 }
 
 bool TieredCache::compressed_contains(const std::string& path) const {

@@ -21,10 +21,11 @@
 // retained until `promote_after_hits` cumulative hits, so one-shot scans do
 // not purge the capacity tiers. Every cold load is admitted to plain RAM.
 //
-// The clairvoyant EvictionPolicy (DESIGN.md §10) applies per tier: when a
-// plan is installed, tier-1 and tier-2 victim scans also pick the entry
-// with the farthest next planned use (FIFO tiebreak), matching the plain
-// tier's Belady branch.
+// Every tier picks its victims with the one rule in cache.hpp
+// (pick_victim): FIFO, or under the plain tier's installed EvictionPolicy
+// (DESIGN.md §10) the farthest next planned use. The compressed tier admits
+// a newcomer and then evicts, so a newcomer can be its own victim; the
+// spill tier evicts before it writes.
 //
 // Concurrency: tier lookups and demotions run with no plain-shard lock held
 // (inside the single-flight miss slot, or in the post-unlock demotion
@@ -145,9 +146,11 @@ class TieredCache {
   /// True when any local tier (plain, compressed, spill) holds `path`.
   bool contains_any(const std::string& path) const;
 
-  /// Applies `policy` to every tier: the plain tier's Belady branch plus
-  /// farthest-next-use victim scans in the compressed and spill tiers.
-  void set_eviction_policy(const EvictionPolicy* policy);
+  /// Installs (nullptr clears) `policy` for every tier; the lower tiers
+  /// read it from the plain tier.
+  void set_eviction_policy(const EvictionPolicy* policy) {
+    plain_.set_eviction_policy(policy);
+  }
 
   // --- Introspection (tests, stats_report) ---
   bool tiers_enabled() const { return tier1_on_ || tier2_on_; }
@@ -196,14 +199,15 @@ class TieredCache {
   std::shared_ptr<CachedFile> lookup_spill(const std::string& path);
 
   /// Inserts into tier 1 (no-op if present); evicted victims spill to
-  /// tier 2 after the tier-1 lock is released. Returns false on duplicate.
+  /// tier 2 after the tier-1 lock is released. Returns false on duplicate
+  /// or when the frame is larger than the tier (it spills instead).
   bool insert_compressed(const std::string& path, CompressedEntry entry);
-  /// Inserts into tier 2 (no-op if present); evicts FIFO/policy victims to
-  /// make room; records too large for the budget are dropped. Returns false
-  /// on duplicate or drop.
-  bool insert_spill(const std::string& path, compress::CompressorId compressor,
-                    std::uint64_t original_size, std::uint32_t plain_crc,
-                    ByteView payload);
+  /// The one way into tier 2 (no-op if present): evicts victims to make
+  /// room, then writes the record and counts tier.spill.demotes. With no
+  /// spill tier, or a record too large for it, counts tier.dropped instead.
+  /// A plain (id 0) payload's crc is computed here, past those exits.
+  void insert_spill(const std::string& path, compress::CompressorId compressor,
+                    std::uint64_t original_size, ByteView payload);
 
   std::string spill_path(const std::string& path) const;
   void reclaim_spill_locked(const std::string& path, const SpillEntry& e)
@@ -226,9 +230,6 @@ class TieredCache {
   std::unordered_map<std::string, SpillEntry> spill_ GUARDED_BY(spill_mu_);
   std::list<std::string> spill_fifo_ GUARDED_BY(spill_mu_);
   std::size_t spill_bytes_ GUARDED_BY(spill_mu_) = 0;
-
-  /// Per-tier Belady advice; mirrors the plain tier's installed policy.
-  std::atomic<const EvictionPolicy*> policy_{nullptr};
 
   // "tier.*" metrics — registered only when a tier is enabled, so the
   // no-tier configuration leaves registries untouched.

@@ -566,6 +566,209 @@ TEST(TieredCacheTest, BeladyPolicyAppliesPerTier) {
   tc.set_eviction_policy(nullptr);
 }
 
+TEST(TieredCacheTest, CompressedNewcomerWithFarthestNextUseGoesToSpill) {
+  const auto a = make_chunked(1);
+  const auto b = make_chunked(2);
+  const auto c = make_chunked(3);
+  const auto d = make_chunked(4);
+  TieredCache::Options opt;
+  opt.plain_bytes = 20000;
+  opt.compressed_bytes = 2 * a.compressed.size() + a.compressed.size() / 2;
+  opt.spill_bytes = 1 << 20;
+  opt.promote_after_hits = 100;
+  TieredCache tc(opt);
+  const std::pair<const char*, const ChunkedObject*> fill[] = {
+      {"a", &a}, {"b", &b}, {"c", &c}};
+  for (const auto& [path, obj] : fill) {
+    acquire_hot(tc, path, cold_of(*obj));
+    tc.release(path);
+  }
+  ASSERT_TRUE(tc.compressed_contains("a"));
+  ASSERT_TRUE(tc.compressed_contains("b"));
+  MapPolicy policy;
+  policy.distance = {{"a", 5}, {"b", 1}, {"c", 10}, {"d", 2}};
+  tc.set_eviction_policy(&policy);
+  // "d" pushes "c" into tier 1, which admits it and then evicts: "c" has
+  // the farthest next use, so it is its own victim and goes on to spill.
+  acquire_hot(tc, "d", cold_of(d));
+  tc.release("d");
+  EXPECT_TRUE(tc.compressed_contains("a"));
+  EXPECT_TRUE(tc.compressed_contains("b"));
+  EXPECT_FALSE(tc.compressed_contains("c"));
+  EXPECT_TRUE(tc.spill_contains("c"));
+  auto& m = tc.metrics();
+  EXPECT_EQ(m.counter("tier.compressed.demotes").value(), 3u);
+  EXPECT_EQ(m.counter("tier.compressed.evictions").value(), 1u);
+  EXPECT_EQ(m.counter("tier.spill.demotes").value(), 1u);
+  tc.set_eviction_policy(nullptr);
+}
+
+TieredCache::ColdLoader flat_of(std::uint8_t fill, std::size_t n = 100) {
+  return [fill, n] {
+    ColdResult r;
+    r.file = std::make_shared<CachedFile>(blob(n, fill));
+    return r;
+  };
+}
+
+/// Flat 100-byte blobs skip the compressed tier: plain RAM holds one, the
+/// spill tier three 122-byte records.
+TieredCache::Options flat_spill_options() {
+  TieredCache::Options opt;
+  opt.plain_bytes = 150;
+  opt.spill_bytes = 3 * 122;
+  opt.promote_after_hits = 100;
+  return opt;
+}
+
+void touch_flat(TieredCache& tc, std::initializer_list<const char*> paths) {
+  for (const char* p : paths) {
+    tc.acquire_file(p, flat_of(static_cast<std::uint8_t>(p[0])));
+    tc.release(p);
+  }
+}
+
+TEST(TieredCacheTest, SpillTierUnderPlanEvictsFarthestNextUse) {
+  TieredCache tc(flat_spill_options());
+  touch_flat(tc, {"a", "b", "c", "d"});  // a, b, c spilled; d in plain RAM
+  ASSERT_EQ(tc.spill_bytes_used(), 3 * 122u);
+  MapPolicy policy;
+  policy.distance = {{"a", 1}, {"b", 10}, {"c", 5}, {"d", 2}, {"e", 0}};
+  tc.set_eviction_policy(&policy);
+  // "e" demotes "d" to a full spill tier, whose victim must be "b"
+  // (farthest next use), not "a" (FIFO head).
+  touch_flat(tc, {"e"});
+  EXPECT_TRUE(tc.spill_contains("a"));
+  EXPECT_FALSE(tc.spill_contains("b"));
+  EXPECT_TRUE(tc.spill_contains("c"));
+  EXPECT_TRUE(tc.spill_contains("d"));
+  EXPECT_EQ(tc.metrics().counter("tier.spill.evictions").value(), 1u);
+  tc.set_eviction_policy(nullptr);
+}
+
+TEST(TieredCacheTest, SpillTierNeverEvictsTheRecordItWrites) {
+  TieredCache tc(flat_spill_options());
+  touch_flat(tc, {"a", "b", "c", "d"});
+  MapPolicy policy;
+  // "d" is not in the plan (kNever), so it is the farthest next use of
+  // all; the spill tier evicts before it writes, so "d" still lands and
+  // the farthest of the records already there ("b") makes room.
+  policy.distance = {{"a", 1}, {"b", 3}, {"c", 2}, {"e", 0}};
+  tc.set_eviction_policy(&policy);
+  touch_flat(tc, {"e"});
+  EXPECT_TRUE(tc.spill_contains("d"));
+  EXPECT_FALSE(tc.spill_contains("b"));
+  EXPECT_TRUE(tc.spill_contains("a"));
+  EXPECT_TRUE(tc.spill_contains("c"));
+  auto& m = tc.metrics();
+  EXPECT_EQ(m.counter("tier.spill.demotes").value(), 4u);
+  EXPECT_EQ(m.counter("tier.spill.evictions").value(), 1u);
+  EXPECT_EQ(m.counter("tier.dropped").value(), 0u);
+  tc.set_eviction_policy(nullptr);
+}
+
+TEST(TieredCacheTest, CompressedVictimWithSpillOffCountsOneDrop) {
+  const auto a = make_chunked(1);
+  const auto b = make_chunked(2);
+  const auto c = make_chunked(3);
+  TieredCache::Options opt;
+  opt.plain_bytes = 20000;
+  opt.compressed_bytes = a.compressed.size() + a.compressed.size() / 2;
+  TieredCache tc(opt);  // no spill tier
+  ASSERT_FALSE(tc.spill_enabled());
+  const std::pair<const char*, const ChunkedObject*> fill[] = {
+      {"a", &a}, {"b", &b}, {"c", &c}};
+  for (const auto& [path, obj] : fill) {
+    acquire_hot(tc, path, cold_of(*obj));
+    tc.release(path);
+  }
+  // "b" entered tier 1 and evicted "a", which had nowhere to go.
+  EXPECT_TRUE(tc.compressed_contains("b"));
+  EXPECT_FALSE(tc.compressed_contains("a"));
+  EXPECT_FALSE(tc.spill_contains("a"));
+  auto& m = tc.metrics();
+  EXPECT_EQ(m.counter("tier.compressed.evictions").value(), 1u);
+  EXPECT_EQ(m.counter("tier.dropped").value(), 1u);
+  EXPECT_EQ(m.counter("tier.spill.demotes").value(), 0u);
+}
+
+class NeverPolicy : public EvictionPolicy {
+ public:
+  std::uint64_t next_use_distance(const std::string&) const override {
+    return kNever;
+  }
+};
+
+struct TierTrace {
+  std::vector<std::string> residency;  // per step: P/C/S/- per key
+  std::uint64_t plain_evictions = 0;
+  std::uint64_t compressed_evictions = 0;
+  std::uint64_t spill_evictions = 0;
+  std::uint64_t plan_evictions = 0;
+};
+
+/// A fixed mixed workload that evicts in all three tiers: even keys are
+/// chunked frames (plain → compressed → spill), odd keys flat 4 KiB blobs
+/// (plain → spill). Each step pins a key before it unpins the previous
+/// one, so the plain tier also skips a pinned entry.
+TierTrace run_tier_trace(const EvictionPolicy* policy) {
+  constexpr int kKeys = 8;
+  std::vector<ChunkedObject> frames;
+  for (int i = 0; i < kKeys; ++i) {
+    frames.push_back(make_chunked(static_cast<std::uint8_t>(i + 1)));
+  }
+  TieredCache::Options opt;
+  opt.plain_bytes = 24000;
+  opt.compressed_bytes = 2 * frames[0].compressed.size() +
+                         frames[0].compressed.size() / 2;
+  opt.spill_bytes = 3 * (4096 + 22);
+  TieredCache tc(opt);
+  tc.set_eviction_policy(policy);
+  TierTrace trace;
+  std::string held;
+  for (int step = 0; step < 48; ++step) {
+    const int i = (step * 5 + step / 8) % kKeys;
+    const std::string path = "k" + std::to_string(i);
+    acquire_hot(tc, path,
+                i % 2 == 0 ? cold_of(frames[static_cast<std::size_t>(i)])
+                           : flat_of(static_cast<std::uint8_t>(i), 4096));
+    if (!held.empty()) tc.release(held);
+    held = path;
+    std::string row;
+    for (int k = 0; k < kKeys; ++k) {
+      const std::string key = "k" + std::to_string(k);
+      row += tc.contains(key)              ? 'P'
+             : tc.compressed_contains(key) ? 'C'
+             : tc.spill_contains(key)      ? 'S'
+                                           : '-';
+    }
+    trace.residency.push_back(row);
+  }
+  tc.release(held);
+  auto& m = tc.metrics();
+  trace.plain_evictions = m.counter("cache.evictions").value();
+  trace.compressed_evictions = m.counter("tier.compressed.evictions").value();
+  trace.spill_evictions = m.counter("tier.spill.evictions").value();
+  trace.plan_evictions = m.counter("plan.evictions").value();
+  tc.set_eviction_policy(nullptr);
+  return trace;
+}
+
+TEST(TieredCacheTest, AllNeverPlanMatchesFifoOnEveryTier) {
+  const NeverPolicy never;
+  const TierTrace fifo = run_tier_trace(nullptr);
+  const TierTrace planned = run_tier_trace(&never);
+  EXPECT_GT(fifo.plain_evictions, 0u);
+  EXPECT_GT(fifo.compressed_evictions, 0u);
+  EXPECT_GT(fifo.spill_evictions, 0u);
+  EXPECT_EQ(fifo.plan_evictions, 0u);
+  EXPECT_EQ(planned.plan_evictions, planned.plain_evictions);
+  EXPECT_EQ(planned.residency, fifo.residency);
+  EXPECT_EQ(planned.plain_evictions, fifo.plain_evictions);
+  EXPECT_EQ(planned.compressed_evictions, fifo.compressed_evictions);
+  EXPECT_EQ(planned.spill_evictions, fifo.spill_evictions);
+}
+
 TEST(TieredCacheTest, NoTierBudgetsIsPassThrough) {
   TieredCache::Options opt;
   opt.plain_bytes = 250;

@@ -650,6 +650,40 @@ TEST(ChaosTest, SameSeedProducesIdenticalFaultSchedule) {
   EXPECT_NE(first, other);
 }
 
+// The bytes a corruption flips replay too: two senders race into one
+// receiver under a corrupt rule, and the dump, flipped offsets included,
+// is the same however the two channels interleave.
+TEST(ChaosTest, CorruptOffsetsReplayAcrossInterleavedChannels) {
+  const auto run_two_channels = [] {
+    fault::FaultPlan plan;
+    plan.seed = 7;
+    fault::MessageRule r;
+    r.tag = 7;
+    r.corrupt_prob = 0.3;
+    plan.messages.push_back(r);
+    fault::FaultInjector inj(plan);
+    mpi::run_world(
+        3,
+        [&](mpi::Comm& comm) {
+          if (comm.rank() < 2) {
+            for (int i = 0; i < 100; ++i) {
+              comm.send(2, 7, Bytes(8 + static_cast<std::size_t>(i), 1));
+            }
+          }
+          comm.barrier();  // receiver never drains: delivery is the event
+        },
+        &inj);
+    return inj.schedule_dump();
+  };
+  const std::string first = run_two_channels();
+  EXPECT_NE(first.find("C rule=0 0->2 "), std::string::npos);
+  EXPECT_NE(first.find("C rule=0 1->2 "), std::string::npos);
+  EXPECT_NE(first.find(" off="), std::string::npos);
+  for (int run = 1; run < 20; ++run) {
+    ASSERT_EQ(run_two_channels(), first) << "run " << run;
+  }
+}
+
 // Regression for the mpi timeout paths moving onto util::TimeSource: with a
 // ManualTimeSource injected, a faulted run — drops, dups, corruptions, AND
 // delayed deliveries that only mature when the test advances virtual time —

@@ -110,6 +110,46 @@ TEST(RaceStressTest, ShardedSingleFlightStress) {
   EXPECT_LE(cache.bytes_used(), cache.capacity());
 }
 
+TEST(RaceStressTest, SingleFlightReadmitKeepsByteAccountingExact) {
+  // 16 threads over 64 paths of distinct sizes in one tiny shard. A
+  // single-flight waiter that wakes to find the loader's entry already
+  // evicted re-admits the bytes it was handed, while a second loader of the
+  // same path may be in flight; both admissions must land on one entry.
+  // Once every thread has joined, the shard's byte count must equal the
+  // sizes of the entries still resident, and no pin may be left behind.
+  constexpr int kPaths = 64;
+  constexpr int kThreads = 16;
+  const int kRounds = testsupport::kUnderSanitizer ? 4 : 40;
+  const int kIters = testsupport::kUnderSanitizer ? 100 : 200;
+  auto size_of = [](int i) { return static_cast<std::size_t>(256 + 32 * i); };
+  for (int round = 0; round < kRounds; ++round) {
+    core::PlainCache cache(16 * 1024, 1);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kIters; ++i) {
+          const int id = (t * 31 + i * 17 + round) % kPaths;
+          const std::string path = "p" + std::to_string(id);
+          const auto data = cache.acquire_file(path, [&] {
+            return std::make_shared<core::CachedFile>(Bytes(size_of(id)));
+          });
+          ASSERT_EQ(data->size(), size_of(id));
+          cache.release(path);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    std::size_t resident = 0;
+    for (int i = 0; i < kPaths; ++i) {
+      const std::string path = "p" + std::to_string(i);
+      if (cache.contains(path)) resident += size_of(i);
+      ASSERT_EQ(cache.open_count(path), 0) << path << " in round " << round;
+    }
+    ASSERT_EQ(cache.bytes_used(), resident) << "round " << round;
+    ASSERT_LE(cache.bytes_used(), cache.capacity()) << "round " << round;
+  }
+}
+
 TEST(RaceStressTest, ChunkedPartialMaterializationRace) {
   // One shared lazy chunked entry (32 x 16 KiB chunks) acquired through the
   // cache, hammered by 8 threads doing random-window read_range() calls

@@ -120,23 +120,32 @@ build/bench/bench_hotpath --quick --json /tmp/BENCH_hotpath_quick.json
 echo "==== [bench] bench_chunked --quick ===="
 build/bench/bench_chunked --quick --json /tmp/BENCH_chunked_quick.json
 
-# Clairvoyant-planner smoke (DESIGN.md §10): reactive prefetch vs
-# plan-driven prefetch + Belady eviction at 8 and 64 ranks in virtual time.
-# Exits non-zero if clairvoyant is ever slower than reactive or the Belady
-# hit rate fails to beat FIFO's. Run without --quick (adds 512 ranks) for
-# the recorded BENCH_clairvoyant.json numbers.
-# A second run in a new process must replay the first exactly: the virtual
-# clock charges decode from the committed codec-speed table and nothing in
-# the virtual world reads a wall clock, so any differing items/s or hit-rate
-# value fails CI.
-echo "==== [bench] bench_clairvoyant --quick (twice, must replay) ===="
-build/bench/bench_clairvoyant --quick --json /tmp/BENCH_clairvoyant_quick.json
-build/bench/bench_clairvoyant --quick --json /tmp/BENCH_clairvoyant_replay.json
-if ! diff <(grep -E 'items_s|hit_rate' /tmp/BENCH_clairvoyant_quick.json) \
-          <(grep -E 'items_s|hit_rate' /tmp/BENCH_clairvoyant_replay.json); then
-  echo "ci.sh: bench_clairvoyant did not replay across processes" >&2
-  exit 1
-fi
+# Virtual-clock benches against their committed files: the virtual clock
+# charges decode from the committed codec-speed table and nothing in the
+# virtual world reads a wall clock, so a full run reproduces the committed
+# JSON byte for byte, header included, apart from `git_rev`. A diff means a
+# changed number (or a model change nobody re-recorded) and fails CI. The
+# files were recorded on a 4-core host; the header's hardware_concurrency
+# stays in the diff, so a run on another host says so first.
+#   bench_clairvoyant (DESIGN.md §10): reactive prefetch vs plan-driven
+#     prefetch + Belady eviction at 8, 64 and 512 ranks; exits non-zero if
+#     clairvoyant is ever slower than reactive or Belady's hit rate fails to
+#     beat FIFO's.
+#   bench_tiered (DESIGN.md §12): plain-RAM-only vs the four-tier stack
+#     across RAM-budget fractions; enforces the tier accounting identity and
+#     the "tiered beats plain at cache = 1/8 dataset" epoch-time gate.
+check_committed_bench() {
+  local name="$1"
+  echo "==== [bench] $name (full run, diffed against BENCH_$name.json) ===="
+  "build/bench/bench_$name" --json "/tmp/BENCH_${name}_ci.json"
+  if ! diff <(grep -v '"git_rev"' "BENCH_$name.json") \
+            <(grep -v '"git_rev"' "/tmp/BENCH_${name}_ci.json"); then
+    echo "ci.sh: bench_$name differs from the committed BENCH_$name.json" >&2
+    exit 1
+  fi
+}
+check_committed_bench clairvoyant
+check_committed_bench tiered
 
 # Socket front-door smoke (DESIGN.md §11): the event-driven server over a
 # warm FanStoreFs at a few client counts over UDS. Exits non-zero unless
@@ -145,21 +154,6 @@ fi
 # BENCH_ipc.json numbers.
 echo "==== [bench] bench_ipc --quick ===="
 build/bench/bench_ipc --quick --json /tmp/BENCH_ipc_quick.json
-
-# Tiered-cache smoke (DESIGN.md §12): plain-RAM-only vs the four-tier stack
-# across RAM-budget fractions in virtual time. The tier accounting identity
-# and the "tiered beats plain at cache = 1/8 dataset" epoch-time gate are
-# enforced on every host: the epoch times come from the virtual clock, so a
-# second run in a new process must replay the first exactly. Run without
-# --quick for the recorded BENCH_tiered.json numbers.
-echo "==== [bench] bench_tiered --quick (twice, must replay) ===="
-build/bench/bench_tiered --quick --json /tmp/BENCH_tiered_quick.json
-build/bench/bench_tiered --quick --json /tmp/BENCH_tiered_replay.json
-if ! diff <(grep -E 'epoch_s|speedup|hits|loads|misses' /tmp/BENCH_tiered_quick.json) \
-          <(grep -E 'epoch_s|speedup|hits|loads|misses' /tmp/BENCH_tiered_replay.json); then
-  echo "ci.sh: bench_tiered did not replay across processes" >&2
-  exit 1
-fi
 
 # Sharded-metadata smoke (DESIGN.md §13): full replication (rf = ranks) vs
 # the consistent-hash-sharded namespace (rf = 2), both through the same push
